@@ -13,15 +13,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import fgr, ivim, masks, phantom, report, stats
+from . import fgr, ivim, masks, phantom, report
 from .errors import FormatError
 from .grid import average_by_bvalue
 from .nifti import (_atomic_write, read_mask, read_volume, write_mask,
@@ -217,7 +214,7 @@ def _cmd_fit(args) -> int:
                       ("adc", maps.adc), ("residual", maps.residual)):
         write_volume(vol, out / f"{name}.nii")
 
-    summary = ivim.summarize(maps)
+    fitted = maps.mask.voxel_count
     log = {
         "config": {
             "b_threshold": cfg.b_threshold,
@@ -226,27 +223,12 @@ def _cmd_fit(args) -> int:
             "entropy_bins": int(cfg_dict["entropy_bins"]),
             "threads": threads,
         },
-        "voxels_fitted": summary.voxel_count,
-        "voxels_failed": mask.voxel_count - summary.voxel_count,
+        "voxels_fitted": fitted,
+        "voxels_failed": mask.voxel_count - fitted,
         "boundary_hits": ivim.boundary_hits(maps, cfg),
         "wall_time": wall,
-        "summary": None,
+        "summary": report.summary_metrics(maps, int(cfg_dict["entropy_bins"])),
     }
-    if not summary.empty:
-        m = maps.mask.data
-        bins = int(cfg_dict["entropy_bins"])
-        log["summary"] = {
-            "volume_ml": summary.volume_ml,
-            "s0_mean": summary.s0.mean, "f_mean": summary.f.mean,
-            "d_star_mean": summary.d_star.mean, "adc_mean": summary.adc.mean,
-            "residual_mean": summary.residual.mean,
-            "s0_cv": stats.cv(maps.s0.data[m]), "f_cv": stats.cv(maps.f.data[m]),
-            "d_star_cv": stats.cv(maps.d_star.data[m]),
-            "adc_cv": stats.cv(maps.adc.data[m]),
-            "f_entropy": stats.shannon_entropy(maps.f.data[m], bins),
-            "d_star_entropy": stats.shannon_entropy(maps.d_star.data[m], bins),
-            "adc_entropy": stats.shannon_entropy(maps.adc.data[m], bins),
-        }
     _write_json(log, out / "fit_log.json")
     return EXIT_OK
 
@@ -292,6 +274,17 @@ def _read_summaries(path) -> list[dict]:
     rows = []
     for i, r in enumerate(raw, start=2):
         row = dict(r)
+        if None in r.values():
+            raise FormatError(f"{path}: line {i}: too few fields")
+        try:
+            row["group"] = fgr.Group.parse(r["group"]).value
+            row["strategy"] = masks.FusionStrategy.parse(r["strategy"]).value
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {i}: {exc}") from None
+        row["source"] = r["source"].strip().lower()
+        if row["source"] not in report.SOURCES:
+            raise FormatError(f"{path}: line {i}: unknown source {r['source']!r}; "
+                              f"expected one of {', '.join(report.SOURCES)}")
         for col in report.ALL_METRICS:
             try:
                 row[col] = float(r[col])

@@ -7,7 +7,7 @@ construction and are safe to share across concurrent readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,7 +168,6 @@ class IvimMaps:
     adc: Volume3D
     residual: Volume3D
     mask: BinaryMask  # voxels that actually carry a fit
-    _skip_checks: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         vols = (self.s0, self.f, self.d_star, self.adc, self.residual)
@@ -177,8 +176,6 @@ class IvimMaps:
                 raise DimensionError("all parameter maps must share one grid")
         if not self.mask.same_grid(vols[0]):
             raise DimensionError("mask grid differs from the parameter maps")
-        if self._skip_checks:
-            return
         m = self.mask.data
         if not m.any():
             return

@@ -6,8 +6,9 @@ tissue diffusion coefficient to that value and fits amplitude, perfusion
 fraction and pseudo-diffusion coefficient to the full decay curve, which
 stabilizes the otherwise poorly conditioned biexponential problem.
 
-Voxels that cannot be fitted (too few usable points, divergence) carry the
-NaN sentinel and are skipped by the summaries; they never abort a volume fit.
+Voxels that cannot be fitted (a non-finite sample, too few usable points,
+divergence) carry the NaN sentinel and are skipped by the summaries; they
+never abort a volume fit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class IvimFitConfig:
     b_threshold: float = 100.0  # strict: only b > threshold enters the ADC fit
     f_range: tuple[float, float] = (0.0, 1.0)
     adc_range: tuple[float, float] = (1e-5, 1e-1)  # mm^2/s
-    residual_metric: str = "rmse_over_s0"
 
     def __post_init__(self):
         if self.b_threshold < 0:
@@ -162,6 +162,8 @@ def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> 
 
 
 def _fit_voxel(b: np.ndarray, s: np.ndarray, cfg: IvimFitConfig):
+    if not np.isfinite(s).all():
+        return None
     adc_fit = _fit_adc_arrays(b, s, cfg)
     if adc_fit is None:
         return None

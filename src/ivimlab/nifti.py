@@ -84,8 +84,10 @@ def _read_array(path) -> tuple[np.ndarray, VoxelSpacing]:
         )
     flat = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
     data = flat.reshape((nt, nz, ny, nx) if nt else (nz, ny, nx)).astype(np.float64)
-    if hdr["scl_slope"] != 0.0:
-        data = data * hdr["scl_slope"] + hdr["scl_inter"]
+    # a zero or non-finite slope means the image is stored unscaled
+    if hdr["scl_slope"] != 0.0 and np.isfinite(hdr["scl_slope"]):
+        data *= hdr["scl_slope"]
+        data += hdr["scl_inter"]
     dx, dy, dz = hdr["pixdim"]
     return data, VoxelSpacing(dz, dy, dx)
 

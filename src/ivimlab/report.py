@@ -27,21 +27,13 @@ ALL_METRICS = MEAN_METRICS + VARIABILITY_METRICS
 SUMMARY_COLUMNS = ("subject", "group", "source", "strategy") + ALL_METRICS
 
 
-def summary_row(subject: str, group: Group, source: str,
-                strategy: FusionStrategy, maps: IvimMaps,
-                entropy_bins: int = 64) -> dict:
-    """One summaries-table row computed from a subject's fitted maps."""
-    if source not in SOURCES:
-        raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
+def summary_metrics(maps: IvimMaps, entropy_bins: int = 64) -> dict | None:
+    """The ALL_METRICS values of one subject's fitted maps; None if nothing was fitted."""
     summary = summarize(maps)
     if summary.empty:
-        raise ValueError(f"{subject}: no fitted voxels, nothing to summarize")
+        return None
     m = maps.mask.data
-    row = {
-        "subject": subject,
-        "group": group.value,
-        "source": source,
-        "strategy": strategy.value,
+    return {
         "volume_ml": summary.volume_ml,
         "s0_mean": summary.s0.mean,
         "f_mean": summary.f.mean,
@@ -56,7 +48,19 @@ def summary_row(subject: str, group: Group, source: str,
         "d_star_entropy": stats.shannon_entropy(maps.d_star.data[m], entropy_bins),
         "adc_entropy": stats.shannon_entropy(maps.adc.data[m], entropy_bins),
     }
-    return row
+
+
+def summary_row(subject: str, group: Group, source: str,
+                strategy: FusionStrategy, maps: IvimMaps,
+                entropy_bins: int = 64) -> dict:
+    """One summaries-table row computed from a subject's fitted maps."""
+    if source not in SOURCES:
+        raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
+    metrics = summary_metrics(maps, entropy_bins)
+    if metrics is None:
+        raise ValueError(f"{subject}: no fitted voxels, nothing to summarize")
+    return {"subject": subject, "group": group.value, "source": source,
+            "strategy": strategy.value, **metrics}
 
 
 def _strategies(rows: list[dict]) -> list[str]:

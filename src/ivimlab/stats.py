@@ -1,8 +1,6 @@
 """Statistical primitives: heterogeneity measures, group tests and regression.
 
-The t and normal distribution functions are self-contained: the t CDF goes
-through the regularized incomplete beta function evaluated by a modified
-Lentz continued fraction (target accuracy 1e-10), the normal CDF through
+The t CDF is scipy's ``special.stdtr`` and the normal CDF goes through
 ``math.erfc``. The Mann-Whitney test is exact (full permutation enumeration)
 for small samples and a tie-corrected, continuity-corrected normal
 approximation otherwise.
@@ -15,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy import special
 
 from .errors import UndefinedMetricError
 
@@ -25,66 +24,11 @@ EXACT_MW_LIMIT = 12  # enumerate the permutation distribution up to this n1+n2
 # distribution functions
 # ---------------------------------------------------------------------------
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_bt = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    bt = math.exp(ln_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
-
-
 def t_cdf(t: float, df: float) -> float:
     """P(T <= t) for Student's t with df degrees of freedom."""
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
-    if math.isinf(t):
-        return 1.0 if t > 0 else 0.0
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
+    return float(special.stdtr(df, t))
 
 
 def normal_cdf(z: float) -> float:

@@ -1,0 +1,35 @@
+import numpy as np
+import pytest
+
+from ivimlab import ivim, phantom
+from ivimlab.grid import DwiSeries, Volume3D
+
+
+def with_bad_sample(series: DwiSeries, frame: int, at, value: float) -> DwiSeries:
+    frames = [fr.data.copy() for fr in series.frames]
+    frames[frame][at] = value
+    return DwiSeries(tuple(Volume3D(f, series.spacing) for f in frames), series.bvalues)
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("bvalue", [0.0, 400.0])
+    def test_bad_voxel_fails_alone(self, value, bvalue):
+        bundle = phantom.make_phantom(phantom.PhantomConfig(dims=(3, 8, 8)))
+        frame = int(np.flatnonzero(bundle.series.bvalues == bvalue)[0])
+        bad = tuple(np.argwhere(bundle.mask.data)[0])
+        series = with_bad_sample(bundle.series, frame, bad, value)
+
+        clean = ivim.fit_volume(bundle.series, bundle.mask)
+        maps = ivim.fit_volume(series, bundle.mask)
+
+        assert not maps.mask.data[bad]
+        for vol in (maps.s0, maps.f, maps.d_star, maps.adc, maps.residual):
+            assert np.isnan(vol.data[bad])
+        others = clean.mask.data.copy()
+        others[bad] = False
+        assert np.array_equal(maps.mask.data, others)
+        for name in ("s0", "f", "d_star", "adc", "residual"):
+            got = getattr(maps, name).data[others]
+            want = getattr(clean, name).data[others]
+            assert np.array_equal(got, want)

@@ -142,6 +142,22 @@ class TestHausdorff:
             want = brute_hausdorff(a, b, ANISO.as_tuple())
             assert got == want  # bit-exact, both go min-of-squared then sqrt
 
+    def test_matches_brute_force_on_lattice_ties(self):
+        # isotropic spacing ties offsets such as (0,3,4) and (0,5,0), which a
+        # 1.1 mm step rounds differently; sparse masks put the farthest voxels
+        # many steps from their nearest neighbours
+        iso = VoxelSpacing(1.1, 1.1, 1.1)
+        rng = np.random.default_rng(7)
+        for trial in range(40):
+            dims = tuple(int(d) for d in rng.integers(2, 11, size=3))
+            density = 0.3 if trial % 2 else 0.03
+            a = rng.random(dims) < density
+            b = rng.random(dims) < density
+            if not a.any() or not b.any():
+                continue
+            got = hausdorff(mk(a, iso), mk(b, iso))
+            assert got == brute_hausdorff(a, b, iso.as_tuple())
+
     def test_symmetry_zero_iff_equal(self):
         rng = np.random.default_rng(5)
         for _ in range(30):

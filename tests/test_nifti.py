@@ -127,12 +127,14 @@ class TestHeaderValidation:
         assert np.all(vol.data == 7.0)
 
     def test_zero_slope_means_unscaled(self, tmp_path):
+        # a non-finite slope is no more usable than 0: both mean "unscaled"
         p = tmp_path / "raw.nii"
         payload = np.full(8, 3, dtype=np.int16).tobytes()
-        write_minimal(p, datatype=4, bitpix=16, scl_slope=0.0, scl_inter=9.0,
-                      payload=payload)
-        vol = nifti.read_volume(p)
-        assert np.all(vol.data == 3.0)
+        for slope in (0.0, float("nan"), float("inf"), float("-inf")):
+            write_minimal(p, datatype=4, bitpix=16, scl_slope=slope, scl_inter=9.0,
+                          payload=payload)
+            vol = nifti.read_volume(p)
+            assert np.all(vol.data == 3.0), slope
 
 
 class TestBvals:
