@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import fgr, ivim, masks, phantom, report
 from .errors import FormatError
-from .grid import average_by_bvalue
+from .grid import DwiSeries, average_by_bvalue
 from .nifti import (_atomic_write, read_mask, read_volume, write_mask,
                     write_series, write_volume)
 
@@ -199,7 +199,7 @@ def _cmd_fit(args) -> int:
         if not Path(path).exists():
             raise FileNotFoundError(f"input not found: {path}")
     series = read_volume(args.series, bval_path=args.bvals)
-    if not hasattr(series, "frames"):
+    if not isinstance(series, DwiSeries):
         raise FormatError(f"{args.series}: expected a 4D series")
     mask = read_mask(args.mask)
 
@@ -272,6 +272,7 @@ def _read_summaries(path) -> list[dict]:
     if missing:
         raise FormatError(f"{path}: missing columns {missing}")
     rows = []
+    first_line = {}  # (subject, source, strategy) -> line number
     for i, r in enumerate(raw, start=2):
         row = dict(r)
         if None in r.values():
@@ -285,6 +286,11 @@ def _read_summaries(path) -> list[dict]:
         if row["source"] not in report.SOURCES:
             raise FormatError(f"{path}: line {i}: unknown source {r['source']!r}; "
                               f"expected one of {', '.join(report.SOURCES)}")
+        key = (row["subject"], row["source"], row["strategy"])
+        if key in first_line:
+            raise FormatError(f"{path}: line {i}: repeats line {first_line[key]} "
+                              f"({', '.join(key)})")
+        first_line[key] = i
         for col in report.ALL_METRICS:
             try:
                 row[col] = float(r[col])

@@ -1,7 +1,8 @@
 """Shared spatial data model: voxel spacing, 3D volumes, masks and 4D series.
 
 Axis order is (z, y, x) everywhere, with spacing stated in the same order so
-slice loops stay outermost. All containers freeze their arrays after
+slice loops stay outermost. A 4D series puts the frame axis first, as one
+(n_frames, nz, ny, nx) array. All containers freeze their arrays after
 construction and are safe to share across concurrent readers.
 """
 
@@ -113,49 +114,45 @@ class BinaryMask:
 
 @dataclass(frozen=True)
 class DwiSeries:
-    """An ordered stack of 3D frames with one diffusion weighting per frame."""
+    """A 4D series: one (n_frames, nz, ny, nx) array, one b-value per frame.
 
-    frames: tuple[Volume3D, ...]
+    All frames share the one grid by construction; ``data[t]`` is frame t.
+    """
+
+    data: np.ndarray
+    spacing: VoxelSpacing
     bvalues: np.ndarray
 
     def __post_init__(self):
-        frames = tuple(self.frames)
+        arr = np.asarray(self.data, dtype=np.float64)
         bvals = np.asarray(self.bvalues, dtype=np.float64).ravel()
-        if len(frames) == 0:
-            raise ValueError("a series needs at least one frame")
-        if len(frames) != bvals.size:
-            raise DimensionError(
-                f"{len(frames)} frames but {bvals.size} b-values"
-            )
+        if arr.ndim != 4 or arr.shape[0] != bvals.size:
+            raise DimensionError(f"data of shape {arr.shape} is not (n_frames, nz, ny, nx) "
+                                 f"with one frame per b-value ({bvals.size})")
+        _check_dims(arr.shape[1:])
         if np.any(~np.isfinite(bvals)) or np.any(bvals < 0):
             raise ValueError("b-values must be finite and non-negative")
         if not np.any(np.abs(bvals) < B_VALUE_TOL):
             raise ValueError("a series must contain at least one b=0 frame")
-        first = frames[0]
-        for fr in frames[1:]:
-            if not fr.same_grid(first):
-                raise DimensionError("all frames must share dims and spacing")
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "data", _freeze(arr))
         object.__setattr__(self, "bvalues", _freeze(bvals))
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.frames[0].dims
-
-    @property
-    def spacing(self) -> VoxelSpacing:
-        return self.frames[0].spacing
+        return self.data.shape[1:]  # type: ignore[return-value]
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return self.data.shape[0]
+
+    @property
+    def frames(self) -> tuple[Volume3D, ...]:
+        """Each frame as a Volume3D view of ``data`` (no copy)."""
+        return tuple(Volume3D(fr, self.spacing) for fr in self.data)
 
     def stacked(self) -> np.ndarray:
-        """All frames as one (n_frames, nz, ny, nx) array (a copy)."""
-        return np.stack([fr.data for fr in self.frames], axis=0)
-
-    def same_grid(self, other) -> bool:
-        return self.dims == other.dims and self.spacing.close_to(other.spacing)
+        """All frames as one (n_frames, nz, ny, nx) array: ``data`` itself."""
+        return self.data
 
 
 @dataclass(frozen=True)
@@ -204,8 +201,9 @@ def average_by_bvalue(series: DwiSeries) -> DwiSeries:
     """Collapse frames sharing a b-value to their voxel-wise mean.
 
     Frames acquired along several diffusion directions (or repeated b=0
-    baselines) are averaged into a single trace-weighted frame per shell;
-    the output has one frame per distinct b-value, sorted ascending.
+    baselines) are averaged along the frame axis of ``series.data`` into one
+    trace-weighted frame per shell: a new array with one frame per distinct
+    b-value, sorted ascending.
     """
     bvals = series.bvalues
     order = np.argsort(bvals, kind="stable")
@@ -217,13 +215,7 @@ def average_by_bvalue(series: DwiSeries) -> DwiSeries:
         else:
             groups.append((b, [int(idx)]))
 
-    frames = []
-    out_b = []
-    for b, idxs in groups:
-        if len(idxs) == 1:
-            mean = series.frames[idxs[0]].data
-        else:
-            mean = np.mean([series.frames[i].data for i in idxs], axis=0)
-        frames.append(Volume3D(mean, series.spacing))
-        out_b.append(b)
-    return DwiSeries(tuple(frames), np.array(out_b))
+    means = np.empty((len(groups), *series.dims))
+    for g, (_, idxs) in enumerate(groups):
+        series.data[idxs].mean(axis=0, out=means[g])
+    return DwiSeries(means, series.spacing, np.array([b for b, _ in groups]))

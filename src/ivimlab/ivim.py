@@ -219,7 +219,7 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
     results = np.full((flat_idx.size, 5), np.nan)
 
     if flat_idx.size:
-        signals = series.stacked().reshape(series.n_frames, n_vox)[:, flat_idx].T
+        signals = series.data.reshape(series.n_frames, n_vox)[:, flat_idx].T
         signals = np.ascontiguousarray(np.maximum(signals, 0.0))
         workers = max(1, int(workers))
         if workers == 1 or flat_idx.size < 2 * workers:

@@ -64,7 +64,7 @@ def _read_header(raw: bytes, path) -> dict:
         "pixdim": tuple(float(p) for p in pixdim[1:4]),  # (dx, dy, dz)
         "vox_offset": int(vox_offset),
         "scl_slope": float(scl_slope),
-        "scl_inter": float(scl_inter),
+        "scl_inter": float(scl_inter) if np.isfinite(scl_inter) else 0.0,
     }
 
 
@@ -84,7 +84,7 @@ def _read_array(path) -> tuple[np.ndarray, VoxelSpacing]:
         )
     flat = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
     data = flat.reshape((nt, nz, ny, nx) if nt else (nz, ny, nx)).astype(np.float64)
-    # a zero or non-finite slope means the image is stored unscaled
+    # a zero or non-finite slope means unscaled; a non-finite intercept reads as 0
     if hdr["scl_slope"] != 0.0 and np.isfinite(hdr["scl_slope"]):
         data *= hdr["scl_slope"]
         data += hdr["scl_inter"]
@@ -95,8 +95,9 @@ def _read_array(path) -> tuple[np.ndarray, VoxelSpacing]:
 def read_volume(path, bval_path=None):
     """Read a .nii image; 3D gives a Volume3D, 4D gives a DwiSeries.
 
-    A 4D image needs its b-values: pass ``bval_path`` or place an FSL-style
-    sidecar next to the image (same basename, ``.bval`` extension).
+    A 4D image is wrapped as read, one (n_frames, nz, ny, nx) float64 array.
+    It needs its b-values: pass ``bval_path`` or place an FSL-style sidecar
+    next to the image (same basename, ``.bval`` extension).
     """
     data, spacing = _read_array(path)
     if data.ndim == 3:
@@ -110,8 +111,7 @@ def read_volume(path, bval_path=None):
         raise FormatError(
             f"{bval_path}: {len(bvals)} b-values for {data.shape[0]} frames"
         )
-    frames = tuple(Volume3D(data[t], spacing) for t in range(data.shape[0]))
-    return DwiSeries(frames, np.asarray(bvals))
+    return DwiSeries(data, spacing, np.asarray(bvals))
 
 
 def read_mask(path) -> BinaryMask:
@@ -173,7 +173,7 @@ def write_mask(mask: BinaryMask, path) -> None:
 
 def write_series(series: DwiSeries, path, bval_path=None) -> None:
     """Store a 4D series as float32 plus its .bval sidecar."""
-    _write_array(series.stacked(), series.spacing, path, 16)
+    _write_array(series.data, series.spacing, path, 16)
     if bval_path is None:
         bval_path = Path(path).with_suffix(".bval")
     write_bvals(series.bvalues, bval_path)

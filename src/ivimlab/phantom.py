@@ -115,13 +115,11 @@ def make_phantom(cfg: PhantomConfig | None = None) -> PhantomBundle:
     ):
         raise ValueError("truth fields violate 0<=f<=1, d>0, d_star>=d, s0>0 inside the mask")
 
-    frames = []
-    for b in cfg.bvalues:
-        signal = np.zeros(cfg.dims)
-        signal[m] = s0[m] * (f[m] * np.exp(-b * d_star[m])
-                             + (1.0 - f[m]) * np.exp(-b * d[m]))
-        frames.append(Volume3D(signal, spacing))
-    series = DwiSeries(tuple(frames), np.asarray(cfg.bvalues, dtype=np.float64))
+    signal = np.zeros((len(cfg.bvalues), *cfg.dims))
+    for t, b in enumerate(cfg.bvalues):
+        signal[t][m] = s0[m] * (f[m] * np.exp(-b * d_star[m])
+                                + (1.0 - f[m]) * np.exp(-b * d[m]))
+    series = DwiSeries(signal, spacing, np.asarray(cfg.bvalues, dtype=np.float64))
 
     if cfg.noise_model != "none":
         series = add_noise(series, mask, cfg.noise_model, cfg.snr, cfg.seed)
@@ -149,18 +147,17 @@ def add_noise(series: DwiSeries, mask: BinaryMask, model: str, snr: float,
         raise ValueError("snr must be positive")
     if model not in ("gaussian", "rician"):
         raise ValueError(f"unknown noise model {model!r}")
-    stacked = series.stacked()
+    data = series.data
     b0 = np.abs(series.bvalues) < B_VALUE_TOL
-    sd = float(stacked[b0][:, mask.data].mean()) / snr
+    sd = float(data[b0][:, mask.data].mean()) / snr
     rng = np.random.default_rng(seed)
     if model == "gaussian":
-        noisy = stacked + rng.normal(0.0, sd, stacked.shape)
+        noisy = data + rng.normal(0.0, sd, data.shape)
     else:
-        n1 = rng.normal(0.0, sd, stacked.shape)
-        n2 = rng.normal(0.0, sd, stacked.shape)
-        noisy = np.sqrt((stacked + n1) ** 2 + n2**2)
-    frames = tuple(Volume3D(noisy[t], series.spacing) for t in range(series.n_frames))
-    return DwiSeries(frames, series.bvalues)
+        n1 = rng.normal(0.0, sd, data.shape)
+        n2 = rng.normal(0.0, sd, data.shape)
+        noisy = np.sqrt((data + n1) ** 2 + n2**2)
+    return DwiSeries(noisy, series.spacing, series.bvalues)
 
 
 def dilate(mask: BinaryMask, radius: int = 1) -> BinaryMask:

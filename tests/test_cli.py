@@ -57,6 +57,18 @@ class TestFit:
         assert log["summary"] == {m: row[m] for m in report.ALL_METRICS}
         assert log["voxels_fitted"] == maps.mask.voxel_count
 
+    def test_internal_failure_exits_1(self, subject, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(ivim, "fit_volume", broken)
+        series, bvals, mask = (str(subject / n) for n in
+                               ("series.nii", "series.bval", "mask.nii"))
+        code = cli.main(["fit", series, bvals, mask, str(tmp_path / "fit"),
+                         "--threads", "1"])
+        assert code == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error:")
+
     def test_missing_input_exits_2(self, subject, tmp_path, capsys):
         code = cli.main(["fit", str(tmp_path / "absent.nii"), str(subject / "series.bval"),
                          str(subject / "mask.nii"), str(tmp_path / "fit")])
@@ -94,6 +106,16 @@ class TestReport:
         assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
         err = capsys.readouterr().err
         assert "line 5" in err and "bogus" in err
+
+    def test_repeated_row_exits_2_naming_both_lines(self, tmp_path, capsys):
+        rows = summaries_rows()
+        repeat = dict(rows[2], strategy="OLP", f_mean=9.0)  # same key, other case
+        rows.insert(7, repeat)
+        path = write_summaries(rows, tmp_path / "summaries.csv")
+        assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "line 9" in err and "line 4" in err and "S1" in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_table_exits_2(self, tmp_path):
         rows = summaries_rows()

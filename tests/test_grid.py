@@ -10,8 +10,8 @@ UNIT = VoxelSpacing(1.0, 1.0, 1.0)
 
 
 def make_series(bvals, values, spacing=UNIT, dims=(2, 2, 2)):
-    frames = tuple(Volume3D(np.full(dims, v, dtype=float), spacing) for v in values)
-    return DwiSeries(frames, np.asarray(bvals, dtype=float))
+    data = np.stack([np.full(dims, v, dtype=float) for v in values])
+    return DwiSeries(data, spacing, np.asarray(bvals, dtype=float))
 
 
 class TestVoxelSpacing:
@@ -81,11 +81,19 @@ class TestDwiSeries:
         with pytest.raises(DimensionError):
             make_series([0, 100, 200], [1.0, 1.0])
 
-    def test_requires_shared_grid(self):
-        f0 = Volume3D(np.zeros((2, 2, 2)), UNIT)
-        f1 = Volume3D(np.zeros((2, 2, 3)), UNIT)
-        with pytest.raises(DimensionError):
-            DwiSeries((f0, f1), np.array([0.0, 100.0]))
+    def test_requires_4d_array(self):
+        # one array cannot hold frames on different grids; its shape is checked
+        for shape in [(2, 2, 2), (2, 2, 2, 2, 1), (2, 0, 2, 2)]:
+            with pytest.raises(DimensionError):
+                DwiSeries(np.zeros(shape), UNIT, np.array([0.0, 100.0]))
+
+    def test_frames_are_views_of_data(self):
+        s = make_series([0, 100], [1.0, 2.0])
+        assert s.stacked() is s.data
+        assert [np.shares_memory(fr.data, s.data) for fr in s.frames] == [True, True]
+        assert s.frames[1].data.tolist() == s.data[1].tolist()
+        with pytest.raises(ValueError):
+            s.data[0, 0, 0, 0] = 5.0
 
 
 class TestAverageByBvalue:
@@ -110,18 +118,15 @@ class TestAverageByBvalue:
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
-        frames = tuple(Volume3D(rng.random((3, 3, 3)), UNIT) for _ in range(6))
-        s = DwiSeries(frames, np.array([0, 0, 100, 100, 100, 400.0]))
+        s = DwiSeries(rng.random((6, 3, 3, 3)), UNIT, np.array([0, 0, 100, 100, 100, 400.0]))
         once = average_by_bvalue(s)
         twice = average_by_bvalue(once)
         assert list(once.bvalues) == list(twice.bvalues)
-        for f1, f2 in zip(once.frames, twice.frames):
-            assert np.array_equal(f1.data, f2.data)
+        assert np.array_equal(once.data, twice.data)
 
     def test_preserves_grid_and_bvalue_set(self):
         rng = np.random.default_rng(4)
-        frames = tuple(Volume3D(rng.random((2, 3, 4)), SP) for _ in range(4))
-        s = DwiSeries(frames, np.array([100, 0, 100, 600.0]))
+        s = DwiSeries(rng.random((4, 2, 3, 4)), SP, np.array([100, 0, 100, 600.0]))
         out = average_by_bvalue(s)
         assert out.dims == s.dims
         assert out.spacing == s.spacing

@@ -44,19 +44,16 @@ class TestRoundTrip:
 
     def test_series_round_trip_with_sidecar(self, tmp_path):
         rng = np.random.default_rng(1)
-        frames = tuple(Volume3D(rand_f32(rng, (2, 3, 4)), SP) for _ in range(3))
-        series = DwiSeries(frames, np.array([0.0, 100.0, 600.0]))
+        series = DwiSeries(rand_f32(rng, (3, 2, 3, 4)), SP, np.array([0.0, 100.0, 600.0]))
         path = tmp_path / "s.nii"
         nifti.write_series(series, path)
         back = nifti.read_volume(path)
         assert isinstance(back, DwiSeries)
         assert list(back.bvalues) == [0.0, 100.0, 600.0]
-        for f1, f2 in zip(back.frames, series.frames):
-            assert np.array_equal(f1.data, f2.data)
+        assert np.array_equal(back.data, series.data)
 
     def test_4d_without_sidecar_fails(self, tmp_path):
-        frames = (Volume3D(np.zeros((2, 2, 2)), SP), Volume3D(np.zeros((2, 2, 2)), SP))
-        series = DwiSeries(frames, np.array([0.0, 100.0]))
+        series = DwiSeries(np.zeros((2, 2, 2, 2)), SP, np.array([0.0, 100.0]))
         path = tmp_path / "s.nii"
         nifti.write_series(series, path)
         (tmp_path / "s.bval").unlink()
@@ -125,6 +122,12 @@ class TestHeaderValidation:
                       payload=payload)
         vol = nifti.read_volume(p)
         assert np.all(vol.data == 7.0)
+        # a non-finite intercept is read as 0, like a non-finite slope
+        for inter in (float("nan"), float("inf"), float("-inf")):
+            write_minimal(p, datatype=4, bitpix=16, scl_slope=2.0, scl_inter=inter,
+                          payload=payload)
+            vol = nifti.read_volume(p)
+            assert np.all(vol.data == 6.0), inter
 
     def test_zero_slope_means_unscaled(self, tmp_path):
         # a non-finite slope is no more usable than 0: both mean "unscaled"
