@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -71,6 +72,12 @@ def _load_config(path, defaults: dict) -> dict:
     return resolved
 
 
+def _config_defaults(config_class) -> dict:
+    """A config dataclass's field defaults as JSON values (tuples become lists)."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(config_class)}
+
+
 def _default_threads() -> int:
     env = os.environ.get("IVIMLAB_THREADS")
     if env is not None:
@@ -116,15 +123,7 @@ def _field_spec_to_json(spec: phantom.FieldSpec):
 # ---------------------------------------------------------------------------
 
 def _cmd_phantom(args) -> int:
-    defaults = {
-        "dims": [8, 32, 32],
-        "spacing": list(phantom.DEFAULT_SPACING),
-        "bvalues": list(phantom.DEFAULT_BVALUES),
-        "semi_axes_frac": [0.4, 0.4, 0.4],
-        "s0": 100.0, "f": 0.3, "d_star": 0.05, "d": 0.002,
-        "noise_model": "none", "snr": 0.0, "seed": 0,
-    }
-    cfg_dict = _load_config(args.config, defaults)
+    cfg_dict = _load_config(args.config, _config_defaults(phantom.PhantomConfig))
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     if args.noise is not None:
@@ -173,13 +172,7 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    defaults = {
-        "b_threshold": 100.0,
-        "adc_range": [1e-5, 1e-1],
-        "f_range": [0.0, 1.0],
-        "entropy_bins": 64,
-        "threads": None,
-    }
+    defaults = {**_config_defaults(ivim.IvimFitConfig), "entropy_bins": 64, "threads": None}
     cfg_dict = _load_config(args.config, defaults)
     if args.b_threshold is not None:
         cfg_dict["b_threshold"] = args.b_threshold

@@ -1,10 +1,12 @@
 """Cohort-level comparison of manual vs automatic segmentation pipelines.
 
 Works on a flat per-subject summary table (one row per subject, mask source
-and fusion strategy) and produces three outputs: paired t-tests of manual vs
-automatic for every metric, inter-subject coefficients of variation per
-group, and the mean absolute percentage difference of those CVs as an
-agreement score per fusion strategy.
+and fusion strategy). :func:`build_report` checks and groups the rows once,
+by strategy, source and subject, and derives three tables from that
+grouping: paired t-tests of manual vs automatic for every metric,
+inter-subject coefficients of variation per group, and, from the CV table,
+the mean absolute percentage difference of those CVs as an agreement score
+per fusion strategy.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .ivim import IvimMaps, summarize
 from .masks import FusionStrategy
 
 SOURCES = ("manual", "automatic")
+GROUPS = (Group.CONTROL.value, Group.FGR.value)
 
 MEAN_METRICS = ("volume_ml", "s0_mean", "f_mean", "d_star_mean", "adc_mean",
                 "residual_mean")
@@ -63,30 +66,41 @@ def summary_row(subject: str, group: Group, source: str,
             "strategy": strategy.value, **metrics}
 
 
-def _strategies(rows: list[dict]) -> list[str]:
-    seen: list[str] = []
-    for r in rows:
-        if r["strategy"] not in seen:
-            seen.append(r["strategy"])
-    return seen
+def _group(rows: list[dict]) -> dict[str, dict[str, dict[str, dict]]]:
+    """{strategy: {source: {subject: row}}}, strategies in first-seen order.
+
+    Every strategy gets both sources; rows keep their input order within a
+    cell. A row missing a column, with a source outside SOURCES or a group
+    outside GROUPS, or repeating a (subject, source, strategy) is an error.
+    """
+    grouped: dict[str, dict[str, dict[str, dict]]] = {}
+    for i, row in enumerate(rows):
+        missing = [c for c in SUMMARY_COLUMNS if c not in row]
+        if missing:
+            raise ValueError(f"summary row {i} missing columns {missing}")
+        subject, source, strategy = row["subject"], row["source"], row["strategy"]
+        if source not in SOURCES:
+            raise ValueError(f"summary row {i} ({subject}): source must be one of "
+                             f"{SOURCES}, got {source!r}")
+        if row["group"] not in GROUPS:
+            raise ValueError(f"summary row {i} ({subject}): group must be one of "
+                             f"{GROUPS}, got {row['group']!r}")
+        cell = grouped.setdefault(strategy, {s: {} for s in SOURCES})[source]
+        if subject in cell:
+            raise ValueError(f"summary row {i} repeats ({subject}, {source}, {strategy})")
+        cell[subject] = row
+    return grouped
 
 
-def _pick(rows, strategy, source):
-    return {r["subject"]: r for r in rows
-            if r["strategy"] == strategy and r["source"] == source}
-
-
-def paired_table(rows: list[dict]) -> list[dict]:
+def paired_table(grouped: dict) -> list[dict]:
     """Paired t-test p-values (manual vs automatic) per metric and strategy.
 
     Output rows look like {"metric": ..., "<strategy>": p, ...} with one
     column per fusion strategy present in the input.
     """
-    strategies = _strategies(rows)
     out = [{"metric": metric} for metric in ALL_METRICS]
-    for strategy in strategies:
-        manual = _pick(rows, strategy, "manual")
-        automatic = _pick(rows, strategy, "automatic")
+    for strategy, by_source in grouped.items():
+        manual, automatic = by_source["manual"], by_source["automatic"]
         subjects = sorted(manual)
         if sorted(automatic) != subjects:
             raise ValueError(
@@ -103,39 +117,42 @@ def paired_table(rows: list[dict]) -> list[dict]:
     return out
 
 
-def cv_table(rows: list[dict]) -> list[dict]:
+def cv_table(grouped: dict) -> list[dict]:
     """Inter-subject CV (sample sd / mean) per parameter, strategy, source, group."""
-    strategies = _strategies(rows)
+    cells = {
+        f"{strategy}_{source}_{group}": [r for r in by_subject.values() if r["group"] == group]
+        for strategy, by_source in grouped.items()
+        for source, by_subject in by_source.items()
+        for group in GROUPS
+    }
     out = []
     for metric in MEAN_METRICS:
         entry: dict = {"parameter": metric}
-        for strategy in strategies:
-            for source in SOURCES:
-                for group in ("control", "fgr"):
-                    values = [float(r[metric]) for r in rows
-                              if r["strategy"] == strategy and r["source"] == source
-                              and r["group"] == group]
-                    key = f"{strategy}_{source}_{group}"
-                    if len(values) >= 2:
-                        entry[key] = stats.cv(values, ddof=1)
-                    else:
-                        entry[key] = float("nan")
+        for key, cell in cells.items():
+            if len(cell) >= 2:
+                entry[key] = stats.cv([float(r[metric]) for r in cell], ddof=1)
+            else:
+                entry[key] = float("nan")
         out.append(entry)
     return out
 
 
-def cv_agreement(rows: list[dict]) -> list[dict]:
-    """Mean absolute % difference of inter-subject CVs, manual vs automatic."""
-    cvs = cv_table(rows)
+def cv_agreement(cvs: list[dict]) -> list[dict]:
+    """Mean absolute % difference of inter-subject CVs, manual vs automatic.
+
+    ``cvs`` is the :func:`cv_table` output; NaN cells are skipped.
+    """
+    suffix = f"_manual_{GROUPS[0]}"
+    strategies = [k[: -len(suffix)] for k in cvs[0] if k.endswith(suffix)]
     out = []
-    for strategy in _strategies(rows):
+    for strategy in strategies:
         manual_cvs = []
         auto_cvs = []
         for entry in cvs:
-            for group in ("control", "fgr"):
-                a = entry.get(f"{strategy}_manual_{group}")
-                b = entry.get(f"{strategy}_automatic_{group}")
-                if a is not None and b is not None and a == a and b == b:  # skip NaN
+            for group in GROUPS:
+                a = entry[f"{strategy}_manual_{group}"]
+                b = entry[f"{strategy}_automatic_{group}"]
+                if a == a and b == b:  # skip NaN
                     manual_cvs.append(a)
                     auto_cvs.append(b)
         if not manual_cvs:
@@ -156,9 +173,7 @@ class ReportTables:
 
 
 def build_report(rows: list[dict]) -> ReportTables:
-    for row in rows:
-        missing = [c for c in SUMMARY_COLUMNS if c not in row]
-        if missing:
-            raise ValueError(f"summary row missing columns {missing}")
-    return ReportTables(paired=paired_table(rows), cv=cv_table(rows),
-                        agreement=cv_agreement(rows))
+    """The paired, CV and agreement tables of one summaries table."""
+    grouped = _group(rows)
+    cvs = cv_table(grouped)
+    return ReportTables(paired=paired_table(grouped), cv=cvs, agreement=cv_agreement(cvs))

@@ -1,9 +1,11 @@
-"""Statistical primitives: heterogeneity measures, group tests and regression.
+"""Statistical primitives: heterogeneity measures and group tests.
 
 The t CDF is scipy's ``special.stdtr`` and the normal CDF goes through
 ``math.erfc``. The Mann-Whitney test is exact (full permutation enumeration)
 for small samples and a tie-corrected, continuity-corrected normal
-approximation otherwise.
+approximation otherwise. It is written out here rather than taken from
+``scipy.stats``: importing that module costs about 44 MB of resident memory,
+and its exact p-values do not follow the tie-aware enumeration.
 """
 
 from __future__ import annotations
@@ -39,19 +41,11 @@ def normal_cdf(z: float) -> float:
 # heterogeneity measures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Histogram:
-    """Equal-width normalized histogram over the data's [min, max] span."""
+def shannon_entropy(values, bins: int = 64) -> float:
+    """Entropy in bits of the equal-width histogram over the data's [min, max].
 
-    edges: np.ndarray
-    probabilities: np.ndarray
-
-    @property
-    def bins(self) -> int:
-        return self.probabilities.size
-
-
-def histogram(values, bins: int) -> Histogram:
+    0*log(0) counts as 0; single-valued data puts all mass in one bin.
+    """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size < 1:
         raise ValueError("histogram needs at least one value")
@@ -59,15 +53,10 @@ def histogram(values, bins: int) -> Histogram:
         raise ValueError("bins must be a positive integer")
     lo, hi = float(v.min()), float(v.max())
     if lo == hi:
-        # single-valued data: all mass in one bin
-        return Histogram(np.array([lo, hi]), np.array([1.0]))
-    counts, edges = np.histogram(v, bins=bins, range=(lo, hi))
-    return Histogram(edges, counts / v.size)
-
-
-def shannon_entropy(values, bins: int = 64) -> float:
-    """Entropy in bits of the normalized histogram; 0*log(0) counts as 0."""
-    p = histogram(values, bins).probabilities
+        p = np.array([1.0])
+    else:
+        counts, _ = np.histogram(v, bins=bins, range=(lo, hi))
+        p = counts / v.size
     nz = p[p > 0]
     return float(-(nz * np.log2(nz)).sum())
 
@@ -203,45 +192,3 @@ def mann_whitney_u(x, y) -> TestResult:
         p = mann_whitney_normal_p(xv, yv)
         method = "normal-approx"
     return TestResult(u, p, n1 + n2, n1=n1, n2=n2, method=method)
-
-
-# ---------------------------------------------------------------------------
-# regression
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegressionResult:
-    slope: float
-    intercept: float
-    r_squared: float
-    p_value: float
-    n: int
-
-
-def linear_regression(x, y) -> RegressionResult:
-    """Ordinary least squares with a two-sided t test on the slope (df = n-2)."""
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    yv = np.asarray(y, dtype=np.float64).ravel()
-    if xv.size != yv.size:
-        raise ValueError("x and y must have equal length")
-    n = xv.size
-    if n < 3:
-        raise ValueError("linear regression needs at least three points")
-    sxx = float(((xv - xv.mean()) ** 2).sum())
-    if sxx == 0.0:
-        raise UndefinedMetricError("regression undefined for a constant regressor")
-    syy = float(((yv - yv.mean()) ** 2).sum())
-    sxy = float(((xv - xv.mean()) * (yv - yv.mean())).sum())
-    slope = sxy / sxx
-    intercept = float(yv.mean()) - slope * float(xv.mean())
-    if syy == 0.0:
-        return RegressionResult(slope, intercept, 0.0, 1.0, n)
-    ss_res = max(0.0, syy - slope * sxy)
-    r_squared = 1.0 - ss_res / syy
-    se_sq = ss_res / (n - 2) / sxx
-    if se_sq <= 0.0:
-        p = 1.0 if slope == 0.0 else 0.0
-    else:
-        t = slope / math.sqrt(se_sq)
-        p = 2.0 * (1.0 - t_cdf(abs(t), n - 2))
-    return RegressionResult(slope, intercept, r_squared, min(max(p, 0.0), 1.0), n)

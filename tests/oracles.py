@@ -106,19 +106,6 @@ def pair_counting_auc(scores, positive) -> float:
     return wins / (len(pos) * len(neg))
 
 
-def ols_reference(x, y):
-    """Slope/intercept/R^2 via the design-matrix route."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    A = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(A, y, rcond=None)
-    fitted = A @ [slope, intercept]
-    ss_res = ((y - fitted) ** 2).sum()
-    ss_tot = ((y - y.mean()) ** 2).sum()
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), float(intercept), float(r2)
-
-
 def expected_volume_power_form(ga: float) -> float:
     """The lung-growth cubic written out in plain powers."""
     return -0.0132 * ga**3 + 1.14 * ga**2 - 27.38 * ga + 207.50

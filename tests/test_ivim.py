@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ivimlab import ivim, phantom
-from ivimlab.grid import DwiSeries
+from ivimlab.grid import BinaryMask, DwiSeries
 
 
 def with_bad_sample(series: DwiSeries, frame: int, at, value: float) -> DwiSeries:
@@ -33,6 +33,24 @@ class TestNonFiniteSamples:
             got = getattr(maps, name).data[others]
             want = getattr(clean, name).data[others]
             assert np.array_equal(got, want)
+
+
+class TestVisitOrderInvariance:
+    @pytest.mark.parametrize("axes", [(2,), (0, 1, 2)], ids=["x", "xyz"])
+    def test_flipped_input_gives_flipped_maps(self, axes):
+        bundle = phantom.make_phantom(phantom.PhantomConfig(
+            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        series_axes = tuple(a + 1 for a in axes)  # frame axis first
+        flipped = ivim.fit_volume(
+            DwiSeries(np.flip(bundle.series.data, series_axes), bundle.series.spacing,
+                      bundle.series.bvalues),
+            BinaryMask(np.flip(bundle.mask.data, axes), bundle.mask.spacing))
+        plain = ivim.fit_volume(bundle.series, bundle.mask)
+        assert np.array_equal(np.flip(plain.mask.data, axes), flipped.mask.data)
+        for name in ("s0", "f", "d_star", "adc", "residual"):
+            a = np.flip(getattr(plain, name).data, axes)
+            b = getattr(flipped, name).data
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestWorkerInvariance:

@@ -6,8 +6,7 @@ import pytest
 from ivimlab import stats
 from ivimlab.errors import UndefinedMetricError
 
-from oracles import (enumerate_mw_two_sided_p, normal_cdf_quadrature,
-                     ols_reference, t_cdf_quadrature)
+from oracles import enumerate_mw_two_sided_p, normal_cdf_quadrature, t_cdf_quadrature
 
 
 class TestCv:
@@ -155,52 +154,6 @@ class TestMannWhitney:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             stats.mann_whitney_u([], [1.0])
-
-
-class TestLinearRegression:
-    def test_exact_line(self):
-        x = np.arange(5.0)
-        r = stats.linear_regression(x, 2 * x + 1)
-        assert r.slope == pytest.approx(2.0, abs=1e-12)
-        assert r.intercept == pytest.approx(1.0, abs=1e-12)
-        assert r.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert r.p_value < 1e-10
-
-    def test_constant_response(self):
-        r = stats.linear_regression([1, 2, 3, 4], [5, 5, 5, 5])
-        assert r.slope == 0.0 and r.r_squared == 0.0 and r.p_value == 1.0
-
-    def test_hand_case_verified_by_oracle(self):
-        x = [1.0, 2.0, 3.0, 4.0]
-        y = [1.0, 3.0, 2.0, 5.0]
-        slope, intercept, r2 = ols_reference(x, y)
-        r = stats.linear_regression(x, y)
-        assert r.slope == pytest.approx(1.1, abs=1e-12)
-        assert r.intercept == pytest.approx(0.0, abs=1e-12)
-        # independent evaluation gives R^2 = 121/175, approx 0.6914
-        assert r.r_squared == pytest.approx(121.0 / 175.0, abs=1e-12)
-        assert r.slope == pytest.approx(slope, abs=1e-10)
-        assert r.intercept == pytest.approx(intercept, abs=1e-10)
-        assert r.r_squared == pytest.approx(r2, abs=1e-10)
-
-    def test_constant_regressor_rejected(self):
-        with pytest.raises(UndefinedMetricError):
-            stats.linear_regression([2, 2, 2], [1, 2, 3])
-
-    def test_fuzz_against_oracle(self):
-        rng = np.random.default_rng(6)
-        for _ in range(40):
-            n = int(rng.integers(3, 20))
-            x = rng.uniform(-4, 4, n)
-            if np.ptp(x) == 0:
-                continue
-            y = rng.uniform(-1, 1) * x + rng.normal(0, 1, n)
-            slope, intercept, r2 = ols_reference(x, y)
-            r = stats.linear_regression(x, y)
-            assert r.slope == pytest.approx(slope, rel=1e-9, abs=1e-10)
-            assert r.intercept == pytest.approx(intercept, rel=1e-9, abs=1e-10)
-            assert r.r_squared == pytest.approx(r2, rel=1e-9, abs=1e-10)
-            assert 0.0 <= r.p_value <= 1.0
 
 
 class TestMeanAbsPctDiff:
