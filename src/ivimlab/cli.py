@@ -180,7 +180,12 @@ def _cmd_fit(args) -> int:
         cfg_dict["threads"] = args.threads
     if args.entropy_bins is not None:
         cfg_dict["entropy_bins"] = args.entropy_bins
-    threads = int(cfg_dict["threads"]) if cfg_dict["threads"] else _default_threads()
+    if cfg_dict["threads"] is None:
+        threads = _default_threads()
+    else:
+        threads = int(cfg_dict["threads"])
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
 
     cfg = ivim.IvimFitConfig(
         b_threshold=float(cfg_dict["b_threshold"]),
@@ -266,6 +271,7 @@ def _read_summaries(path) -> list[dict]:
         raise FormatError(f"{path}: missing columns {missing}")
     rows = []
     first_line = {}  # (subject, source, strategy) -> line number
+    first_group = {}  # subject -> (group, line number)
     for i, r in enumerate(raw, start=2):
         row = dict(r)
         if None in r.values():
@@ -284,6 +290,10 @@ def _read_summaries(path) -> list[dict]:
             raise FormatError(f"{path}: line {i}: repeats line {first_line[key]} "
                               f"({', '.join(key)})")
         first_line[key] = i
+        group, j = first_group.setdefault(row["subject"], (row["group"], i))
+        if row["group"] != group:
+            raise FormatError(f"{path}: line {i}: subject {row['subject']} is {row['group']} "
+                              f"but line {j} says {group}")
         for col in report.ALL_METRICS:
             try:
                 row[col] = float(r[col])

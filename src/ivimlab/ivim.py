@@ -92,16 +92,33 @@ def _clamp_open(v: float, lo: float, hi: float, margin: float = 1e-3) -> float:
     return min(max(v, lo + margin * span), hi - margin * span)
 
 
-def _fit_adc_arrays(b: np.ndarray, s: np.ndarray, cfg: IvimFitConfig) -> AdcFit | None:
+def _high_b(b: np.ndarray, s: np.ndarray, cfg: IvimFitConfig):
+    """(b, s, log-linear intercept, rate) over b > threshold with s > 0.
+
+    None when fewer than two distinct b-values remain.
+    """
     keep = (b > cfg.b_threshold) & (s > 0)
     bh, sh = b[keep], s[keep]
     if np.unique(bh).size < 2:
         return None
+    return (bh, sh, *_loglinear(bh, sh))
+
+
+def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float,
+                    cfg: IvimFitConfig) -> AdcFit | None:
     lo, hi = cfg.adc_range
-    s0_init, rate = _loglinear(bh, sh)
     adc_init = _clamp_open(rate, lo, hi)
+
+    def residual(th):
+        return th[0] * np.exp(-th[1] * bh) - sh
+
+    def jacobian(th):
+        e = np.exp(-th[1] * bh)
+        return np.array((e, -th[0] * bh * e))
+
     problem = lm.FitProblem(
-        residual=lambda th: th[0] * np.exp(-th[1] * bh) - sh,
+        residual=residual,
+        jacobian=jacobian,
         theta0=np.array([max(s0_init, 1e-12), adc_init]),
         transforms=(lm.log_positive(), lm.logistic(lo, hi)),
     )
@@ -116,11 +133,13 @@ def _fit_adc_arrays(b: np.ndarray, s: np.ndarray, cfg: IvimFitConfig) -> AdcFit 
 def fit_adc(sig: VoxelSignal, cfg: IvimFitConfig | None = None) -> AdcFit | None:
     """Mono-exponential fit over the high-b subset; None marks an unfittable voxel."""
     cfg = cfg or IvimFitConfig()
-    return _fit_adc_arrays(sig.bvalues, sig.intensities, cfg)
+    high = _high_b(sig.bvalues, sig.intensities, cfg)
+    return None if high is None else _fit_adc_arrays(*high, cfg)
 
 
-def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float,
+def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float, s0_high: float | None,
                      cfg: IvimFitConfig) -> IvimFit | None:
+    """``s0_high`` is the high-b log-linear intercept, None without enough high-b points."""
     is_b0 = np.abs(b) < B_VALUE_TOL
     if not is_b0.any():
         return None
@@ -128,20 +147,25 @@ def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float,
     if s0_init <= 0:
         return None
 
-    keep = (b > cfg.b_threshold) & (s > 0)
-    if np.unique(b[keep]).size >= 2:
-        s0_high, _ = _loglinear(b[keep], s[keep])
-    else:
+    if s0_high is None:
         s0_high = s0_init
     # segmented-IVIM intercept estimate for the perfusion fraction start
     f_init = min(max(1.0 - s0_high / s0_init, 0.01), 0.99)
     d_star_init = max(10.0 * adc, adc + 1e-3)
+    e_adc = np.exp(-adc * b)
+
+    def residual(th):
+        return th[0] * (th[1] * np.exp(-th[2] * b) + (1.0 - th[1]) * e_adc) - s
+
+    def jacobian(th):
+        s0, f, d_star = th
+        e = np.exp(-d_star * b)
+        return np.array((f * e + (1.0 - f) * e_adc, s0 * (e - e_adc), -s0 * f * b * e))
 
     f_lo, f_hi = cfg.f_range
     problem = lm.FitProblem(
-        residual=lambda th: th[0]
-        * (th[1] * np.exp(-th[2] * b) + (1.0 - th[1]) * np.exp(-adc * b))
-        - s,
+        residual=residual,
+        jacobian=jacobian,
         theta0=np.array([s0_init, f_init, d_star_init]),
         transforms=(lm.log_positive(), lm.logistic(f_lo, f_hi), lm.offset_log(adc)),
     )
@@ -149,8 +173,8 @@ def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float,
     if not result.converged:
         return None
     s0, f, d_star = (float(v) for v in result.params)
-    residual = math.sqrt(result.ssr / b.size) / s0
-    return IvimFit(s0, f, d_star, residual)
+    rms = math.sqrt(result.ssr / b.size) / s0
+    return IvimFit(s0, f, d_star, rms)
 
 
 def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> IvimFit | None:
@@ -158,16 +182,21 @@ def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> 
     if not (np.isfinite(adc) and adc > 0):
         raise ValueError(f"adc must be finite and positive, got {adc}")
     cfg = cfg or IvimFitConfig()
-    return _fit_ivim_arrays(sig.bvalues, sig.intensities, adc, cfg)
+    high = _high_b(sig.bvalues, sig.intensities, cfg)
+    return _fit_ivim_arrays(sig.bvalues, sig.intensities, adc,
+                            None if high is None else high[2], cfg)
 
 
 def _fit_voxel(b: np.ndarray, s: np.ndarray, cfg: IvimFitConfig):
     if not np.isfinite(s).all():
         return None
-    adc_fit = _fit_adc_arrays(b, s, cfg)
+    high = _high_b(b, s, cfg)
+    if high is None:
+        return None
+    adc_fit = _fit_adc_arrays(*high, cfg)
     if adc_fit is None:
         return None
-    ivim = _fit_ivim_arrays(b, s, adc_fit.adc, cfg)
+    ivim = _fit_ivim_arrays(b, s, adc_fit.adc, high[2], cfg)
     if ivim is None:
         return None
     return ivim.s0, ivim.f, ivim.d_star, adc_fit.adc, ivim.residual

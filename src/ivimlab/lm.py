@@ -8,14 +8,19 @@ transformed coordinate where every constraint surface is pushed to infinity:
 * ``logistic(lo, hi)``    lo < theta < hi    (theta = lo + (hi-lo)*sigmoid(u))
 * ``offset_log(floor)``   theta > floor      (theta = floor + exp(u))
 
-The damped normal equations use Marquardt scaling (lambda times the diagonal
-of J^T J); the Jacobian is a forward-difference estimate taken in the
-transformed space with step h_i = max(1e-6, 1e-6*|u_i|).
+Each problem supplies the exact Jacobian of its residual in the original
+parameter space. The solver carries it into the transformed space by the
+chain rule, dr/du_i = dr/dtheta_i * dtheta_i/du_i, with dtheta/du equal to 1,
+theta, (hi-lo)*s*(1-s) (s the sigmoid) and theta-floor for the four
+transforms. No finite differences: an iteration evaluates the Jacobian once
+and the residual once per trial step. The damped normal equations use
+Marquardt scaling (lambda times the diagonal of J^T J; Marquardt 1963).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,55 +58,70 @@ def offset_log(floor: float) -> Transform:
 
 
 def _to_internal(theta: np.ndarray, transforms: Sequence[Transform]) -> np.ndarray:
-    u = np.empty(len(transforms))
-    for i, (t, v) in enumerate(zip(transforms, theta)):
+    u = []
+    for i, (t, v) in enumerate(zip(transforms, theta.tolist())):
         if t.kind == "identity":
-            u[i] = v
+            u.append(v)
         elif t.kind == "log":
             if v <= 0:
                 raise ValueError(f"parameter {i} must be > 0 for a log transform, got {v}")
-            u[i] = np.log(v)
+            u.append(math.log(v))
         elif t.kind == "logistic":
             if not (t.lo < v < t.hi):
                 raise ValueError(
                     f"parameter {i} must lie strictly inside ({t.lo}, {t.hi}), got {v}"
                 )
             frac = (v - t.lo) / (t.hi - t.lo)
-            u[i] = np.log(frac / (1.0 - frac))
+            u.append(math.log(frac / (1.0 - frac)))
         elif t.kind == "offset_log":
             if v <= t.lo:
                 raise ValueError(f"parameter {i} must exceed the floor {t.lo}, got {v}")
-            u[i] = np.log(v - t.lo)
+            u.append(math.log(v - t.lo))
         else:  # pragma: no cover
             raise ValueError(f"unknown transform {t.kind!r}")
-    return u
+    return np.array(u)
 
 
-def _to_external(u: np.ndarray, transforms: Sequence[Transform]) -> np.ndarray:
-    theta = np.empty_like(u)
-    for i, (t, v) in enumerate(zip(transforms, u)):
-        if t.kind == "identity":
-            theta[i] = v
-        elif t.kind == "log":
-            theta[i] = np.exp(v)
-        elif t.kind == "logistic":
-            # numerically stable sigmoid for either sign
-            if v >= 0:
-                s = 1.0 / (1.0 + np.exp(-v))
-            else:
-                e = np.exp(v)
-                s = e / (1.0 + e)
-            theta[i] = t.lo + (t.hi - t.lo) * s
-        else:  # offset_log
-            theta[i] = t.lo + np.exp(v)
-    return theta
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:  # an overflowing trial step must read as inf, not raise
+        return math.inf
+
+
+def _to_external(u: np.ndarray, transforms: Sequence[Transform]) -> tuple[np.ndarray, np.ndarray]:
+    """theta(u) and the diagonal dtheta/du, in one pass over the transforms."""
+    theta, dtheta = [], []
+    for t, v in zip(transforms, u.tolist()):
+        kind = t.kind
+        if kind == "identity":
+            th, d = v, 1.0
+        elif kind == "logistic":
+            # numerically stable sigmoid s and its complement c = 1 - s
+            e = math.exp(-abs(v))
+            s, c = 1.0 / (1.0 + e), e / (1.0 + e)
+            if v < 0:
+                s, c = c, s
+            w = t.hi - t.lo
+            th, d = t.lo + w * s, w * s * c
+        else:  # log or offset_log
+            d = _exp(v)
+            th = d if kind == "log" else t.lo + d
+        theta.append(th)
+        dtheta.append(d)
+    return np.array(theta), np.array(dtheta)
 
 
 @dataclass(frozen=True)
 class FitProblem:
-    """A residual map r(theta), a start point and one transform per parameter."""
+    """A residual map r(theta), its Jacobian, a start point and one transform per parameter.
+
+    ``jacobian(theta)`` returns dr/dtheta in the original parameter space with
+    one row per parameter: shape ``(len(theta0), len(r))``.
+    """
 
     residual: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray]
     theta0: np.ndarray
     transforms: tuple[Transform, ...]
 
@@ -133,38 +153,28 @@ class FitResult:
     reason: str
 
 
-def _jacobian(fn, u, r0, transforms):
-    n, m = r0.size, u.size
-    J = np.empty((n, m))
-    for i in range(m):
-        h = max(1e-6, 1e-6 * abs(u[i]))
-        up = u.copy()
-        up[i] += h
-        J[:, i] = (fn(_to_external(up, transforms)) - r0) / h
-    return J
-
-
 def lm_fit(problem: FitProblem, opts: FitOptions | None = None) -> FitResult:
     """Minimize ||r(theta)||^2; returns parameters in the original space.
 
     The accepted-step cost sequence is non-increasing and the result is
-    deterministic for fixed inputs. Non-finite trial residuals are treated
-    as rejected steps; the fit is declared diverged once damping overflows.
+    deterministic for fixed inputs. Trial steps with a non-finite cost are
+    rejected; the fit is declared diverged once damping overflows.
     """
     opts = opts or FitOptions()
-    fn = problem.residual
+    fn, jac = problem.residual, problem.jacobian
     transforms = problem.transforms
     u = _to_internal(problem.theta0, transforms)
     m = u.size
+    theta, dtheta = _to_external(u, transforms)
 
-    r = np.asarray(fn(_to_external(u, transforms)), dtype=np.float64).ravel()
+    r = np.asarray(fn(theta), dtype=np.float64).ravel()
     if r.size < m:
         raise DimensionError(f"need at least {m} residuals, got {r.size}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("residual is non-finite at the initial guess")
     ssr = float(r @ r)
+    if not math.isfinite(ssr):
+        raise ValueError("residual is non-finite at the initial guess")
     if ssr == 0.0:
-        return FitResult(_to_external(u, transforms), 0.0, 0, True, "zero residual at start")
+        return FitResult(theta, 0.0, 0, True, "zero residual at start")
 
     lam = opts.lambda0
     iterations = 0
@@ -173,40 +183,48 @@ def lm_fit(problem: FitProblem, opts: FitOptions | None = None) -> FitResult:
 
     while iterations < opts.max_iter:
         iterations += 1
-        J = _jacobian(fn, u, r, transforms)
-        if not np.all(np.isfinite(J)):
-            return FitResult(_to_external(u, transforms), ssr, iterations, False,
-                             "non-finite Jacobian")
-        g = J.T @ r
-        if np.max(np.abs(g)) <= opts.gtol:
+        J = jac(theta)
+        if J.shape != (m, r.size):
+            raise DimensionError(f"jacobian must have shape {(m, r.size)}, got {J.shape}")
+        J = J * dtheta[:, None]  # chain rule into the transformed space
+        JtJ = J @ J.T
+        diag = JtJ.diagonal()
+        # a finite trace means every entry of J and of J^T J is finite
+        if not math.isfinite(float(diag.sum())):
+            return FitResult(theta, ssr, iterations, False, "non-finite Jacobian")
+        g = J @ r
+        if np.abs(g).max() <= opts.gtol:
             converged, reason = True, "gradient below gtol"
             break
-        JtJ = J.T @ J
-        diag = np.maximum(np.diag(JtJ), 1e-32)
+        diag = np.maximum(diag, 1e-32)
+        neg_g = -g
+        u_norm = math.sqrt(u @ u)
 
         accepted = False
         while True:
-            A = JtJ + lam * np.diag(diag)
+            A = JtJ.copy()
+            A.reshape(-1)[:: m + 1] += lam * diag  # the diagonal, in place
             try:
-                step = np.linalg.solve(A, -g)
+                step = np.linalg.solve(A, neg_g)
             except np.linalg.LinAlgError:
                 step = None
-            if step is not None and np.all(np.isfinite(step)):
-                if np.linalg.norm(step) <= opts.xtol * (np.linalg.norm(u) + opts.xtol):
+            step_norm = math.nan if step is None else math.sqrt(step @ step)
+            if math.isfinite(step_norm):
+                if step_norm <= opts.xtol * (u_norm + opts.xtol):
                     converged, reason = True, "step below xtol"
                     break
                 u_try = u + step
-                r_try = np.asarray(fn(_to_external(u_try, transforms)), dtype=np.float64).ravel()
-                if np.all(np.isfinite(r_try)):
-                    ssr_try = float(r_try @ r_try)
-                    if ssr_try < ssr:
-                        rel_drop = (ssr - ssr_try) / max(ssr, 1e-300)
-                        u, r, ssr = u_try, r_try, ssr_try
-                        lam = max(lam / opts.lambda_down, 1e-12)
-                        accepted = True
-                        if rel_drop <= opts.ftol:
-                            converged, reason = True, "cost decrease below ftol"
-                        break
+                theta_try, dtheta_try = _to_external(u_try, transforms)
+                r_try = np.asarray(fn(theta_try), dtype=np.float64).ravel()
+                ssr_try = float(r_try @ r_try)
+                if ssr_try < ssr:  # False for a NaN or infinite cost
+                    rel_drop = (ssr - ssr_try) / max(ssr, 1e-300)
+                    u, theta, dtheta, r, ssr = u_try, theta_try, dtheta_try, r_try, ssr_try
+                    lam = max(lam / opts.lambda_down, 1e-12)
+                    accepted = True
+                    if rel_drop <= opts.ftol:
+                        converged, reason = True, "cost decrease below ftol"
+                    break
             lam *= opts.lambda_up
             if lam > _LAMBDA_MAX:
                 break
@@ -214,7 +232,7 @@ def lm_fit(problem: FitProblem, opts: FitOptions | None = None) -> FitResult:
         if converged:
             break
         if not accepted:  # only reachable once damping has overflowed
-            return FitResult(_to_external(u, transforms), ssr, iterations, False,
+            return FitResult(theta, ssr, iterations, False,
                              "damping overflow (no acceptable step)")
 
-    return FitResult(_to_external(u, transforms), ssr, iterations, converged, reason)
+    return FitResult(theta, ssr, iterations, converged, reason)

@@ -71,9 +71,11 @@ def _group(rows: list[dict]) -> dict[str, dict[str, dict[str, dict]]]:
 
     Every strategy gets both sources; rows keep their input order within a
     cell. A row missing a column, with a source outside SOURCES or a group
-    outside GROUPS, or repeating a (subject, source, strategy) is an error.
+    outside GROUPS, repeating a (subject, source, strategy), or giving its
+    subject another group than the subject's first row is an error.
     """
     grouped: dict[str, dict[str, dict[str, dict]]] = {}
+    first_group: dict[str, tuple[str, int]] = {}  # subject -> (group, row index)
     for i, row in enumerate(rows):
         missing = [c for c in SUMMARY_COLUMNS if c not in row]
         if missing:
@@ -85,6 +87,10 @@ def _group(rows: list[dict]) -> dict[str, dict[str, dict[str, dict]]]:
         if row["group"] not in GROUPS:
             raise ValueError(f"summary row {i} ({subject}): group must be one of "
                              f"{GROUPS}, got {row['group']!r}")
+        group, j = first_group.setdefault(subject, (row["group"], i))
+        if row["group"] != group:
+            raise ValueError(f"summary row {i} ({subject}): group {row['group']!r} "
+                             f"disagrees with row {j} ({group!r})")
         cell = grouped.setdefault(strategy, {s: {} for s in SOURCES})[source]
         if subject in cell:
             raise ValueError(f"summary row {i} repeats ({subject}, {source}, {strategy})")

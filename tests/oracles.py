@@ -5,6 +5,7 @@ all-pairs scans, quadrature) and shares no code with the package.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -104,6 +105,33 @@ def pair_counting_auc(scores, positive) -> float:
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def brute_youden(scores, positive, positive_high: bool) -> tuple[float, float]:
+    """(J, threshold) maximising sensitivity + specificity - 1, in exact fractions.
+
+    Candidate cuts are every midpoint between consecutive distinct scores plus
+    -inf and +inf. A case is called positive when its score is above the cut
+    (``positive_high``) or below it. Ties go to the higher specificity, then to
+    the larger threshold on the scale where higher means positive.
+    """
+    s = [float(v) for v in scores]
+    y = [bool(v) for v in positive]
+    n_pos = sum(y)
+    n_neg = len(y) - n_pos
+    distinct = sorted(set(s))
+    cuts = [-math.inf, math.inf] + [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+    best_key, best = None, None
+    for cut in cuts:
+        called = [v > cut if positive_high else v < cut for v in s]
+        tp = sum(1 for c, t in zip(called, y) if c and t)
+        tn = sum(1 for c, t in zip(called, y) if not c and not t)
+        spec = Fraction(tn, n_neg)
+        j = Fraction(tp, n_pos) + spec - 1
+        key = (j, spec, cut if positive_high else -cut)
+        if best_key is None or key > best_key:
+            best_key, best = key, (float(j), cut)
+    return best
 
 
 def expected_volume_power_form(ga: float) -> float:

@@ -69,6 +69,22 @@ class TestFit:
         assert code == cli.EXIT_INTERNAL
         assert capsys.readouterr().err.startswith("internal error:")
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_non_positive_threads_exit_2(self, subject, tmp_path, capsys, source, threads):
+        series, bvals, mask = (str(subject / n) for n in
+                               ("series.nii", "series.bval", "mask.nii"))
+        args = ["fit", series, bvals, mask, str(tmp_path / "fit")]
+        if source == "config":
+            config = tmp_path / "fit.json"
+            config.write_text(json.dumps({"threads": threads}))
+            args += ["--config", str(config)]
+        else:
+            args += ["--threads", str(threads)]
+        assert cli.main(args) == cli.EXIT_INPUT
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "fit").exists()
+
     def test_missing_input_exits_2(self, subject, tmp_path, capsys):
         code = cli.main(["fit", str(tmp_path / "absent.nii"), str(subject / "series.bval"),
                          str(subject / "mask.nii"), str(tmp_path / "fit")])
@@ -115,6 +131,15 @@ class TestReport:
         assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
         err = capsys.readouterr().err
         assert "line 9" in err and "line 4" in err and "S1" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_subject_with_two_groups_exits_2_naming_both_lines(self, tmp_path, capsys):
+        rows = summaries_rows()
+        rows[3]["group"] = "control"  # S1's automatic row; its manual row says fgr
+        path = write_summaries(rows, tmp_path / "summaries.csv")
+        assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "line 5" in err and "line 4" in err and "S1" in err
         assert not (tmp_path / "out").exists()
 
     def test_bad_table_exits_2(self, tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ivimlab import fgr
 
-from oracles import expected_volume_power_form, pair_counting_auc
+from oracles import brute_youden, expected_volume_power_form, pair_counting_auc
 
 
 class TestRoc:
@@ -18,6 +20,20 @@ class TestRoc:
             labels[:2] = (True, False)
             got = fgr.roc(scores, labels, polarity).auc
             assert got == pytest.approx(pair_counting_auc(sign * scores, labels), abs=1e-12)
+
+
+class TestYouden:
+    @pytest.mark.parametrize("polarity", list(fgr.Polarity))
+    @given(cases=st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=2,
+                          max_size=20))  # integer scores: ties likely
+    def test_operating_point_matches_brute_force(self, polarity, cases):
+        scores = [float(v) for v, _ in cases]
+        labels = [label for _, label in cases]
+        assume(any(labels) and not all(labels))
+        got = fgr.roc(scores, labels, polarity)
+        j, threshold = brute_youden(scores, labels, polarity is fgr.Polarity.POSITIVE_HIGH)
+        assert got.youden_j == pytest.approx(j, abs=1e-12)
+        assert got.youden_threshold == threshold
 
 
 class TestGrowthModel:

@@ -8,8 +8,23 @@ from ivimlab.errors import DimensionError
 def line_problem(x, y, theta0=(0.0, 0.0)):
     return lm.FitProblem(
         residual=lambda th: th[0] * x + th[1] - y,
+        jacobian=lambda th: np.array((x, np.ones_like(x))),
         theta0=np.asarray(theta0, dtype=float),
         transforms=(lm.identity(), lm.identity()),
+    )
+
+
+def decay_problem(b, s, theta0, transforms):
+    """th[0] * exp(-th[1] * b) - s with its exact Jacobian."""
+    def jacobian(th):
+        e = np.exp(-th[1] * b)
+        return np.array((e, -th[0] * b * e))
+
+    return lm.FitProblem(
+        residual=lambda th: th[0] * np.exp(-th[1] * b) - s,
+        jacobian=jacobian,
+        theta0=np.asarray(theta0, dtype=float),
+        transforms=transforms,
     )
 
 
@@ -19,7 +34,7 @@ class TestTransforms:
                       lm.offset_log(0.002))
         theta = np.array([-3.5, 0.7, 0.25, 0.05])
         u = lm._to_internal(theta, transforms)
-        back = lm._to_external(u, transforms)
+        back, _ = lm._to_external(u, transforms)
         assert np.allclose(back, theta, rtol=1e-12)
 
     def test_ranges_enforced(self):
@@ -33,8 +48,14 @@ class TestTransforms:
     def test_logistic_stays_inside_bounds(self):
         t = (lm.logistic(0.0, 1.0),)
         for u in (-800.0, -5.0, 0.0, 5.0, 800.0):
-            v = lm._to_external(np.array([u]), t)[0]
-            assert 0.0 <= v <= 1.0
+            v, d = lm._to_external(np.array([u]), t)
+            assert 0.0 <= v[0] <= 1.0
+            assert 0.0 <= d[0] <= 0.25  # s * (1 - s) peaks at u = 0
+
+    def test_overflow_reads_as_infinite(self):
+        for t in (lm.log_positive(), lm.offset_log(0.002)):
+            theta, dtheta = lm._to_external(np.array([800.0]), (t,))
+            assert theta[0] == np.inf and dtheta[0] == np.inf
 
 
 class TestLmFit:
@@ -48,11 +69,7 @@ class TestLmFit:
     def test_mono_exponential_recovery(self):
         b = np.array([0, 100, 200, 300, 400, 500, 600.0])
         s = 100.0 * np.exp(-0.002 * b)
-        problem = lm.FitProblem(
-            residual=lambda th: th[0] * np.exp(-th[1] * b) - s,
-            theta0=np.array([50.0, 0.01]),
-            transforms=(lm.log_positive(), lm.log_positive()),
-        )
+        problem = decay_problem(b, s, (50.0, 0.01), (lm.log_positive(), lm.log_positive()))
         result = lm.lm_fit(problem)
         assert result.converged
         assert result.params[0] == pytest.approx(100.0, rel=1e-8)
@@ -96,11 +113,7 @@ class TestLmFit:
             s = s + rng.normal(0, 1.0, b.size)
             s = np.maximum(s, 1.0)
             theta0 = np.array([rng.uniform(1, 300), rng.uniform(1e-5, 0.05)])
-            problem = lm.FitProblem(
-                residual=lambda th: th[0] * np.exp(-th[1] * b) - s,
-                theta0=theta0,
-                transforms=(lm.log_positive(), lm.log_positive()),
-            )
+            problem = decay_problem(b, s, theta0, (lm.log_positive(), lm.log_positive()))
             r0 = problem.residual(theta0)
             result = lm.lm_fit(problem)
             assert result.ssr <= float(r0 @ r0) + 1e-9
@@ -109,11 +122,7 @@ class TestLmFit:
         # force the optimum against a bound: constant data, decaying model
         b = np.array([200, 400, 600.0])
         s = np.full(3, 50.0)
-        problem = lm.FitProblem(
-            residual=lambda th: th[0] * np.exp(-th[1] * b) - s,
-            theta0=np.array([50.0, 0.01]),
-            transforms=(lm.log_positive(), lm.logistic(1e-5, 1e-1)),
-        )
+        problem = decay_problem(b, s, (50.0, 0.01), (lm.log_positive(), lm.logistic(1e-5, 1e-1)))
         result = lm.lm_fit(problem)
         assert 1e-5 <= result.params[1] <= 1e-1
         assert result.params[1] < 1.1e-5  # driven to the lower bound
@@ -121,6 +130,7 @@ class TestLmFit:
     def test_dimension_error_when_underdetermined(self):
         problem = lm.FitProblem(
             residual=lambda th: np.array([th[0] + th[1] - 1.0]),
+            jacobian=lambda th: np.ones((2, 1)),
             theta0=np.array([0.0, 0.0]),
             transforms=(lm.identity(), lm.identity()),
         )
@@ -130,6 +140,7 @@ class TestLmFit:
     def test_non_finite_start_rejected(self):
         problem = lm.FitProblem(
             residual=lambda th: np.array([np.nan, np.nan]),
+            jacobian=lambda th: np.zeros((1, 2)),
             theta0=np.array([1.0]),
             transforms=(lm.identity(),),
         )
@@ -148,28 +159,48 @@ class TestLmFit:
 
 class TestJacobian:
     def test_matches_central_difference_cost_gradient(self):
+        # one parameter per transform, every residual depending on all four
         rng = np.random.default_rng(11)
-        b = np.linspace(0, 600, 8)
-        s = 80.0 * np.exp(-0.003 * b) + rng.normal(0, 0.5, 8)
-        transforms = (lm.log_positive(), lm.log_positive())
+        x = np.linspace(0.0, 1.0, 9)
+        y = rng.normal(0.0, 1.0, x.size)
+        transforms = (lm.identity(), lm.log_positive(), lm.logistic(-1.0, 3.0),
+                      lm.offset_log(0.5))
 
         def resid(th):
-            return th[0] * np.exp(-th[1] * b) - s
+            a, b, c, d = th
+            return a * x + b * np.exp(-c * x) + np.sin(d * x) - y
 
-        theta = np.array([90.0, 0.002])
-        u = lm._to_internal(theta, transforms)
-        r = resid(lm._to_external(u, transforms))
-        J = lm._jacobian(resid, u, r, transforms)
-        grad_fd = 2.0 * J.T @ r
+        def jac(th):
+            _, b, c, d = th
+            e = np.exp(-c * x)
+            return np.array((x, e, -b * x * e, x * np.cos(d * x)))
 
         def cost(uu):
-            rr = resid(lm._to_external(uu, transforms))
+            rr = resid(lm._to_external(uu, transforms)[0])
             return float(rr @ rr)
 
-        for i in range(u.size):
-            h = 1e-6 * max(1.0, abs(u[i]))
-            up, um = u.copy(), u.copy()
-            up[i] += h
-            um[i] -= h
-            central = (cost(up) - cost(um)) / (2 * h)
-            assert grad_fd[i] == pytest.approx(central, rel=1e-4, abs=1e-8)
+        problem = lm.FitProblem(resid, jac, (0.3, 1.7, 0.4, 2.2), transforms)
+        u = lm._to_internal(problem.theta0, transforms)
+        for trial in range(5):
+            u_at = u + rng.normal(0.0, 0.5, u.size) * (trial > 0)
+            theta, dtheta = lm._to_external(u_at, transforms)
+            J = problem.jacobian(theta) * dtheta[:, None]  # the solver's chain rule
+            grad = 2.0 * J @ resid(theta)
+            for i in range(u.size):
+                h = 1e-6 * max(1.0, abs(u_at[i]))
+                up, um = u_at.copy(), u_at.copy()
+                up[i] += h
+                um[i] -= h
+                central = (cost(up) - cost(um)) / (2 * h)
+                assert grad[i] == pytest.approx(central, rel=1e-6, abs=1e-8)
+
+    def test_wrong_shape_rejected(self):
+        x = np.arange(5.0)
+        problem = lm.FitProblem(
+            residual=lambda th: th[0] * x + th[1] - 2.0 * x,
+            jacobian=lambda th: np.array((x, np.ones_like(x))).T,
+            theta0=np.array([0.0, 0.0]),
+            transforms=(lm.identity(), lm.identity()),
+        )
+        with pytest.raises(DimensionError):
+            lm.lm_fit(problem)

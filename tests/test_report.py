@@ -87,6 +87,14 @@ class TestBadRows:
         with pytest.raises(ValueError, match="S2.*manual.*lc"):
             report.build_report(rows)
 
+    def test_subject_with_two_groups_rejected_naming_the_row(self):
+        rows = table()
+        i = next(i for i, r in enumerate(rows)
+                 if (r["subject"], r["source"], r["strategy"]) == ("S1", "automatic", "lc"))
+        rows[i]["group"] = "fgr"  # its manual row says control
+        with pytest.raises(ValueError, match=rf"row {i} \(S1\).*fgr.*row {i - 1}.*control"):
+            report.build_report(rows)
+
     @pytest.mark.parametrize("column", ["source", "group"])
     def test_unknown_label_rejected(self, column):
         rows = table()
