@@ -3,7 +3,7 @@
 from .errors import (DimensionError, FormatError, UndefinedMetricError,
                      UnsupportedTypeError)
 from .grid import (BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3D,
-                   average_by_bvalue, mask_volume_ml)
+                   average_by_bvalue)
 from .ivim import (IvimFitConfig, VoxelSignal, fit_adc, fit_ivim, fit_volume,
                    summarize)
 from .masks import FusionStrategy, dice, fuse, hausdorff
@@ -16,6 +16,6 @@ __all__ = [
     "IvimFitConfig", "IvimMaps", "PhantomBundle", "PhantomConfig",
     "UndefinedMetricError", "UnsupportedTypeError", "VoxelSignal", "VoxelSpacing",
     "Volume3D", "add_noise", "average_by_bvalue", "dice", "fit_adc", "fit_ivim",
-    "fit_volume", "fuse", "hausdorff", "make_phantom", "mask_volume_ml",
+    "fit_volume", "fuse", "hausdorff", "make_phantom",
     "perturb_mask", "summarize",
 ]

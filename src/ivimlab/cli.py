@@ -1,10 +1,17 @@
 """Command-line pipeline: phantom, fit, fuse, metrics, report, classify.
 
+A ``--config`` JSON file holds fields of the subcommand's config dataclasses:
+``phantom.PhantomConfig`` for ``phantom``; ``ivim.IvimFitConfig`` and
+:class:`FitRunConfig` for ``fit``. Lists stand for tuples and an absent key
+keeps the default. A truth field is a number or an object with a ``kind``
+(``constant``, ``linear`` or ``two_region``) and that field-spec class's
+fields. A flag overrides its config key; ``threads`` defaults to all CPUs.
+The run output echoes the resolved config, which reads back as ``--config``.
+
 Every subcommand is deterministic given identical inputs, flags and seeds,
-writes its outputs atomically (temp file + rename) and echoes its fully
-resolved configuration into the run's JSON/manifest output. Exit codes:
-0 success, 2 input/usage problem (single-line diagnostic on stderr),
-1 internal failure.
+and writes its outputs atomically (temp file + rename). Exit codes: 0
+success; 2 input/usage problem, such as a malformed config value, reported
+in one line on stderr before any output is written; 1 internal failure.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ import json
 import os
 import sys
 import time
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import fgr, ivim, masks, phantom, report
@@ -53,69 +62,120 @@ def _format_cell(value):
     return value
 
 
-def _load_config(path, defaults: dict) -> dict:
-    """Merge a JSON config over defaults; unknown keys are an error."""
-    resolved = dict(defaults)
-    if path is None:
-        return resolved
-    with open(path) as fh:
-        try:
-            user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(user, dict):
-        raise FormatError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(user) - set(defaults))
+@dataclass(frozen=True)
+class FitRunConfig:
+    """The ``fit`` settings outside the model fit: summary histogram bins and workers."""
+
+    entropy_bins: int = 64
+    threads: int | None = None  # None: one worker per CPU
+
+    def __post_init__(self):
+        if self.threads is None:
+            object.__setattr__(self, "threads", os.cpu_count() or 1)
+        for name in ("entropy_bins", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
+
+# the JSON "kind" of each truth-field spec class
+_FIELD_SPECS = {"constant": phantom.Constant, "linear": phantom.LinearGradient,
+                "two_region": phantom.TwoRegion}
+_FIELD_SPEC_KINDS = {cls: kind for kind, cls in _FIELD_SPECS.items()}
+
+
+def _load_configs(path, classes, **overrides) -> list:
+    """One instance of each config class from a JSON file and flag ``overrides``.
+
+    Every key must name a field of one of the ``classes``; an unset (None)
+    flag leaves the file's value.
+    """
+    values = {}
+    if path is not None:
+        with open(path) as fh:
+            try:
+                values = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{path}: invalid JSON ({exc})") from None
+        if not isinstance(values, dict):
+            raise FormatError(f"{path}: config must be a JSON object")
+    values.update((k, v) for k, v in overrides.items() if v is not None)
+    unknown = sorted(set(values).difference(*map(_field_names, classes)))
     if unknown:
         raise FormatError(f"{path}: unknown config keys {unknown}")
-    resolved.update(user)
-    return resolved
+    return [_build(cls, values) for cls in classes]
 
 
-def _config_defaults(config_class) -> dict:
-    """A config dataclass's field defaults as JSON values (tuples become lists)."""
-    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-            for f in dataclasses.fields(config_class)}
+def _cast(hint, value, key: str):
+    """A JSON value as the annotated type ``hint`` of config key ``key``."""
+    options = typing.get_args(hint)
+    if type(None) in options:  # an optional field: null is a value
+        if value is None:
+            return None
+        hint = options[0]
+    if hint == phantom.FieldSpec:
+        if isinstance(value, dict):
+            return _field_spec(value, key)
+        if not isinstance(value, (int, float)):
+            raise FormatError(f"{key} must be a number or a field spec, got {value!r}")
+        hint = float
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise FormatError(f"{key} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_cast(item, v, key) for v in value)
+    try:
+        cast = hint(value)
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"{key}: expected {hint.__name__}, got {value!r}") from None
+    if hint is int and isinstance(value, float) and cast != value:  # no silent truncation
+        raise FormatError(f"{key} must be an integer, got {value!r}")
+    return cast
 
 
-def _default_threads() -> int:
-    env = os.environ.get("IVIMLAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"IVIMLAB_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ValueError("IVIMLAB_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
+def _build(cls, values: dict, prefix: str = ""):
+    """A config dataclass from the JSON ``values`` of its fields.
+
+    Each value is cast to its field's annotated type before the class
+    validates itself; ``prefix`` (say ``"f."``) leads every key in messages.
+    """
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in values:
+            kwargs[f.name] = _cast(hints[f.name], values[f.name], prefix + f.name)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise FormatError(f"{prefix}{f.name} is missing")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise FormatError(f"{prefix}{exc}") from None
 
 
-def _field_spec_from_json(value) -> phantom.FieldSpec:
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, dict):
-        kind = value.get("kind")
-        if kind == "constant":
-            return phantom.Constant(float(value["value"]))
-        if kind == "linear":
-            return phantom.LinearGradient(float(value["lo"]), float(value["hi"]),
-                                          int(value.get("axis", 0)))
-        if kind == "two_region":
-            return phantom.TwoRegion(float(value["value_a"]), float(value["value_b"]),
-                                     int(value.get("axis", 0)))
-    raise FormatError(f"invalid truth-field spec {value!r}")
+def _field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
 
 
-def _field_spec_to_json(spec: phantom.FieldSpec):
-    if isinstance(spec, (int, float)):
-        return float(spec)
-    if isinstance(spec, phantom.Constant):
-        return {"kind": "constant", "value": spec.value}
-    if isinstance(spec, phantom.LinearGradient):
-        return {"kind": "linear", "lo": spec.lo, "hi": spec.hi, "axis": spec.axis}
-    return {"kind": "two_region", "value_a": spec.value_a, "value_b": spec.value_b,
-            "axis": spec.axis}
+def _field_spec(value: dict, key: str):
+    kind = value.get("kind")
+    if kind not in _FIELD_SPECS:
+        raise FormatError(f"{key}.kind must be one of {sorted(_FIELD_SPECS)}, got {kind!r}")
+    cls = _FIELD_SPECS[kind]
+    unknown = sorted(set(value).difference(["kind"], _field_names(cls)))
+    if unknown:
+        raise FormatError(f"unknown config keys {[f'{key}.{k}' for k in unknown]}")
+    return _build(cls, value, key + ".")
+
+
+def _to_json(value):
+    """A config as the JSON that ``_build`` reads back: tuples become lists and
+    dataclasses objects, with a ``kind`` for a field spec."""
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    fields = {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    kind = _FIELD_SPEC_KINDS.get(type(value))
+    return fields if kind is None else {"kind": kind, **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -123,45 +183,18 @@ def _field_spec_to_json(spec: phantom.FieldSpec):
 # ---------------------------------------------------------------------------
 
 def _cmd_phantom(args) -> int:
-    cfg_dict = _load_config(args.config, _config_defaults(phantom.PhantomConfig))
-    if args.seed is not None:
-        cfg_dict["seed"] = args.seed
-    if args.noise is not None:
-        cfg_dict["noise_model"] = args.noise
-    if args.snr is not None:
-        cfg_dict["snr"] = args.snr
-
-    cfg = phantom.PhantomConfig(
-        dims=tuple(int(n) for n in cfg_dict["dims"]),
-        spacing=tuple(float(v) for v in cfg_dict["spacing"]),
-        bvalues=tuple(float(b) for b in cfg_dict["bvalues"]),
-        semi_axes_frac=tuple(float(v) for v in cfg_dict["semi_axes_frac"]),
-        s0=_field_spec_from_json(cfg_dict["s0"]),
-        f=_field_spec_from_json(cfg_dict["f"]),
-        d_star=_field_spec_from_json(cfg_dict["d_star"]),
-        d=_field_spec_from_json(cfg_dict["d"]),
-        noise_model=str(cfg_dict["noise_model"]),
-        snr=float(cfg_dict["snr"]),
-        seed=int(cfg_dict["seed"]),
-    )
+    cfg, = _load_configs(args.config, [phantom.PhantomConfig], seed=args.seed,
+                         noise_model=args.noise, snr=args.snr)
     bundle = phantom.make_phantom(cfg)
 
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_series(bundle.series, out / "series.nii")
     write_mask(bundle.mask, out / "mask.nii")
-    for name, vol in (("s0", bundle.truth.s0), ("f", bundle.truth.f),
-                      ("d_star", bundle.truth.d_star), ("adc", bundle.truth.adc)):
-        write_volume(vol, out / f"truth_{name}.nii")
+    for name in ("s0", "f", "d_star", "adc"):
+        write_volume(getattr(bundle.truth, name), out / f"truth_{name}.nii")
     manifest = {
-        "config": {
-            "dims": list(cfg.dims), "spacing": list(cfg.spacing),
-            "bvalues": list(cfg.bvalues),
-            "semi_axes_frac": list(cfg.semi_axes_frac),
-            "s0": _field_spec_to_json(cfg.s0), "f": _field_spec_to_json(cfg.f),
-            "d_star": _field_spec_to_json(cfg.d_star), "d": _field_spec_to_json(cfg.d),
-            "noise_model": cfg.noise_model, "snr": cfg.snr, "seed": cfg.seed,
-        },
+        "config": _to_json(cfg),
         "mask_voxels": bundle.mask.voxel_count,
         "mask_volume_ml": bundle.mask.volume_ml,
         "outputs": ["series.nii", "series.bval", "mask.nii", "truth_s0.nii",
@@ -172,26 +205,9 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    defaults = {**_config_defaults(ivim.IvimFitConfig), "entropy_bins": 64, "threads": None}
-    cfg_dict = _load_config(args.config, defaults)
-    if args.b_threshold is not None:
-        cfg_dict["b_threshold"] = args.b_threshold
-    if args.threads is not None:
-        cfg_dict["threads"] = args.threads
-    if args.entropy_bins is not None:
-        cfg_dict["entropy_bins"] = args.entropy_bins
-    if cfg_dict["threads"] is None:
-        threads = _default_threads()
-    else:
-        threads = int(cfg_dict["threads"])
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-
-    cfg = ivim.IvimFitConfig(
-        b_threshold=float(cfg_dict["b_threshold"]),
-        adc_range=tuple(float(v) for v in cfg_dict["adc_range"]),
-        f_range=tuple(float(v) for v in cfg_dict["f_range"]),
-    )
+    cfg, run = _load_configs(args.config, [ivim.IvimFitConfig, FitRunConfig],
+                             b_threshold=args.b_threshold,
+                             entropy_bins=args.entropy_bins, threads=args.threads)
 
     for path in (args.series, args.bvals, args.mask):
         if not Path(path).exists():
@@ -203,29 +219,22 @@ def _cmd_fit(args) -> int:
 
     start = time.perf_counter()
     series = average_by_bvalue(series)
-    maps = ivim.fit_volume(series, mask, cfg, workers=threads)
+    maps = ivim.fit_volume(series, mask, cfg, workers=run.threads)
     wall = time.perf_counter() - start
 
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, vol in (("s0", maps.s0), ("f", maps.f), ("d_star", maps.d_star),
-                      ("adc", maps.adc), ("residual", maps.residual)):
-        write_volume(vol, out / f"{name}.nii")
+    for name in ("s0", "f", "d_star", "adc", "residual"):
+        write_volume(getattr(maps, name), out / f"{name}.nii")
 
     fitted = maps.mask.voxel_count
     log = {
-        "config": {
-            "b_threshold": cfg.b_threshold,
-            "adc_range": list(cfg.adc_range),
-            "f_range": list(cfg.f_range),
-            "entropy_bins": int(cfg_dict["entropy_bins"]),
-            "threads": threads,
-        },
+        "config": {**_to_json(cfg), **_to_json(run)},
         "voxels_fitted": fitted,
         "voxels_failed": mask.voxel_count - fitted,
         "boundary_hits": ivim.boundary_hits(maps, cfg),
         "wall_time": wall,
-        "summary": report.summary_metrics(maps, int(cfg_dict["entropy_bins"])),
+        "summary": ivim.summarize(maps, run.entropy_bins),
     }
     _write_json(log, out / "fit_log.json")
     return EXIT_OK

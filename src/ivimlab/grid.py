@@ -17,9 +17,6 @@ from .errors import DimensionError
 # b-values closer than this (s/mm^2) are treated as the same shell
 B_VALUE_TOL = 1e-9
 
-# unfitted/outside-mask voxels carry quiet NaN in every parameter map
-SENTINEL = float("nan")
-
 
 @dataclass(frozen=True)
 class VoxelSpacing:
@@ -73,13 +70,6 @@ class Volume3D:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
 
-    def at(self, z: int, y: int, x: int) -> float:
-        """Element access; raises IndexError outside dims (no negative wrap)."""
-        nz, ny, nx = self.dims
-        if not (0 <= z < nz and 0 <= y < ny and 0 <= x < nx):
-            raise IndexError(f"index {(z, y, x)} outside dims {self.dims}")
-        return float(self.data[z, y, x])
-
     def same_grid(self, other) -> bool:
         return self.dims == other.dims and self.spacing.close_to(other.spacing)
 
@@ -106,7 +96,8 @@ class BinaryMask:
 
     @property
     def volume_ml(self) -> float:
-        return mask_volume_ml(self)
+        """Mask volume in millilitres (voxel count times voxel volume / 1000)."""
+        return self.voxel_count * self.spacing.voxel_volume_mm3 / 1000.0
 
     def same_grid(self, other) -> bool:
         return self.dims == other.dims and self.spacing.close_to(other.spacing)
@@ -190,11 +181,6 @@ class IvimMaps:
         )
         if not ok:
             raise ValueError("fitted values violate map invariants inside the mask")
-
-
-def mask_volume_ml(mask: BinaryMask) -> float:
-    """Mask volume in millilitres (voxel count times voxel volume / 1000)."""
-    return mask.voxel_count * mask.spacing.voxel_volume_mm3 / 1000.0
 
 
 def average_by_bvalue(series: DwiSeries) -> DwiSeries:

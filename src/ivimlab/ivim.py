@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lm
+from . import lm, stats
 from .errors import DimensionError
 from .grid import B_VALUE_TOL, BinaryMask, DwiSeries, IvimMaps, Volume3D
 
@@ -36,6 +36,9 @@ class IvimFitConfig:
     def __post_init__(self):
         if self.b_threshold < 0:
             raise ValueError("b_threshold must be >= 0")
+        for name in ("f_range", "adc_range"):
+            if len(getattr(self, name)) != 2:
+                raise ValueError(f"{name} must be (lo, hi), got {list(getattr(self, name))}")
         if not (0 <= self.f_range[0] < self.f_range[1] <= 1):
             raise ValueError(f"invalid f_range {self.f_range}")
         if not (0 < self.adc_range[0] < self.adc_range[1]):
@@ -66,7 +69,6 @@ class VoxelSignal:
 class AdcFit:
     s0_high: float
     adc: float
-    at_bound: bool
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,7 @@ def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float,
     result = lm.lm_fit(problem)
     if not result.converged:
         return None
-    s0_high, adc = float(result.params[0]), float(result.params[1])
-    at_bound = adc <= lo * _BOUND_MARGIN or adc >= hi / _BOUND_MARGIN
-    return AdcFit(s0_high, adc, at_bound)
+    return AdcFit(float(result.params[0]), float(result.params[1]))
 
 
 def fit_adc(sig: VoxelSignal, cfg: IvimFitConfig | None = None) -> AdcFit | None:
@@ -281,40 +281,21 @@ def boundary_hits(maps: IvimMaps, cfg: IvimFitConfig | None = None) -> int:
     return int(((adc <= lo * _BOUND_MARGIN) | (adc >= hi / _BOUND_MARGIN)).sum())
 
 
-@dataclass(frozen=True)
-class MapSummary:
-    mean: float
-    sd: float  # population sd over fitted voxels
-    count: int
+def summarize(maps: IvimMaps, entropy_bins: int = 64) -> dict | None:
+    """The summary metrics of one subject's fitted maps; None if nothing was fitted.
 
-
-@dataclass(frozen=True)
-class MapsSummary:
-    s0: MapSummary
-    f: MapSummary
-    d_star: MapSummary
-    adc: MapSummary
-    residual: MapSummary
-    voxel_count: int
-    volume_ml: float
-    empty: bool
-
-
-def summarize(maps: IvimMaps) -> MapsSummary:
-    """Mean/sd/count per parameter over fitted voxels; flags the empty case."""
+    Volume, the mean of every map, the CV of s0, f, D* and ADC, and the
+    histogram entropy of f, D* and ADC, all over the fitted voxels.
+    """
     m = maps.mask.data
-    count = int(m.sum())
-    if count == 0:
-        nan_summary = MapSummary(math.nan, math.nan, 0)
-        return MapsSummary(nan_summary, nan_summary, nan_summary, nan_summary,
-                           nan_summary, 0, 0.0, True)
-
-    def stat(vol: Volume3D) -> MapSummary:
-        v = vol.data[m]
-        return MapSummary(float(v.mean()), float(v.std(ddof=0)), count)
-
-    return MapsSummary(
-        s0=stat(maps.s0), f=stat(maps.f), d_star=stat(maps.d_star),
-        adc=stat(maps.adc), residual=stat(maps.residual),
-        voxel_count=count, volume_ml=maps.mask.volume_ml, empty=False,
-    )
+    if not m.any():
+        return None
+    values = {name: getattr(maps, name).data[m]
+              for name in ("s0", "f", "d_star", "adc", "residual")}
+    return {
+        "volume_ml": maps.mask.volume_ml,
+        **{f"{name}_mean": float(v.mean()) for name, v in values.items()},
+        **{f"{name}_cv": stats.cv(values[name]) for name in ("s0", "f", "d_star", "adc")},
+        **{f"{name}_entropy": stats.shannon_entropy(values[name], entropy_bins)
+           for name in ("f", "d_star", "adc")},
+    }

@@ -153,14 +153,14 @@ class FitResult:
     reason: str
 
 
-def lm_fit(problem: FitProblem, opts: FitOptions | None = None) -> FitResult:
+def lm_fit(problem: FitProblem) -> FitResult:
     """Minimize ||r(theta)||^2; returns parameters in the original space.
 
     The accepted-step cost sequence is non-increasing and the result is
     deterministic for fixed inputs. Trial steps with a non-finite cost are
     rejected; the fit is declared diverged once damping overflows.
     """
-    opts = opts or FitOptions()
+    opts = FitOptions()
     fn, jac = problem.residual, problem.jacobian
     transforms = problem.transforms
     u = _to_internal(problem.theta0, transforms)

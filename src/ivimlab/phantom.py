@@ -8,7 +8,7 @@ splits, and optional Gaussian/Rician noise is reproducible per seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -20,6 +20,15 @@ _STRUCT6 = generate_binary_structure(3, 1)  # 6-connected neighbourhood
 
 DEFAULT_SPACING = (7.20, 2.07, 2.07)  # mm, slice-major
 DEFAULT_BVALUES = (0.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0, 600.0)  # s/mm^2
+NOISE_MODELS = ("none", "gaussian", "rician")
+
+
+class _AlongAxis:
+    """Checks the ``axis`` field of a spec that varies along one axis."""
+
+    def __post_init__(self):
+        if self.axis not in (0, 1, 2):
+            raise ValueError(f"axis must be 0, 1 or 2, got {self.axis!r}")
 
 
 @dataclass(frozen=True)
@@ -28,14 +37,14 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class LinearGradient:
+class LinearGradient(_AlongAxis):
     lo: float
     hi: float
     axis: int = 0  # 0=z, 1=y, 2=x
 
 
 @dataclass(frozen=True)
-class TwoRegion:
+class TwoRegion(_AlongAxis):
     value_a: float  # lower half along axis
     value_b: float
     axis: int = 0
@@ -71,9 +80,21 @@ class PhantomConfig:
     f: FieldSpec = 0.3
     d_star: FieldSpec = 0.05
     d: FieldSpec = 0.002
-    noise_model: str = "none"  # none | gaussian | rician
-    snr: float = 0.0
+    noise_model: str = "none"  # one of NOISE_MODELS
+    snr: float = 0.0  # used only with noise
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("dims", "spacing", "semi_axes_frac"):
+            if len(getattr(self, name)) != 3:
+                raise ValueError(f"{name} must have 3 entries (z, y, x), "
+                                 f"got {list(getattr(self, name))}")
+        if self.noise_model not in NOISE_MODELS:
+            raise ValueError(f"noise_model must be one of {NOISE_MODELS}, "
+                             f"got {self.noise_model!r}")
+        if self.noise_model != "none" and self.snr <= 0:
+            raise ValueError(f"snr must be positive with {self.noise_model} noise, "
+                             f"got {self.snr}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +102,6 @@ class PhantomBundle:
     series: DwiSeries
     mask: BinaryMask
     truth: IvimMaps
-    config: PhantomConfig = field(repr=False, default=None)  # type: ignore[assignment]
 
 
 def ellipsoid_mask(dims: tuple[int, int, int], spacing: VoxelSpacing,
@@ -133,7 +153,7 @@ def make_phantom(cfg: PhantomConfig | None = None) -> PhantomBundle:
         s0=masked(s0), f=masked(f), d_star=masked(d_star), adc=masked(d),
         residual=masked(np.zeros(cfg.dims)), mask=mask,
     )
-    return PhantomBundle(series=series, mask=mask, truth=truth, config=cfg)
+    return PhantomBundle(series=series, mask=mask, truth=truth)
 
 
 def add_noise(series: DwiSeries, mask: BinaryMask, model: str, snr: float,
@@ -147,6 +167,8 @@ def add_noise(series: DwiSeries, mask: BinaryMask, model: str, snr: float,
         raise ValueError("snr must be positive")
     if model not in ("gaussian", "rician"):
         raise ValueError(f"unknown noise model {model!r}")
+    if not mask.data.any():
+        raise ValueError("noise needs a non-empty mask: its sd scales with the masked signal")
     data = series.data
     b0 = np.abs(series.bvalues) < B_VALUE_TOL
     sd = float(data[b0][:, mask.data].mean()) / snr

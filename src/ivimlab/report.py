@@ -30,36 +30,13 @@ ALL_METRICS = MEAN_METRICS + VARIABILITY_METRICS
 SUMMARY_COLUMNS = ("subject", "group", "source", "strategy") + ALL_METRICS
 
 
-def summary_metrics(maps: IvimMaps, entropy_bins: int = 64) -> dict | None:
-    """The ALL_METRICS values of one subject's fitted maps; None if nothing was fitted."""
-    summary = summarize(maps)
-    if summary.empty:
-        return None
-    m = maps.mask.data
-    return {
-        "volume_ml": summary.volume_ml,
-        "s0_mean": summary.s0.mean,
-        "f_mean": summary.f.mean,
-        "d_star_mean": summary.d_star.mean,
-        "adc_mean": summary.adc.mean,
-        "residual_mean": summary.residual.mean,
-        "s0_cv": stats.cv(maps.s0.data[m]),
-        "f_cv": stats.cv(maps.f.data[m]),
-        "d_star_cv": stats.cv(maps.d_star.data[m]),
-        "adc_cv": stats.cv(maps.adc.data[m]),
-        "f_entropy": stats.shannon_entropy(maps.f.data[m], entropy_bins),
-        "d_star_entropy": stats.shannon_entropy(maps.d_star.data[m], entropy_bins),
-        "adc_entropy": stats.shannon_entropy(maps.adc.data[m], entropy_bins),
-    }
-
-
 def summary_row(subject: str, group: Group, source: str,
                 strategy: FusionStrategy, maps: IvimMaps,
                 entropy_bins: int = 64) -> dict:
     """One summaries-table row computed from a subject's fitted maps."""
     if source not in SOURCES:
         raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
-    metrics = summary_metrics(maps, entropy_bins)
+    metrics = summarize(maps, entropy_bins)
     if metrics is None:
         raise ValueError(f"{subject}: no fitted voxels, nothing to summarize")
     return {"subject": subject, "group": group.value, "source": source,

@@ -1,12 +1,21 @@
 import csv
+import dataclasses
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ivimlab import cli, fgr, ivim, masks, report
+from ivimlab import cli, fgr, ivim, masks, phantom, report
 from ivimlab.grid import average_by_bvalue
-from ivimlab.nifti import read_mask, read_volume
+from ivimlab.nifti import read_mask, read_volume, write_mask
+
+PHANTOM_OUTPUTS = ["series.nii", "series.bval", "mask.nii", "truth_s0.nii",
+                   "truth_f.nii", "truth_d_star.nii", "truth_adc.nii"]
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +48,160 @@ def write_summaries(rows, path):
         writer.writeheader()
         writer.writerows(rows)
     return path
+
+
+def json_text(payload) -> str:
+    """``payload`` as the CLI writes it, so int and float values stay apart."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def run_phantom(outdir: Path, config: dict | None = None, *flags) -> dict:
+    args = ["phantom", str(outdir), *flags]
+    if config is not None:
+        path = outdir.parent / f"{outdir.name}.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    assert cli.main(args) == cli.EXIT_OK
+    return json.loads((outdir / "manifest.json").read_text())
+
+
+def _number(lo, hi):
+    """A JSON number in [lo, hi]: a float, or an int where the range holds one."""
+    floats = st.floats(lo, hi)
+    if math.ceil(lo) > hi:
+        return floats
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), floats)
+
+
+def _field_spec(lo, hi):
+    value = _number(lo, hi)
+    axis = st.sampled_from([0, 1, 2])
+    return st.one_of(
+        value,
+        st.builds(lambda v: {"kind": "constant", "value": v}, value),
+        st.builds(lambda a, b: {"kind": "linear", "lo": a, "hi": b}, value, value),
+        st.builds(lambda a, b, x: {"kind": "linear", "lo": a, "hi": b, "axis": x},
+                  value, value, axis),
+        st.builds(lambda a, b, x: {"kind": "two_region", "value_a": a, "value_b": b,
+                                   "axis": x}, value, value, axis),
+    )
+
+
+# valid phantom configs: every key optional
+PHANTOM_CONFIGS = st.fixed_dictionaries({}, optional={
+    "dims": st.lists(st.integers(3, 5), min_size=3, max_size=3),  # non-empty mask
+    "spacing": st.lists(_number(0.5, 8.0), min_size=3, max_size=3),
+    "bvalues": st.lists(_number(5.0, 800.0), min_size=2, max_size=5).map(
+        lambda bs: [0] + sorted(bs)),
+    "semi_axes_frac": st.lists(st.floats(0.3, 0.5), min_size=3, max_size=3),
+    "s0": _field_spec(50.0, 150.0),
+    "f": _field_spec(0.05, 0.5),
+    "d_star": _field_spec(0.01, 0.1),
+    "d": _field_spec(0.001, 0.003),
+    "noise_model": st.sampled_from(["none", "gaussian", "rician"]),
+    "seed": st.integers(0, 2**31),
+}).flatmap(lambda cfg: st.fixed_dictionaries(
+    {**{k: st.just(v) for k, v in cfg.items()},
+     **({"snr": _number(5.0, 60.0)} if cfg.get("noise_model", "none") != "none" else {})}))
+
+
+class TestPhantom:
+    def test_default_manifest(self, tmp_path):
+        manifest = run_phantom(tmp_path / "p")
+        bundle = phantom.make_phantom()
+        expected = {
+            "config": {"dims": [8, 32, 32], "spacing": [7.2, 2.07, 2.07],
+                       "bvalues": [0.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0, 600.0],
+                       "semi_axes_frac": [0.4, 0.4, 0.4], "s0": 100.0, "f": 0.3,
+                       "d_star": 0.05, "d": 0.002, "noise_model": "none", "snr": 0.0,
+                       "seed": 0},
+            "mask_voxels": bundle.mask.voxel_count,
+            "mask_volume_ml": bundle.mask.volume_ml,
+            "outputs": PHANTOM_OUTPUTS,
+        }
+        assert (tmp_path / "p" / "manifest.json").read_text() == json_text(expected)
+        assert sorted(p.name for p in (tmp_path / "p").iterdir()) == sorted(
+            PHANTOM_OUTPUTS + ["manifest.json"])
+        series = read_volume(tmp_path / "p" / "series.nii", tmp_path / "p" / "series.bval")
+        assert np.array_equal(series.data, bundle.series.data.astype(np.float32))
+
+    def test_every_field_spec_kind_and_flags_echo_as_floats(self, tmp_path):
+        config = {"dims": [3, 8, 8], "spacing": [7, 2, 2], "bvalues": [0, 50, 200, 600],
+                  "s0": {"kind": "linear", "lo": 80, "hi": 120, "axis": 2},
+                  "f": {"kind": "two_region", "value_a": 0.2, "value_b": 0.35},
+                  "d_star": {"kind": "constant", "value": 0.05}, "d": 0.002,
+                  "noise_model": "gaussian", "snr": 10, "seed": 4}
+        manifest = run_phantom(tmp_path / "p", config, "--noise", "rician", "--snr", "30",
+                               "--seed", "9")
+        assert (tmp_path / "p" / "manifest.json").read_text() == json_text({
+            "config": {"dims": [3, 8, 8], "spacing": [7.0, 2.0, 2.0],
+                       "bvalues": [0.0, 50.0, 200.0, 600.0],
+                       "semi_axes_frac": [0.4, 0.4, 0.4],
+                       "s0": {"kind": "linear", "lo": 80.0, "hi": 120.0, "axis": 2},
+                       "f": {"kind": "two_region", "value_a": 0.2, "value_b": 0.35,
+                             "axis": 0},
+                       "d_star": {"kind": "constant", "value": 0.05}, "d": 0.002,
+                       "noise_model": "rician", "snr": 30.0, "seed": 9},
+            "mask_voxels": manifest["mask_voxels"],
+            "mask_volume_ml": manifest["mask_volume_ml"],
+            "outputs": PHANTOM_OUTPUTS,
+        })
+        bundle = phantom.make_phantom(phantom.PhantomConfig(
+            dims=(3, 8, 8), spacing=(7.0, 2.0, 2.0), bvalues=(0.0, 50.0, 200.0, 600.0),
+            s0=phantom.LinearGradient(80.0, 120.0, axis=2),
+            f=phantom.TwoRegion(0.2, 0.35), d_star=phantom.Constant(0.05),
+            noise_model="rician", snr=30.0, seed=9))
+        assert manifest["mask_voxels"] == bundle.mask.voxel_count
+        series = read_volume(tmp_path / "p" / "series.nii", tmp_path / "p" / "series.bval")
+        assert np.array_equal(series.data, bundle.series.data.astype(np.float32))
+
+    @pytest.mark.parametrize("config, key", [
+        ({"s0": {"kind": "linear", "lo": 1}}, "s0.hi"),
+        ({"f": {"kind": "two_region", "value_a": 0.2, "value_b": 0.3, "axis": 5}}, "f.axis"),
+        ({"f": {"kind": "linear", "lo": 0.2, "hi": 0.3, "axis": -1}}, "f.axis"),
+        ({"d": {"kind": "constant", "value": 0.002, "axis": 1}}, "d.axis"),
+        ({"d_star": {"kind": "ramp", "lo": 0.01, "hi": 0.1}}, "d_star.kind"),
+        ({"dims": [8, 32]}, "dims"),
+        ({"spacing": [2.0, 2.0]}, "spacing"),
+        ({"semi_axes_frac": [0.4, 0.4]}, "semi_axes_frac"),
+        ({"noise_model": "poisson", "snr": 0}, "noise_model"),
+        ({"seed": 2.5}, "seed"),
+        ({"snr": {"kind": "constant", "value": 30}}, "snr"),
+        ({"dims": [2, 2, 2], "semi_axes_frac": [0.3, 0.3, 0.3], "noise_model": "gaussian",
+          "snr": 10}, "mask"),
+    ])
+    def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, config, key):
+        (tmp_path / "p.json").write_text(json.dumps(config))
+        code = cli.main(["phantom", str(tmp_path / "p"), "--config", str(tmp_path / "p.json")])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+        assert not (tmp_path / "p").exists()
+
+    def test_new_config_field_needs_no_cli_change(self, tmp_path, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Extended(phantom.PhantomConfig):
+            contrast: float = 1.0
+            offsets: tuple[int, ...] = (0,)
+
+        monkeypatch.setattr(phantom, "PhantomConfig", Extended)
+        manifest = run_phantom(tmp_path / "p", {"dims": [3, 6, 6], "contrast": 2,
+                                                "offsets": [1.0, 2]})
+        assert manifest["config"]["dims"] == [3, 6, 6]
+        text = (tmp_path / "p" / "manifest.json").read_text()
+        assert '"contrast": 2.0' in text and manifest["config"]["offsets"] == [1, 2]
+        assert run_phantom(tmp_path / "q", manifest["config"]) == manifest
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=PHANTOM_CONFIGS)
+    def test_manifest_config_round_trips(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            first = run_phantom(Path(tmp) / "first", config)
+            second = run_phantom(Path(tmp) / "second", first["config"])
+            assert second == first
+            for name in ("manifest.json", "series.nii"):
+                assert ((Path(tmp) / "first" / name).read_bytes()
+                        == (Path(tmp) / "second" / name).read_bytes())
 
 
 class TestFit:
@@ -85,6 +248,41 @@ class TestFit:
         assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("config, key", [
+        ({"adc_range": [1e-5]}, "adc_range"),
+        ({"f_range": 5}, "f_range"),
+        ({"f_range": [0.0, 0.5, 1.0]}, "f_range"),
+        ({"entropy_bins": 2.7}, "entropy_bins"),
+        ({"entropy_bins": 0}, "entropy_bins"),
+        ({"threads": 1.9}, "threads"),
+        ({"b_threshold": "high"}, "b_threshold"),
+        ({"bins": 32}, "bins"),
+    ])
+    def test_malformed_config_exits_2_naming_the_key(self, subject, tmp_path, capsys,
+                                                     config, key):
+        (tmp_path / "fit.json").write_text(json.dumps(config))
+        code = cli.main(["fit", *(str(subject / n) for n in
+                                  ("series.nii", "series.bval", "mask.nii")),
+                         str(tmp_path / "fit"), "--config", str(tmp_path / "fit.json")])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and key in err
+        assert not (tmp_path / "fit").exists()
+
+    def test_new_config_field_needs_no_cli_change(self, subject, tmp_path, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Extended(ivim.IvimFitConfig):
+            d_star_max: float = 1.0
+
+        monkeypatch.setattr(ivim, "IvimFitConfig", Extended)
+        (tmp_path / "fit.json").write_text(json.dumps({"d_star_max": 2, "threads": 1}))
+        code = cli.main(["fit", *(str(subject / n) for n in
+                                  ("series.nii", "series.bval", "mask.nii")),
+                         str(tmp_path / "fit"), "--config", str(tmp_path / "fit.json")])
+        assert code == cli.EXIT_OK
+        text = (tmp_path / "fit" / "fit_log.json").read_text()
+        assert '"d_star_max": 2.0' in text and '"threads": 1' in text
+
     def test_missing_input_exits_2(self, subject, tmp_path, capsys):
         code = cli.main(["fit", str(tmp_path / "absent.nii"), str(subject / "series.bval"),
                          str(subject / "mask.nii"), str(tmp_path / "fit")])
@@ -98,6 +296,80 @@ class TestFuse:
         args = ["fuse", mask, mask, "-o", str(tmp_path / "fused.nii"), "--strategy"]
         assert cli.main(args + ["mean"]) == cli.EXIT_INPUT
         assert cli.main(args + ["LC"]) == cli.EXIT_OK
+
+
+class TestMetrics:
+    def test_row_is_the_mask_metrics(self, subject, tmp_path, capsys):
+        a = read_mask(subject / "mask.nii")
+        b = phantom.perturb_mask(a, "boundary_flip", p=0.4, seed=1)
+        write_mask(b, tmp_path / "b.nii")
+        args = ["metrics", str(subject / "mask.nii"), str(tmp_path / "b.nii")]
+        assert cli.main(args + ["-o", str(tmp_path / "m.csv"), "--case", "c1"]) == cli.EXIT_OK
+        with open(tmp_path / "m.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [{"case": "c1", "dice": format(masks.dice(a, b), ".10g"),
+                         "hd_mm": format(masks.hausdorff(a, b), ".10g"),
+                         "vol_a_ml": format(a.volume_ml, ".10g"),
+                         "vol_b_ml": format(b.volume_ml, ".10g")}]
+        capsys.readouterr()
+        assert cli.main(args + ["--case", "c1"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == (tmp_path / "m.csv").read_bytes().decode()
+
+
+def subjects(n: int, seed: int) -> list[fgr.SubjectRecord]:
+    """Controls near the expected lung volume, growth-restricted ones about 30% below."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(n):
+        group = fgr.Group.FGR if i % 3 == 0 else fgr.Group.CONTROL
+        ga = float(np.round(rng.uniform(22.0, 38.0), 1))
+        scale = (0.7 if group is fgr.Group.FGR else 1.0) * rng.normal(1.0, 0.12)
+        records.append(fgr.SubjectRecord(f"P{seed}-{i}", ga, group,
+                                         round(fgr.expected_tlv(ga) * scale, 3)))
+    return records
+
+
+def write_subjects(records, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "ga", "group", "tlv_ml"])
+        writer.writerows([r.id, r.ga_weeks, r.group.value, r.tlv_ml] for r in records)
+    return path
+
+
+class TestClassify:
+    def test_confusion_matrix_is_fgr_confusion(self, tmp_path):
+        train, test = subjects(30, 1), subjects(15, 2)
+        args = ["classify", str(write_subjects(train, tmp_path / "train.csv")),
+                str(write_subjects(test, tmp_path / "test.csv")), "-o", str(tmp_path / "c.json")]
+        assert cli.main(args) == cli.EXIT_OK
+        out = json.loads((tmp_path / "c.json").read_text())
+        model = fgr.train_classifier(train)
+        predictions = [model.predict(r) for r in test]
+        assert out["confusion_matrix"] == dataclasses.asdict(
+            fgr.confusion(predictions, [r.group for r in test]))
+        assert [p["predicted"] for p in out["test_predictions"]] == [
+            p.value for p in predictions]
+        assert (out["n_train"], out["n_test"]) == (30, 15)
+
+    @pytest.mark.parametrize("bad", ["no tlv_ml", "14", "45+1", "46"])
+    def test_bad_subjects_file_exits_2(self, tmp_path, capsys, bad):
+        path = write_subjects(subjects(6, 2), tmp_path / "test.csv")
+        lines = path.read_text().splitlines()
+        if bad == "no tlv_ml":
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+        else:  # a gestational age outside 15-45 weeks on line 4
+            cells = lines[3].split(",")
+            cells[1] = bad
+            lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        args = ["classify", str(write_subjects(subjects(30, 1), tmp_path / "train.csv")),
+                str(path), "-o", str(tmp_path / "c.json")]
+        assert cli.main(args) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ("tlv_ml" if bad == "no tlv_ml" else "line 4") in err
+        assert not (tmp_path / "c.json").exists()
 
 
 class TestReport:

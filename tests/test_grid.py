@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ivimlab.errors import DimensionError
-from ivimlab.grid import (BinaryMask, DwiSeries, VoxelSpacing, Volume3D,
-                          average_by_bvalue, mask_volume_ml)
+from ivimlab.grid import BinaryMask, DwiSeries, VoxelSpacing, Volume3D, average_by_bvalue
 
 SP = VoxelSpacing(7.20, 2.07, 2.07)
 UNIT = VoxelSpacing(1.0, 1.0, 1.0)
@@ -25,14 +24,6 @@ class TestVoxelSpacing:
 
 
 class TestVolume3D:
-    def test_at_checks_bounds(self):
-        vol = Volume3D(np.arange(8.0).reshape(2, 2, 2), UNIT)
-        assert vol.at(1, 0, 1) == 5.0
-        with pytest.raises(IndexError):
-            vol.at(2, 0, 0)
-        with pytest.raises(IndexError):
-            vol.at(-1, 0, 0)
-
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):
             Volume3D(np.zeros((0, 2, 2)), UNIT)
@@ -48,27 +39,27 @@ class TestVolume3D:
 class TestMaskVolume:
     def test_empty_mask_zero_ml(self):
         mask = BinaryMask(np.zeros((4, 4, 4), dtype=bool), SP)
-        assert mask_volume_ml(mask) == 0.0
+        assert mask.volume_ml == 0.0
 
     def test_thousand_voxels_paper_spacing(self):
         data = np.zeros((10, 10, 10), dtype=bool)
         data[:] = True
         mask = BinaryMask(data, SP)
-        assert mask_volume_ml(mask) == pytest.approx(30.85128, abs=1e-9)
+        assert mask.volume_ml == pytest.approx(30.85128, abs=1e-9)
 
     def test_unit_voxel(self):
         data = np.zeros((1, 1, 1), dtype=bool)
         data[0, 0, 0] = True
-        assert mask_volume_ml(BinaryMask(data, UNIT)) == pytest.approx(0.001)
+        assert BinaryMask(data, UNIT).volume_ml == pytest.approx(0.001)
 
     def test_additive_over_disjoint_masks(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             a = rng.random((5, 6, 7)) < 0.3
             b = (rng.random((5, 6, 7)) < 0.3) & ~a
-            va = mask_volume_ml(BinaryMask(a, SP))
-            vb = mask_volume_ml(BinaryMask(b, SP))
-            vu = mask_volume_ml(BinaryMask(a | b, SP))
+            va = BinaryMask(a, SP).volume_ml
+            vb = BinaryMask(b, SP).volume_ml
+            vu = BinaryMask(a | b, SP).volume_ml
             assert vu == pytest.approx(va + vb, rel=1e-12)
 
 

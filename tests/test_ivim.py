@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivimlab import ivim, lm, phantom
-from ivimlab.grid import BinaryMask, DwiSeries
+from ivimlab import ivim, lm, phantom, report
+from ivimlab.grid import BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3D
 from ivimlab.phantom import DEFAULT_BVALUES
 
 CFG = ivim.IvimFitConfig()
@@ -14,7 +14,7 @@ def captured_problems(monkeypatch, fit) -> list[lm.FitProblem]:
     """Every FitProblem that ``fit()`` hands to the solver, which reports no fit."""
     problems = []
 
-    def capture(problem, opts=None):
+    def capture(problem):
         problems.append(problem)
         return lm.FitResult(problem.theta0, float("nan"), 0, False, "captured")
 
@@ -115,3 +115,40 @@ class TestModelJacobians:
             ivim_problem, = captured_problems(mp, lambda: ivim.fit_ivim(sig, adc, CFG))
         assert_jacobian_matches_central_differences(adc_problem, (s0, adc))
         assert_jacobian_matches_central_differences(ivim_problem, (s0, f, d_star))
+
+
+class TestSummarize:
+    def test_metrics_match_direct_computation_over_fitted_voxels(self):
+        rng = np.random.default_rng(2)
+        spacing = VoxelSpacing(2.0, 1.5, 1.5)
+        fitted = rng.random((3, 6, 6)) < 0.6
+        adc = rng.uniform(1e-3, 3e-3, fitted.shape)
+        vols = {"s0": rng.uniform(50, 150, fitted.shape), "f": rng.uniform(0, 1, fitted.shape),
+                "d_star": adc + rng.uniform(0.01, 0.1, fitted.shape), "adc": adc,
+                "residual": rng.uniform(0, 0.1, fitted.shape)}
+        for v in vols.values():
+            v[~fitted] = np.nan
+        maps = IvimMaps(**{k: Volume3D(v, spacing) for k, v in vols.items()},
+                        mask=BinaryMask(fitted, spacing))
+
+        got = ivim.summarize(maps, entropy_bins=8)
+
+        assert list(got) == list(report.ALL_METRICS)
+        assert got["volume_ml"] == fitted.sum() * 2.0 * 1.5 * 1.5 / 1000.0
+        for name, v in vols.items():
+            x = v[fitted]
+            assert got[f"{name}_mean"] == pytest.approx(x.mean(), rel=1e-12)
+            if name != "residual":
+                assert got[f"{name}_cv"] == pytest.approx(x.std() / x.mean(), rel=1e-12)
+            if name in ("f", "d_star", "adc"):
+                p = np.histogram(x, bins=8)[0] / x.size
+                p = p[p > 0]
+                assert got[f"{name}_entropy"] == pytest.approx(-(p * np.log2(p)).sum())
+
+    def test_none_when_nothing_was_fitted(self):
+        bundle = phantom.make_phantom(phantom.PhantomConfig(dims=(3, 8, 8)))
+        empty = BinaryMask(np.zeros(bundle.mask.dims, dtype=bool), bundle.mask.spacing)
+        truth = bundle.truth
+        maps = IvimMaps(s0=truth.s0, f=truth.f, d_star=truth.d_star, adc=truth.adc,
+                        residual=truth.residual, mask=empty)
+        assert ivim.summarize(maps) is None
