@@ -169,6 +169,8 @@ class TestPhantom:
         ({"snr": {"kind": "constant", "value": 30}}, "snr"),
         ({"dims": [2, 2, 2], "semi_axes_frac": [0.3, 0.3, 0.3], "noise_model": "gaussian",
           "snr": 10}, "mask"),
+        ({"f": 1.2}, "f"),
+        ({"d_star": 0.001}, "d_star"),
     ])
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, config, key):
         (tmp_path / "p.json").write_text(json.dumps(config))
@@ -291,6 +293,20 @@ class TestFit:
 
 
 class TestFuse:
+    @pytest.mark.parametrize("strategy", list(masks.FusionStrategy))
+    def test_output_is_the_written_fused_mask(self, subject, tmp_path, strategy):
+        raters = [read_mask(subject / "mask.nii")]
+        raters += [phantom.perturb_mask(raters[0], "boundary_flip", p=0.3, seed=s)
+                   for s in (1, 2)]
+        paths = []
+        for i, rater in enumerate(raters):
+            write_mask(rater, tmp_path / f"r{i}.nii")
+            paths.append(str(tmp_path / f"r{i}.nii"))
+        assert cli.main(["fuse", *paths, "--strategy", strategy.value,
+                         "-o", str(tmp_path / "cli.nii")]) == cli.EXIT_OK
+        write_mask(masks.fuse(raters, strategy), tmp_path / "api.nii")
+        assert (tmp_path / "cli.nii").read_bytes() == (tmp_path / "api.nii").read_bytes()
+
     def test_unknown_strategy_exits_2(self, subject, tmp_path):
         mask = str(subject / "mask.nii")
         args = ["fuse", mask, mask, "-o", str(tmp_path / "fused.nii"), "--strategy"]
@@ -313,7 +329,7 @@ class TestMetrics:
                          "vol_b_ml": format(b.volume_ml, ".10g")}]
         capsys.readouterr()
         assert cli.main(args + ["--case", "c1"]) == cli.EXIT_OK
-        assert capsys.readouterr().out == (tmp_path / "m.csv").read_bytes().decode()
+        assert capsys.readouterr().out.encode() == (tmp_path / "m.csv").read_bytes()
 
 
 def subjects(n: int, seed: int) -> list[fgr.SubjectRecord]:
@@ -372,7 +388,25 @@ class TestClassify:
         assert not (tmp_path / "c.json").exists()
 
 
+def rendered_csv(rows: list[dict]) -> bytes:
+    """A table as the CLI writes it: row keys as header, ``.10g`` floats, CRLF ends."""
+    def cell(v):
+        return format(v, ".10g") if isinstance(v, float) else str(v)
+
+    lines = [",".join(rows[0])] + [",".join(cell(v) for v in row.values()) for row in rows]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
 class TestReport:
+    def test_tables_are_the_rendered_report(self, tmp_path):
+        rows = summaries_rows()
+        path = write_summaries(rows, tmp_path / "summaries.csv")
+        assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_OK
+        tables = report.build_report(rows)
+        for name, table in (("paired_tests.csv", tables.paired), ("group_cv.csv", tables.cv),
+                            ("cv_agreement.csv", tables.agreement)):
+            assert (tmp_path / "out" / name).read_bytes() == rendered_csv(table), name
+
     def test_label_case_is_normalised(self, tmp_path):
         plain = write_summaries(summaries_rows(), tmp_path / "plain.csv")
         shouted = write_summaries(

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ivimlab.errors import DimensionError
-from ivimlab.grid import BinaryMask, DwiSeries, VoxelSpacing, Volume3D, average_by_bvalue
+from ivimlab.grid import (BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3D,
+                          average_by_bvalue)
 
 SP = VoxelSpacing(7.20, 2.07, 2.07)
 UNIT = VoxelSpacing(1.0, 1.0, 1.0)
@@ -34,6 +35,41 @@ class TestVolume3D:
         vol = Volume3D(np.zeros((2, 2, 2)), UNIT)
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 1.0
+
+
+class TestIvimMaps:
+    VALID = {"s0": 100.0, "f": 0.3, "d_star": 0.05, "adc": 0.002, "residual": 0.01}
+
+    def maps(self, **inside):
+        """2x2x2 maps, masked but for voxel (1, 1, 1); ``inside`` sets the masked values."""
+        mask = np.ones((2, 2, 2), dtype=bool)
+        mask[1, 1, 1] = False
+        vols = {}
+        for name, valid in self.VALID.items():
+            data = np.full((2, 2, 2), np.nan)
+            data[mask] = inside.get(name, valid)
+            vols[name] = Volume3D(data, UNIT)
+        return IvimMaps(**vols, mask=BinaryMask(mask, UNIT))
+
+    def test_valid_maps_and_the_bounds_themselves_pass(self):
+        self.maps()
+        self.maps(f=0.0, d_star=0.002, residual=0.0)
+        self.maps(f=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("f", -0.01), ("f", 1.01), ("f", float("nan")), ("adc", 0.0), ("adc", -1e-3),
+        ("d_star", 0.0019), ("s0", 0.0), ("s0", -5.0), ("residual", -1e-9),
+    ])
+    def test_rejects_each_invariant_broken_alone(self, name, value):
+        with pytest.raises(ValueError, match="violate"):
+            self.maps(**{name: value})
+
+    def test_values_outside_the_mask_are_free(self):
+        maps = self.maps()
+        data = maps.f.data.copy()
+        data[1, 1, 1] = 7.0
+        IvimMaps(s0=maps.s0, f=Volume3D(data, UNIT), d_star=maps.d_star, adc=maps.adc,
+                 residual=maps.residual, mask=maps.mask)
 
 
 class TestMaskVolume:
