@@ -1,12 +1,20 @@
 """Command-line pipeline: phantom, fit, fuse, metrics, report, classify.
 
-A ``--config`` JSON file holds fields of the subcommand's config dataclasses:
-``phantom.PhantomConfig`` for ``phantom``; ``ivim.IvimFitConfig`` and
-:class:`FitRunConfig` for ``fit``. Lists stand for tuples and an absent key
-keeps the default. A truth field is a number or an object with a ``kind``
-(``constant``, ``linear`` or ``two_region``) and that field-spec class's
-fields. A flag overrides its config key; ``threads`` defaults to all CPUs.
-The run output echoes the resolved config, which reads back as ``--config``.
+A ``--config`` JSON file holds the fields of the subcommand's one config
+dataclass: ``phantom.PhantomConfig`` for ``phantom``, ``ivim.IvimFitConfig``
+for ``fit``. Lists stand for tuples, an absent key keeps the default, and
+JSON ``true``/``false`` is not a number. A truth field is a number or an
+object with a ``kind`` (``constant``, ``linear`` or ``two_region``) and that
+field-spec class's fields. A flag overrides its config key. The run output
+echoes the resolved config, which reads back as ``--config``. ``fit`` runs
+one worker per CPU.
+
+The summaries table of ``report`` and the subjects tables of ``classify``
+are CSV files with a header line. Each must hold the required columns and
+at least one data line, with exactly one cell per header column on every
+line (blank lines are skipped); number cells must be finite, and labels
+(group, source, strategy) are read in any case. A table that breaks a rule
+exits 2, naming the file line where a line breaks it.
 
 Every subcommand is deterministic given identical inputs, flags and seeds,
 and writes its outputs atomically (temp file + rename). Exit codes: 0
@@ -21,11 +29,11 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import time
 import typing
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import fgr, ivim, masks, phantom, report
@@ -47,34 +55,64 @@ def _write_json(payload: dict, path) -> None:
     _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _write_csv(rows: list[dict], columns: list[str], path) -> None:
+def _write_csv(rows: list[dict], path) -> None:
+    """``rows`` as CSV to ``path``, or to stdout if it is None.
+
+    The first row's keys are the header; floats are written ``.10g`` and
+    lines end in CRLF.
+    """
+    columns = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_format_cell(row.get(c)) for c in columns])
-    _atomic_write(path, buf.getvalue().encode("utf-8"))
+        writer.writerow([format(row[c], ".10g") if isinstance(row[c], float) else row[c]
+                         for c in columns])
+    if path is None:
+        sys.stdout.write(buf.getvalue())
+    else:
+        _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
-def _format_cell(value):
-    if isinstance(value, float):
-        return format(value, ".10g")
+def _read_table(path, columns, parse) -> list:
+    """``parse(line, row)`` of each data line of a CSV table with a header line.
+
+    ``row`` maps the header's names to the line's cells and ``line`` is its
+    file line number. The header must name each of ``columns``, each data
+    line must hold one cell per header column (blank lines are skipped), and
+    one data line at least must be there. A ValueError that ``parse`` raises
+    is reported with the line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise FormatError(f"{path}: missing columns {missing}")
+        records = []
+        for cells in reader:
+            if not cells:
+                continue
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(f"{len(cells)} cells for {len(header)} header columns")
+                records.append(parse(reader.line_num, dict(zip(header, cells))))
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not records:
+        raise FormatError(f"{path}: no data lines")
+    return records
+
+
+def _finite(row: dict, column: str) -> float:
+    """The cell of ``column`` as a finite number; ValueError naming the column."""
+    try:
+        value = float(row[column])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be a finite number, got {row[column]!r}")
     return value
-
-
-@dataclass(frozen=True)
-class FitRunConfig:
-    """The ``fit`` settings outside the model fit: summary histogram bins and workers."""
-
-    entropy_bins: int = 64
-    threads: int | None = None  # None: one worker per CPU
-
-    def __post_init__(self):
-        if self.threads is None:
-            object.__setattr__(self, "threads", os.cpu_count() or 1)
-        for name in ("entropy_bins", "threads"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 # the JSON "kind" of each truth-field spec class
@@ -83,11 +121,11 @@ _FIELD_SPECS = {"constant": phantom.Constant, "linear": phantom.LinearGradient,
 _FIELD_SPEC_KINDS = {cls: kind for kind, cls in _FIELD_SPECS.items()}
 
 
-def _load_configs(path, classes, **overrides) -> list:
-    """One instance of each config class from a JSON file and flag ``overrides``.
+def _load_config(path, cls, **overrides):
+    """The config class ``cls`` from a JSON file and flag ``overrides``.
 
-    Every key must name a field of one of the ``classes``; an unset (None)
-    flag leaves the file's value.
+    Every key must name a field of ``cls``; an unset (None) flag leaves the
+    file's value.
     """
     values = {}
     if path is not None:
@@ -99,19 +137,14 @@ def _load_configs(path, classes, **overrides) -> list:
         if not isinstance(values, dict):
             raise FormatError(f"{path}: config must be a JSON object")
     values.update((k, v) for k, v in overrides.items() if v is not None)
-    unknown = sorted(set(values).difference(*map(_field_names, classes)))
+    unknown = sorted(set(values).difference(_field_names(cls)))
     if unknown:
         raise FormatError(f"{path}: unknown config keys {unknown}")
-    return [_build(cls, values) for cls in classes]
+    return _build(cls, values)
 
 
 def _cast(hint, value, key: str):
     """A JSON value as the annotated type ``hint`` of config key ``key``."""
-    options = typing.get_args(hint)
-    if type(None) in options:  # an optional field: null is a value
-        if value is None:
-            return None
-        hint = options[0]
     if hint == phantom.FieldSpec:
         if isinstance(value, dict):
             return _field_spec(value, key)
@@ -124,6 +157,8 @@ def _cast(hint, value, key: str):
         item = typing.get_args(hint)[0]
         return tuple(_cast(item, v, key) for v in value)
     try:
+        if isinstance(value, bool) and hint in (int, float):  # JSON true/false
+            raise TypeError
         cast = hint(value)
     except (TypeError, ValueError, OverflowError):
         raise FormatError(f"{key}: expected {hint.__name__}, got {value!r}") from None
@@ -183,8 +218,8 @@ def _to_json(value):
 # ---------------------------------------------------------------------------
 
 def _cmd_phantom(args) -> int:
-    cfg, = _load_configs(args.config, [phantom.PhantomConfig], seed=args.seed,
-                         noise_model=args.noise, snr=args.snr)
+    cfg = _load_config(args.config, phantom.PhantomConfig, seed=args.seed,
+                       noise_model=args.noise, snr=args.snr)
     bundle = phantom.make_phantom(cfg)
 
     out = Path(args.outdir)
@@ -205,9 +240,7 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    cfg, run = _load_configs(args.config, [ivim.IvimFitConfig, FitRunConfig],
-                             b_threshold=args.b_threshold,
-                             entropy_bins=args.entropy_bins, threads=args.threads)
+    cfg = _load_config(args.config, ivim.IvimFitConfig, b_threshold=args.b_threshold)
 
     for path in (args.series, args.bvals, args.mask):
         if not Path(path).exists():
@@ -219,7 +252,7 @@ def _cmd_fit(args) -> int:
 
     start = time.perf_counter()
     series = average_by_bvalue(series)
-    maps = ivim.fit_volume(series, mask, cfg, workers=run.threads)
+    maps = ivim.fit_volume(series, mask, cfg, workers=os.cpu_count() or 1)
     wall = time.perf_counter() - start
 
     out = Path(args.outdir)
@@ -229,12 +262,12 @@ def _cmd_fit(args) -> int:
 
     fitted = maps.mask.voxel_count
     log = {
-        "config": {**_to_json(cfg), **_to_json(run)},
+        "config": _to_json(cfg),
         "voxels_fitted": fitted,
         "voxels_failed": mask.voxel_count - fitted,
         "boundary_hits": ivim.boundary_hits(maps, cfg),
         "wall_time": wall,
-        "summary": ivim.summarize(maps, run.entropy_bins),
+        "summary": ivim.summarize(maps),
     }
     _write_json(log, out / "fit_log.json")
     return EXIT_OK
@@ -259,57 +292,35 @@ def _cmd_metrics(args) -> int:
         "vol_a_ml": a.volume_ml,
         "vol_b_ml": b.volume_ml,
     }
-    columns = ["case", "dice", "hd_mm", "vol_a_ml", "vol_b_ml"]
-    if args.output:
-        _write_csv([row], columns, args.output)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\r\n")
-        writer.writerow(columns)
-        writer.writerow([_format_cell(row[c]) for c in columns])
+    _write_csv([row], args.output)
     return EXIT_OK
 
 
 def _read_summaries(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        raw = list(reader)
-    if not raw:
-        raise FormatError(f"{path}: empty summaries table")
-    missing = [c for c in report.SUMMARY_COLUMNS if c not in (reader.fieldnames or [])]
-    if missing:
-        raise FormatError(f"{path}: missing columns {missing}")
-    rows = []
     first_line = {}  # (subject, source, strategy) -> line number
     first_group = {}  # subject -> (group, line number)
-    for i, r in enumerate(raw, start=2):
-        row = dict(r)
-        if None in r.values():
-            raise FormatError(f"{path}: line {i}: too few fields")
-        try:
-            row["group"] = fgr.Group.parse(r["group"]).value
-            row["strategy"] = masks.FusionStrategy.parse(r["strategy"]).value
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {i}: {exc}") from None
-        row["source"] = r["source"].strip().lower()
+
+    def parse(i: int, row: dict) -> dict:
+        row["group"] = fgr.Group.parse(row["group"]).value
+        row["strategy"] = masks.FusionStrategy.parse(row["strategy"]).value
+        source = row["source"]
+        row["source"] = source.strip().lower()
         if row["source"] not in report.SOURCES:
-            raise FormatError(f"{path}: line {i}: unknown source {r['source']!r}; "
-                              f"expected one of {', '.join(report.SOURCES)}")
+            raise ValueError(f"unknown source {source!r}; "
+                             f"expected one of {', '.join(report.SOURCES)}")
         key = (row["subject"], row["source"], row["strategy"])
         if key in first_line:
-            raise FormatError(f"{path}: line {i}: repeats line {first_line[key]} "
-                              f"({', '.join(key)})")
+            raise ValueError(f"repeats line {first_line[key]} ({', '.join(key)})")
         first_line[key] = i
         group, j = first_group.setdefault(row["subject"], (row["group"], i))
         if row["group"] != group:
-            raise FormatError(f"{path}: line {i}: subject {row['subject']} is {row['group']} "
-                              f"but line {j} says {group}")
+            raise ValueError(f"subject {row['subject']} is {row['group']} "
+                             f"but line {j} says {group}")
         for col in report.ALL_METRICS:
-            try:
-                row[col] = float(r[col])
-            except (TypeError, ValueError):
-                raise FormatError(f"{path}: line {i}: bad number in {col}") from None
-        rows.append(row)
-    return rows
+            row[col] = _finite(row, col)
+        return row
+
+    return _read_table(path, report.SUMMARY_COLUMNS, parse)
 
 
 def _cmd_report(args) -> int:
@@ -317,36 +328,19 @@ def _cmd_report(args) -> int:
     tables = report.build_report(rows)
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    strategies = [k for k in tables.paired[0] if k != "metric"]
-    _write_csv(tables.paired, ["metric"] + strategies, out / "paired_tests.csv")
-    cv_cols = ["parameter"] + [k for k in tables.cv[0] if k != "parameter"]
-    _write_csv(tables.cv, cv_cols, out / "group_cv.csv")
-    _write_csv(tables.agreement, ["strategy", "mean_abs_pct_diff", "n_pairs"],
-               out / "cv_agreement.csv")
+    _write_csv(tables.paired, out / "paired_tests.csv")
+    _write_csv(tables.cv, out / "group_cv.csv")
+    _write_csv(tables.agreement, out / "cv_agreement.csv")
     return EXIT_OK
 
 
 def _read_subjects(path) -> list[fgr.SubjectRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "ga", "group", "tlv_ml"}
-        missing = required - set(reader.fieldnames or [])
-        if missing:
-            raise FormatError(f"{path}: missing columns {sorted(missing)}")
-        records = []
-        for i, row in enumerate(reader, start=2):
-            try:
-                records.append(fgr.SubjectRecord(
-                    id=row["id"],
-                    ga_weeks=fgr.parse_ga_weeks(row["ga"]),
-                    group=fgr.Group.parse(row["group"]),
-                    tlv_ml=float(row["tlv_ml"]),
-                ))
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {i}: {exc}") from None
-    if not records:
-        raise FormatError(f"{path}: no subjects found")
-    return records
+    def parse(i: int, row: dict) -> fgr.SubjectRecord:
+        return fgr.SubjectRecord(id=row["id"], ga_weeks=fgr.parse_ga_weeks(row["ga"]),
+                                 group=fgr.Group.parse(row["group"]),
+                                 tlv_ml=_finite(row, "tlv_ml"))
+
+    return _read_table(path, ["id", "ga", "group", "tlv_ml"], parse)
 
 
 def _cmd_classify(args) -> int:
@@ -409,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("outdir")
     p.add_argument("--config", help="JSON fit configuration")
     p.add_argument("--b-threshold", type=float, dest="b_threshold")
-    p.add_argument("--entropy-bins", type=int, dest="entropy_bins")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("fuse", help="fuse several masks into one")

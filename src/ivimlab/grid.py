@@ -148,14 +148,18 @@ class DwiSeries:
 
 @dataclass(frozen=True)
 class IvimMaps:
-    """Per-voxel fitted quantities; NaN marks unfitted voxels."""
+    """Per-voxel IVIM parameters, fitted or true; NaN marks voxels outside ``mask``.
+
+    Inside the mask every voxel holds 0 <= f <= 1, adc > 0, d_star >= adc,
+    s0 > 0 and residual >= 0.
+    """
 
     s0: Volume3D
     f: Volume3D
     d_star: Volume3D
     adc: Volume3D
     residual: Volume3D
-    mask: BinaryMask  # voxels that actually carry a fit
+    mask: BinaryMask  # voxels that carry values
 
     def __post_init__(self):
         vols = (self.s0, self.f, self.d_star, self.adc, self.residual)
@@ -180,7 +184,8 @@ class IvimMaps:
             and np.all(res >= 0)
         )
         if not ok:
-            raise ValueError("fitted values violate map invariants inside the mask")
+            raise ValueError("map values violate 0 <= f <= 1, adc > 0, d_star >= adc, "
+                             "s0 > 0 or residual >= 0 inside the mask")
 
 
 def average_by_bvalue(series: DwiSeries) -> DwiSeries:

@@ -26,6 +26,9 @@ from .grid import B_VALUE_TOL, BinaryMask, DwiSeries, IvimMaps, Volume3D
 # fitted values within 1% of an adc_range endpoint count as boundary hits
 _BOUND_MARGIN = 1.01
 
+# histogram bins of the summary entropies; one value keeps every summary comparable
+ENTROPY_BINS = 64
+
 
 @dataclass(frozen=True)
 class IvimFitConfig:
@@ -281,11 +284,12 @@ def boundary_hits(maps: IvimMaps, cfg: IvimFitConfig | None = None) -> int:
     return int(((adc <= lo * _BOUND_MARGIN) | (adc >= hi / _BOUND_MARGIN)).sum())
 
 
-def summarize(maps: IvimMaps, entropy_bins: int = 64) -> dict | None:
+def summarize(maps: IvimMaps) -> dict | None:
     """The summary metrics of one subject's fitted maps; None if nothing was fitted.
 
     Volume, the mean of every map, the CV of s0, f, D* and ADC, and the
-    histogram entropy of f, D* and ADC, all over the fitted voxels.
+    ``ENTROPY_BINS``-bin histogram entropy of f, D* and ADC, all over the
+    fitted voxels.
     """
     m = maps.mask.data
     if not m.any():
@@ -296,6 +300,6 @@ def summarize(maps: IvimMaps, entropy_bins: int = 64) -> dict | None:
         "volume_ml": maps.mask.volume_ml,
         **{f"{name}_mean": float(v.mean()) for name, v in values.items()},
         **{f"{name}_cv": stats.cv(values[name]) for name in ("s0", "f", "d_star", "adc")},
-        **{f"{name}_entropy": stats.shannon_entropy(values[name], entropy_bins)
+        **{f"{name}_entropy": stats.shannon_entropy(values[name], ENTROPY_BINS)
            for name in ("f", "d_star", "adc")},
     }

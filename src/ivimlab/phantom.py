@@ -92,7 +92,7 @@ class PhantomConfig:
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}, "
                              f"got {self.noise_model!r}")
-        if self.noise_model != "none" and self.snr <= 0:
+        if self.noise_model != "none" and not self.snr > 0:
             raise ValueError(f"snr must be positive with {self.noise_model} noise, "
                              f"got {self.snr}")
 
@@ -121,38 +121,26 @@ def make_phantom(cfg: PhantomConfig | None = None) -> PhantomBundle:
     spacing = VoxelSpacing(*cfg.spacing)
     mask = ellipsoid_mask(cfg.dims, spacing, cfg.semi_axes_frac)
 
-    s0 = _evaluate_field(cfg.s0, cfg.dims)
-    f = _evaluate_field(cfg.f, cfg.dims)
-    d_star = _evaluate_field(cfg.d_star, cfg.dims)
-    d = _evaluate_field(cfg.d, cfg.dims)
-
     m = mask.data
-    if not (
-        np.all((f[m] >= 0) & (f[m] <= 1))
-        and np.all(d[m] > 0)
-        and np.all(d_star[m] >= d[m])
-        and np.all(s0[m] > 0)
-    ):
-        raise ValueError("truth fields violate 0<=f<=1, d>0, d_star>=d, s0>0 inside the mask")
+
+    def masked(spec) -> Volume3D:
+        out = np.full(cfg.dims, np.nan)
+        out[m] = _evaluate_field(spec, cfg.dims)[m]
+        return Volume3D(out, spacing)
+
+    # the truth maps check 0 <= f <= 1, d > 0, d_star >= d and s0 > 0 in the mask
+    truth = IvimMaps(s0=masked(cfg.s0), f=masked(cfg.f), d_star=masked(cfg.d_star),
+                     adc=masked(cfg.d), residual=masked(0.0), mask=mask)
+    s0, f, d_star, d = (getattr(truth, name).data[m] for name in ("s0", "f", "d_star", "adc"))
 
     signal = np.zeros((len(cfg.bvalues), *cfg.dims))
     for t, b in enumerate(cfg.bvalues):
-        signal[t][m] = s0[m] * (f[m] * np.exp(-b * d_star[m])
-                                + (1.0 - f[m]) * np.exp(-b * d[m]))
+        signal[t][m] = s0 * (f * np.exp(-b * d_star) + (1.0 - f) * np.exp(-b * d))
+    del s0, f, d_star, d  # freed before the noise step, where memory peaks
     series = DwiSeries(signal, spacing, np.asarray(cfg.bvalues, dtype=np.float64))
 
     if cfg.noise_model != "none":
         series = add_noise(series, mask, cfg.noise_model, cfg.snr, cfg.seed)
-
-    def masked(vals: np.ndarray) -> Volume3D:
-        out = np.full(cfg.dims, np.nan)
-        out[m] = vals[m]
-        return Volume3D(out, spacing)
-
-    truth = IvimMaps(
-        s0=masked(s0), f=masked(f), d_star=masked(d_star), adc=masked(d),
-        residual=masked(np.zeros(cfg.dims)), mask=mask,
-    )
     return PhantomBundle(series=series, mask=mask, truth=truth)
 
 
@@ -163,8 +151,8 @@ def add_noise(series: DwiSeries, mask: BinaryMask, model: str, snr: float,
     Gaussian noise is additive; Rician noise is the magnitude of the signal
     plus a complex Gaussian perturbation, matching magnitude MR images.
     """
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    if not snr > 0:
+        raise ValueError(f"snr must be positive, got {snr}")
     if model not in ("gaussian", "rician"):
         raise ValueError(f"unknown noise model {model!r}")
     if not mask.data.any():

@@ -31,12 +31,11 @@ SUMMARY_COLUMNS = ("subject", "group", "source", "strategy") + ALL_METRICS
 
 
 def summary_row(subject: str, group: Group, source: str,
-                strategy: FusionStrategy, maps: IvimMaps,
-                entropy_bins: int = 64) -> dict:
+                strategy: FusionStrategy, maps: IvimMaps) -> dict:
     """One summaries-table row computed from a subject's fitted maps."""
     if source not in SOURCES:
         raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
-    metrics = summarize(maps, entropy_bins)
+    metrics = summarize(maps)
     if metrics is None:
         raise ValueError(f"{subject}: no fitted voxels, nothing to summarize")
     return {"subject": subject, "group": group.value, "source": source,

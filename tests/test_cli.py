@@ -50,9 +50,45 @@ def write_summaries(rows, path):
     return path
 
 
+# a subjects or summaries line as its list of cells -> the broken line(s)
+LINE_EDITS = {
+    "one cell short": lambda cells: [cells[:-1]],
+    "two cells short": lambda cells: [cells[:-2]],
+    "one cell extra": lambda cells: [cells + ["1.0"]],
+    "blank line first": lambda cells: [[], cells[:1] + ["bogus"] + cells[2:]],
+    "last cell inf": lambda cells: [cells[:-1] + ["inf"]],
+    "last cell -inf": lambda cells: [cells[:-1] + ["-inf"]],
+    "last cell nan": lambda cells: [cells[:-1] + ["nan"]],
+}
+
+
+def assert_names_the_line(err: str, edit: str, line: int, last_column: str) -> None:
+    """One error line naming the edited file line, and the column of a bad number."""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"line {line + 1 if edit == 'blank line first' else line}:" in err
+    assert last_column in err or not edit.startswith("last cell")
+
+
+def edit_line(path: Path, index: int, edit: str) -> Path:
+    """``path`` with the line at 0-based ``index`` replaced by ``LINE_EDITS[edit]``."""
+    lines = path.read_text().splitlines()
+    lines[index:index + 1] = [",".join(cells) for cells in
+                              LINE_EDITS[edit](lines[index].split(","))]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def json_text(payload) -> str:
     """``payload`` as the CLI writes it, so int and float values stay apart."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def exit_code(args) -> int:
+    """The exit code of ``ivimlab args``, also where argparse exits on a bad flag."""
+    try:
+        return cli.main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def run_phantom(outdir: Path, config: dict | None = None, *flags) -> dict:
@@ -171,6 +207,11 @@ class TestPhantom:
           "snr": 10}, "mask"),
         ({"f": 1.2}, "f"),
         ({"d_star": 0.001}, "d_star"),
+        ({"dims": [3, 8, 8], "noise_model": "gaussian", "snr": float("nan")}, "snr"),
+        ({"s0": True}, "s0"),
+        ({"seed": False}, "seed"),
+        ({"dims": [True, 8, 8]}, "dims"),
+        ({"f": {"kind": "constant", "value": True}}, "f.value"),
     ])
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, config, key):
         (tmp_path / "p.json").write_text(json.dumps(config))
@@ -206,13 +247,19 @@ class TestPhantom:
                         == (Path(tmp) / "second" / name).read_bytes())
 
 
+@dataclasses.dataclass(frozen=True)
+class ExtendedFitConfig(ivim.IvimFitConfig):
+    """A fit config with one more field; at module level, so fit workers can unpickle it."""
+
+    d_star_max: float = 1.0
+
+
 class TestFit:
     def test_log_summary_is_the_summary_row(self, subject, tmp_path):
         series, bvals, mask = (str(subject / n) for n in
                                ("series.nii", "series.bval", "mask.nii"))
         out = tmp_path / "fit"
-        assert cli.main(["fit", series, bvals, mask, str(out),
-                         "--threads", "1"]) == cli.EXIT_OK
+        assert cli.main(["fit", series, bvals, mask, str(out)]) == cli.EXIT_OK
         log = json.loads((out / "fit_log.json").read_text())
 
         maps = ivim.fit_volume(average_by_bvalue(read_volume(series, bval_path=bvals)),
@@ -229,25 +276,25 @@ class TestFit:
         monkeypatch.setattr(ivim, "fit_volume", broken)
         series, bvals, mask = (str(subject / n) for n in
                                ("series.nii", "series.bval", "mask.nii"))
-        code = cli.main(["fit", series, bvals, mask, str(tmp_path / "fit"),
-                         "--threads", "1"])
+        code = cli.main(["fit", series, bvals, mask, str(tmp_path / "fit")])
         assert code == cli.EXIT_INTERNAL
         assert capsys.readouterr().err.startswith("internal error:")
 
     @pytest.mark.parametrize("source", ["config", "flag"])
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_non_positive_threads_exit_2(self, subject, tmp_path, capsys, source, threads):
+    @pytest.mark.parametrize("key", ["threads", "entropy_bins"])
+    def test_removed_run_settings_exit_2(self, subject, tmp_path, capsys, source, key):
         series, bvals, mask = (str(subject / n) for n in
                                ("series.nii", "series.bval", "mask.nii"))
         args = ["fit", series, bvals, mask, str(tmp_path / "fit")]
         if source == "config":
             config = tmp_path / "fit.json"
-            config.write_text(json.dumps({"threads": threads}))
+            config.write_text(json.dumps({key: 1}))
             args += ["--config", str(config)]
         else:
-            args += ["--threads", str(threads)]
-        assert cli.main(args) == cli.EXIT_INPUT
-        assert "threads" in capsys.readouterr().err
+            key = "--" + key.replace("_", "-")
+            args += [key, "1"]
+        assert exit_code(args) == cli.EXIT_INPUT
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("config, key", [
@@ -258,6 +305,7 @@ class TestFit:
         ({"entropy_bins": 0}, "entropy_bins"),
         ({"threads": 1.9}, "threads"),
         ({"b_threshold": "high"}, "b_threshold"),
+        ({"b_threshold": True}, "b_threshold"),
         ({"bins": 32}, "bins"),
     ])
     def test_malformed_config_exits_2_naming_the_key(self, subject, tmp_path, capsys,
@@ -272,18 +320,14 @@ class TestFit:
         assert not (tmp_path / "fit").exists()
 
     def test_new_config_field_needs_no_cli_change(self, subject, tmp_path, monkeypatch):
-        @dataclasses.dataclass(frozen=True)
-        class Extended(ivim.IvimFitConfig):
-            d_star_max: float = 1.0
-
-        monkeypatch.setattr(ivim, "IvimFitConfig", Extended)
-        (tmp_path / "fit.json").write_text(json.dumps({"d_star_max": 2, "threads": 1}))
+        monkeypatch.setattr(ivim, "IvimFitConfig", ExtendedFitConfig)
+        (tmp_path / "fit.json").write_text(json.dumps({"d_star_max": 2}))
         code = cli.main(["fit", *(str(subject / n) for n in
                                   ("series.nii", "series.bval", "mask.nii")),
                          str(tmp_path / "fit"), "--config", str(tmp_path / "fit.json")])
         assert code == cli.EXIT_OK
         text = (tmp_path / "fit" / "fit_log.json").read_text()
-        assert '"d_star_max": 2.0' in text and '"threads": 1' in text
+        assert '"d_star_max": 2.0' in text
 
     def test_missing_input_exits_2(self, subject, tmp_path, capsys):
         code = cli.main(["fit", str(tmp_path / "absent.nii"), str(subject / "series.bval"),
@@ -387,6 +431,15 @@ class TestClassify:
         assert ("tlv_ml" if bad == "no tlv_ml" else "line 4") in err
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize("edit", list(LINE_EDITS))
+    def test_bad_line_exits_2_naming_it(self, tmp_path, capsys, edit):
+        path = edit_line(write_subjects(subjects(6, 2), tmp_path / "test.csv"), 3, edit)
+        args = ["classify", str(write_subjects(subjects(30, 1), tmp_path / "train.csv")),
+                str(path), "-o", str(tmp_path / "c.json")]
+        assert cli.main(args) == cli.EXIT_INPUT
+        assert_names_the_line(capsys.readouterr().err, edit, 4, "tlv_ml")
+        assert not (tmp_path / "c.json").exists()
+
 
 def rendered_csv(rows: list[dict]) -> bytes:
     """A table as the CLI writes it: row keys as header, ``.10g`` floats, CRLF ends."""
@@ -446,6 +499,13 @@ class TestReport:
         assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
         err = capsys.readouterr().err
         assert "line 5" in err and "line 4" in err and "S1" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit", list(LINE_EDITS))
+    def test_bad_line_exits_2_naming_it(self, tmp_path, capsys, edit):
+        path = edit_line(write_summaries(summaries_rows(), tmp_path / "s.csv"), 4, edit)
+        assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
+        assert_names_the_line(capsys.readouterr().err, edit, 5, report.SUMMARY_COLUMNS[-1])
         assert not (tmp_path / "out").exists()
 
     def test_bad_table_exits_2(self, tmp_path):

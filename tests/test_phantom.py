@@ -50,3 +50,11 @@ class TestLayout:
         m = bundle.mask.data
         assert np.allclose(bundle.series.data[0][m], bundle.truth.s0.data[m],
                            rtol=1e-15, atol=0.0)
+
+
+class TestAddNoise:
+    @pytest.mark.parametrize("snr", [0.0, -5.0, float("nan")])
+    def test_rejects_snr_that_is_not_positive(self, snr):
+        bundle = phantom.make_phantom(config())
+        with pytest.raises(ValueError, match="snr"):
+            phantom.add_noise(bundle.series, bundle.mask, "gaussian", snr)
