@@ -305,8 +305,8 @@ class TestFit:
         ({"entropy_bins": 0}, "entropy_bins"),
         ({"threads": 1.9}, "threads"),
         ({"b_threshold": "high"}, "b_threshold"),
-        ({"b_threshold": True}, "b_threshold"),
         ({"bins": 32}, "bins"),
+        ({"b_threshold": True}, "b_threshold"),
     ])
     def test_malformed_config_exits_2_naming_the_key(self, subject, tmp_path, capsys,
                                                      config, key):
