@@ -2,12 +2,12 @@
 
 A ``--config`` JSON file holds the fields of the subcommand's one config
 dataclass: ``phantom.PhantomConfig`` for ``phantom``, ``ivim.IvimFitConfig``
-for ``fit``. Lists stand for tuples, an absent key keeps the default, and
-JSON ``true``/``false`` is not a number. A truth field is a number or an
-object with a ``kind`` (``constant``, ``linear`` or ``two_region``) and that
-field-spec class's fields. A flag overrides its config key. The run output
-echoes the resolved config, which reads back as ``--config``. ``fit`` runs
-one worker per CPU.
+for ``fit``. Lists stand for tuples, an absent key keeps the default, and a
+number is never JSON ``true``/``false`` or a string (``30``, not ``"30"``).
+A truth field is a number or an object with a ``kind`` (``constant``,
+``linear`` or ``two_region``) and that field-spec class's fields. A flag
+overrides its config key. The run output echoes the resolved config, which
+reads back as ``--config``. ``fit`` runs one worker per CPU.
 
 The summaries table of ``report`` and the subjects tables of ``classify``
 are CSV files with a header line. Each must hold the required columns and
@@ -157,7 +157,7 @@ def _cast(hint, value, key: str):
         item = typing.get_args(hint)[0]
         return tuple(_cast(item, v, key) for v in value)
     try:
-        if isinstance(value, bool) and hint in (int, float):  # JSON true/false
+        if isinstance(value, (bool, str)) and hint in (int, float):  # true/false, "30"
             raise TypeError
         cast = hint(value)
     except (TypeError, ValueError, OverflowError):

@@ -4,7 +4,9 @@ Step one fits a mono-exponential decay to the high-b tail (strictly above the
 b threshold), giving the apparent diffusion coefficient. Step two fixes the
 tissue diffusion coefficient to that value and fits amplitude, perfusion
 fraction and pseudo-diffusion coefficient to the full decay curve, which
-stabilizes the otherwise poorly conditioned biexponential problem.
+stabilizes the otherwise poorly conditioned biexponential problem. The
+fitted D* lies in (ADC, ``D_STAR_MAX``]: a voxel whose perfusion term the
+data cannot resolve stops at the bound rather than running off to infinity.
 
 Voxels that cannot be fitted (a non-finite sample, too few usable points,
 divergence) carry the NaN sentinel and are skipped by the summaries; they
@@ -29,6 +31,9 @@ _BOUND_MARGIN = 1.01
 # histogram bins of the summary entropies; one value keeps every summary comparable
 ENTROPY_BINS = 64
 
+# mm^2/s: the upper end of the D* fit; the lower end is the voxel's ADC
+D_STAR_MAX = 1.0
+
 
 @dataclass(frozen=True)
 class IvimFitConfig:
@@ -44,8 +49,9 @@ class IvimFitConfig:
                 raise ValueError(f"{name} must be (lo, hi), got {list(getattr(self, name))}")
         if not (0 <= self.f_range[0] < self.f_range[1] <= 1):
             raise ValueError(f"invalid f_range {self.f_range}")
-        if not (0 < self.adc_range[0] < self.adc_range[1]):
-            raise ValueError(f"invalid adc_range {self.adc_range}")
+        if not (0 < self.adc_range[0] < self.adc_range[1] < D_STAR_MAX):
+            raise ValueError(f"invalid adc_range {self.adc_range}: "
+                             f"need 0 < lo < hi < D_STAR_MAX = {D_STAR_MAX}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +160,7 @@ def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float, s0_high: float | 
         s0_high = s0_init
     # segmented-IVIM intercept estimate for the perfusion fraction start
     f_init = min(max(1.0 - s0_high / s0_init, 0.01), 0.99)
-    d_star_init = max(10.0 * adc, adc + 1e-3)
+    d_star_init = _clamp_open(max(10.0 * adc, adc + 1e-3), adc, D_STAR_MAX)
     e_adc = np.exp(-adc * b)
 
     def residual(th):
@@ -170,7 +176,8 @@ def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float, s0_high: float | 
         residual=residual,
         jacobian=jacobian,
         theta0=np.array([s0_init, f_init, d_star_init]),
-        transforms=(lm.log_positive(), lm.logistic(f_lo, f_hi), lm.offset_log(adc)),
+        transforms=(lm.log_positive(), lm.logistic(f_lo, f_hi),
+                    lm.logistic(adc, D_STAR_MAX)),
     )
     result = lm.lm_fit(problem)
     if not result.converged:
@@ -182,8 +189,8 @@ def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float, s0_high: float | 
 
 def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> IvimFit | None:
     """Biexponential fit of (S0, f, D*) with the tissue coefficient fixed to adc."""
-    if not (np.isfinite(adc) and adc > 0):
-        raise ValueError(f"adc must be finite and positive, got {adc}")
+    if not 0 < adc < D_STAR_MAX:
+        raise ValueError(f"adc must lie in (0, D_STAR_MAX = {D_STAR_MAX}), got {adc}")
     cfg = cfg or IvimFitConfig()
     high = _high_b(sig.bvalues, sig.intensities, cfg)
     return _fit_ivim_arrays(sig.bvalues, sig.intensities, adc,
@@ -285,14 +292,16 @@ def boundary_hits(maps: IvimMaps, cfg: IvimFitConfig | None = None) -> int:
 
 
 def summarize(maps: IvimMaps) -> dict | None:
-    """The summary metrics of one subject's fitted maps; None if nothing was fitted.
+    """The summary metrics of one subject's fitted maps.
+
+    None with fewer than two fitted voxels, the fewest a CV is defined for.
 
     Volume, the mean of every map, the CV of s0, f, D* and ADC, and the
     ``ENTROPY_BINS``-bin histogram entropy of f, D* and ADC, all over the
     fitted voxels.
     """
     m = maps.mask.data
-    if not m.any():
+    if maps.mask.voxel_count < 2:
         return None
     values = {name: getattr(maps, name).data[m]
               for name in ("s0", "f", "d_star", "adc", "residual")}

@@ -6,14 +6,13 @@ transformed coordinate where every constraint surface is pushed to infinity:
 * ``identity``            unconstrained
 * ``log_positive``        theta > 0          (theta = exp(u))
 * ``logistic(lo, hi)``    lo < theta < hi    (theta = lo + (hi-lo)*sigmoid(u))
-* ``offset_log(floor)``   theta > floor      (theta = floor + exp(u))
 
 Each problem supplies the exact Jacobian of its residual in the original
 parameter space. The solver carries it into the transformed space by the
 chain rule, dr/du_i = dr/dtheta_i * dtheta_i/du_i, with dtheta/du equal to 1,
-theta, (hi-lo)*s*(1-s) (s the sigmoid) and theta-floor for the four
-transforms. No finite differences: an iteration evaluates the Jacobian once
-and the residual once per trial step. The damped normal equations use
+theta and (hi-lo)*s*(1-s) (s the sigmoid) for the three transforms. No
+finite differences: an iteration evaluates the Jacobian once and the
+residual once per trial step. The damped normal equations use
 Marquardt scaling (lambda times the diagonal of J^T J; Marquardt 1963).
 """
 
@@ -32,7 +31,7 @@ _LAMBDA_MAX = 1e15
 
 @dataclass(frozen=True)
 class Transform:
-    kind: str  # "identity" | "log" | "logistic" | "offset_log"
+    kind: str  # "identity" | "log" | "logistic"
     lo: float = 0.0
     hi: float = 0.0
 
@@ -51,12 +50,6 @@ def logistic(lo: float, hi: float) -> Transform:
     return Transform("logistic", lo, hi)
 
 
-def offset_log(floor: float) -> Transform:
-    if not np.isfinite(floor):
-        raise ValueError("offset_log floor must be finite")
-    return Transform("offset_log", floor)
-
-
 def _to_internal(theta: np.ndarray, transforms: Sequence[Transform]) -> np.ndarray:
     u = []
     for i, (t, v) in enumerate(zip(transforms, theta.tolist())):
@@ -73,10 +66,6 @@ def _to_internal(theta: np.ndarray, transforms: Sequence[Transform]) -> np.ndarr
                 )
             frac = (v - t.lo) / (t.hi - t.lo)
             u.append(math.log(frac / (1.0 - frac)))
-        elif t.kind == "offset_log":
-            if v <= t.lo:
-                raise ValueError(f"parameter {i} must exceed the floor {t.lo}, got {v}")
-            u.append(math.log(v - t.lo))
         else:  # pragma: no cover
             raise ValueError(f"unknown transform {t.kind!r}")
     return np.array(u)
@@ -104,9 +93,8 @@ def _to_external(u: np.ndarray, transforms: Sequence[Transform]) -> tuple[np.nda
                 s, c = c, s
             w = t.hi - t.lo
             th, d = t.lo + w * s, w * s * c
-        else:  # log or offset_log
-            d = _exp(v)
-            th = d if kind == "log" else t.lo + d
+        else:  # log
+            th = d = _exp(v)
         theta.append(th)
         dtheta.append(d)
     return np.array(theta), np.array(dtheta)

@@ -178,14 +178,6 @@ def dilate(mask: BinaryMask, radius: int = 1) -> BinaryMask:
                       mask.spacing)
 
 
-def erode(mask: BinaryMask, radius: int = 1) -> BinaryMask:
-    """6-connected morphological erosion; may produce an empty mask."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    return BinaryMask(binary_erosion(mask.data, _STRUCT6, iterations=radius,
-                                     border_value=0), mask.spacing)
-
-
 def boundary_band(mask: BinaryMask) -> np.ndarray:
     """Voxels whose 6-neighbourhood mixes mask and background (either side)."""
     m = mask.data
@@ -204,13 +196,8 @@ def boundary_flip(mask: BinaryMask, p: float, seed: int = 0) -> BinaryMask:
     return BinaryMask(mask.data ^ toggle, mask.spacing)
 
 
-def perturb_mask(mask: BinaryMask, op: str, *, radius: int = 1, p: float = 0.0,
-                 seed: int = 0) -> BinaryMask:
-    """Dispatcher over the mask perturbations: dilate | erode | boundary_flip."""
-    if op == "dilate":
-        return dilate(mask, radius)
-    if op == "erode":
-        return erode(mask, radius)
+def perturb_mask(mask: BinaryMask, op: str, *, p: float = 0.0, seed: int = 0) -> BinaryMask:
+    """``mask`` perturbed by ``op``: ``"boundary_flip"``, with ``p`` and ``seed``."""
     if op == "boundary_flip":
         return boundary_flip(mask, p, seed)
     raise ValueError(f"unknown perturbation {op!r}")

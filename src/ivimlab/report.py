@@ -37,7 +37,7 @@ def summary_row(subject: str, group: Group, source: str,
         raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
     metrics = summarize(maps)
     if metrics is None:
-        raise ValueError(f"{subject}: no fitted voxels, nothing to summarize")
+        raise ValueError(f"{subject}: fewer than two fitted voxels, nothing to summarize")
     return {"subject": subject, "group": group.value, "source": source,
             "strategy": strategy.value, **metrics}
 

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ivimlab
 from ivimlab import cli, fgr, ivim, masks, phantom, report
-from ivimlab.grid import average_by_bvalue
+from ivimlab.grid import BinaryMask, average_by_bvalue
 from ivimlab.nifti import read_mask, read_volume, write_mask
 
 PHANTOM_OUTPUTS = ["series.nii", "series.bval", "mask.nii", "truth_s0.nii",
@@ -212,6 +216,8 @@ class TestPhantom:
         ({"seed": False}, "seed"),
         ({"dims": [True, 8, 8]}, "dims"),
         ({"f": {"kind": "constant", "value": True}}, "f.value"),
+        ({"dims": [3, 8, 8], "noise_model": "gaussian", "snr": "30"}, "snr"),
+        ({"dims": ["3", 8, 8]}, "dims"),
     ])
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, config, key):
         (tmp_path / "p.json").write_text(json.dumps(config))
@@ -307,6 +313,8 @@ class TestFit:
         ({"b_threshold": "high"}, "b_threshold"),
         ({"bins": 32}, "bins"),
         ({"b_threshold": True}, "b_threshold"),
+        ({"adc_range": [1e-5, 2.0]}, "adc_range"),
+        ({"b_threshold": "100"}, "b_threshold"),
     ])
     def test_malformed_config_exits_2_naming_the_key(self, subject, tmp_path, capsys,
                                                      config, key):
@@ -328,6 +336,40 @@ class TestFit:
         assert code == cli.EXIT_OK
         text = (tmp_path / "fit" / "fit_log.json").read_text()
         assert '"d_star_max": 2.0' in text
+
+    def test_one_fitted_voxel_has_no_summary(self, subject, tmp_path):
+        mask = read_mask(subject / "mask.nii")
+        one = np.zeros(mask.dims, dtype=bool)
+        one[tuple(np.argwhere(mask.data)[0])] = True
+        write_mask(BinaryMask(one, mask.spacing), tmp_path / "one.nii")
+        code = cli.main(["fit", str(subject / "series.nii"), str(subject / "series.bval"),
+                         str(tmp_path / "one.nii"), str(tmp_path / "fit")])
+        assert code == cli.EXIT_OK
+        log = json.loads((tmp_path / "fit" / "fit_log.json").read_text())
+        assert log["voxels_fitted"] == 1 and log["summary"] is None
+
+    def test_noisy_default_subject_writes_finite_outputs_quietly(self, tmp_path):
+        def run(*args):
+            env = {**os.environ, "PYTHONPATH": str(Path(ivimlab.__file__).parents[1])}
+            return subprocess.run([sys.executable, "-m", "ivimlab", *args], env=env,
+                                  capture_output=True, text=True, timeout=300)
+
+        def no_constant(name):
+            raise ValueError(f"fit_log.json holds {name}, which is not JSON")
+
+        subject, out = tmp_path / "subject", tmp_path / "fit"
+        made = run("phantom", str(subject), "--noise", "rician", "--snr", "30", "--seed", "1")
+        assert made.returncode == cli.EXIT_OK and made.stderr == ""
+        fit = run("fit", *(str(subject / n) for n in ("series.nii", "series.bval", "mask.nii")),
+                  str(out))
+        assert fit.returncode == cli.EXIT_OK
+        assert fit.stderr == ""
+        log = json.loads((out / "fit_log.json").read_text(), parse_constant=no_constant)
+        assert log["voxels_fitted"] > 0
+        d_star = read_volume(out / "d_star.nii").data
+        fitted = ~np.isnan(d_star)
+        assert fitted.sum() == log["voxels_fitted"]
+        assert np.isfinite(d_star[fitted]).all()
 
     def test_missing_input_exits_2(self, subject, tmp_path, capsys):
         code = cli.main(["fit", str(tmp_path / "absent.nii"), str(subject / "series.bval"),

@@ -74,8 +74,6 @@ class TestNonFiniteSamples:
             assert np.array_equal(got, want)
 
 
-# Rician voxels whose D* runs away warn in the residual (see ROADMAP items 1 and 6)
-@pytest.mark.filterwarnings("default::RuntimeWarning")
 class TestVisitOrderInvariance:
     @pytest.mark.parametrize("axes", [(2,), (0, 1, 2)], ids=["x", "xyz"])
     def test_flipped_input_gives_flipped_maps(self, axes):
@@ -94,7 +92,6 @@ class TestVisitOrderInvariance:
             assert a.tobytes() == b.tobytes(), name
 
 
-@pytest.mark.filterwarnings("default::RuntimeWarning")
 class TestWorkerInvariance:
     def test_two_workers_match_one_bit_for_bit(self):
         bundle = phantom.make_phantom(phantom.PhantomConfig(
@@ -105,6 +102,28 @@ class TestWorkerInvariance:
         for name in ("s0", "f", "d_star", "adc", "residual"):
             a, b = getattr(one, name).data, getattr(two, name).data
             assert a.tobytes() == b.tobytes(), name
+
+
+class TestDStarBound:
+    def test_noisy_voxel_stays_below_the_bound(self):
+        # this Rician draw sent D* to 2.7e75 through a transform with no upper bound
+        b = np.asarray(DEFAULT_BVALUES, dtype=float)
+        truth = 100.0 * (0.15 * np.exp(-0.08 * b) + 0.85 * np.exp(-0.002 * b))
+        rng = np.random.default_rng(3)
+        sd = 100.0 / 30.0
+        real, imag = truth + rng.normal(0, sd, b.size), rng.normal(0, sd, b.size)
+        sig = ivim.VoxelSignal(b, np.sqrt(real**2 + imag**2))
+        adc = ivim.fit_adc(sig, CFG).adc
+        fit = ivim.fit_ivim(sig, adc, CFG)
+        assert fit is not None
+        assert adc < fit.d_star <= ivim.D_STAR_MAX
+
+    @pytest.mark.parametrize("adc", [0.0, ivim.D_STAR_MAX, np.nan])
+    def test_adc_outside_the_d_star_range_rejected(self, adc):
+        b = np.asarray(DEFAULT_BVALUES, dtype=float)
+        sig = ivim.VoxelSignal(b, 100.0 * np.exp(-0.002 * b))
+        with pytest.raises(ValueError, match="adc must lie in"):
+            ivim.fit_ivim(sig, adc, CFG)
 
 
 class TestModelJacobians:
@@ -153,9 +172,13 @@ class TestSummarize:
                 assert got[f"{name}_entropy"] == pytest.approx(-(p * np.log2(p)).sum())
 
     def test_none_when_nothing_was_fitted(self):
+        # a CV needs two values, so one fitted voxel is too few as well
         bundle = phantom.make_phantom(phantom.PhantomConfig(dims=(3, 8, 8)))
-        empty = BinaryMask(np.zeros(bundle.mask.dims, dtype=bool), bundle.mask.spacing)
         truth = bundle.truth
-        maps = IvimMaps(s0=truth.s0, f=truth.f, d_star=truth.d_star, adc=truth.adc,
-                        residual=truth.residual, mask=empty)
-        assert ivim.summarize(maps) is None
+        for n_fitted in (0, 1):
+            fitted = np.zeros(bundle.mask.dims, dtype=bool)
+            fitted[tuple(np.argwhere(bundle.mask.data)[:n_fitted].T)] = True
+            maps = IvimMaps(s0=truth.s0, f=truth.f, d_star=truth.d_star, adc=truth.adc,
+                            residual=truth.residual,
+                            mask=BinaryMask(fitted, bundle.mask.spacing))
+            assert ivim.summarize(maps) is None, n_fitted
