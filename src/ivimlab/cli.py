@@ -10,11 +10,14 @@ overrides its config key. The run output echoes the resolved config, which
 reads back as ``--config``. ``fit`` runs one worker per CPU.
 
 The summaries table of ``report`` and the subjects tables of ``classify``
-are CSV files with a header line. Each must hold the required columns and
+are UTF-8 CSV files (a leading byte-order mark is read past) with a header
+line that names each column once. Each must hold the required columns and
 at least one data line, with exactly one cell per header column on every
-line (blank lines are skipped); number cells must be finite, and labels
-(group, source, strategy) are read in any case. A table that breaks a rule
-exits 2, naming the file line where a line breaks it.
+line (blank lines are skipped); number cells must be finite, labels (group,
+source, strategy) are read in any case, and ``ga`` is decimal weeks or
+``w+d`` with whole days 0-6. A table that breaks a rule exits 2, naming
+the file line where a line breaks it; ``report.build_report`` checks the
+summary-row rules and ``fgr.SubjectRecord`` the subject ranges.
 
 Every subcommand is deterministic given identical inputs, flags and seeds,
 and writes its outputs atomically (temp file + rename). Exit codes: 0
@@ -78,14 +81,18 @@ def _read_table(path, columns, parse) -> list:
     """``parse(line, row)`` of each data line of a CSV table with a header line.
 
     ``row`` maps the header's names to the line's cells and ``line`` is its
-    file line number. The header must name each of ``columns``, each data
+    file line number. The file is UTF-8, with or without a byte-order mark.
+    The header must name each of ``columns`` and no column twice, each data
     line must hold one cell per header column (blank lines are skipped), and
     one data line at least must be there. A ValueError that ``parse`` raises
     is reported with the line.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise FormatError(f"{path}: header names columns {repeated} more than once")
         missing = [c for c in columns if c not in header]
         if missing:
             raise FormatError(f"{path}: missing columns {missing}")
@@ -129,7 +136,7 @@ def _load_config(path, cls, **overrides):
     """
     values = {}
     if path is not None:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 values = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -296,36 +303,27 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _read_summaries(path) -> list[dict]:
-    first_line = {}  # (subject, source, strategy) -> line number
-    first_group = {}  # subject -> (group, line number)
-
-    def parse(i: int, row: dict) -> dict:
+def _read_summaries(path) -> tuple[list[dict], list[str]]:
+    """The rows of a summaries table with group, source, strategy and number
+    cells cast, and each row's ``line N``; ``report.build_report`` checks them."""
+    def parse(i: int, row: dict) -> tuple[str, dict]:
         row["group"] = fgr.Group.parse(row["group"]).value
         row["strategy"] = masks.FusionStrategy.parse(row["strategy"]).value
-        source = row["source"]
-        row["source"] = source.strip().lower()
-        if row["source"] not in report.SOURCES:
-            raise ValueError(f"unknown source {source!r}; "
-                             f"expected one of {', '.join(report.SOURCES)}")
-        key = (row["subject"], row["source"], row["strategy"])
-        if key in first_line:
-            raise ValueError(f"repeats line {first_line[key]} ({', '.join(key)})")
-        first_line[key] = i
-        group, j = first_group.setdefault(row["subject"], (row["group"], i))
-        if row["group"] != group:
-            raise ValueError(f"subject {row['subject']} is {row['group']} "
-                             f"but line {j} says {group}")
+        row["source"] = row["source"].strip().lower()
         for col in report.ALL_METRICS:
             row[col] = _finite(row, col)
-        return row
+        return f"line {i}", row
 
-    return _read_table(path, report.SUMMARY_COLUMNS, parse)
+    labels, rows = zip(*_read_table(path, report.SUMMARY_COLUMNS, parse))
+    return list(rows), list(labels)
 
 
 def _cmd_report(args) -> int:
-    rows = _read_summaries(args.summaries)
-    tables = report.build_report(rows)
+    rows, labels = _read_summaries(args.summaries)
+    try:
+        tables = report.build_report(rows, labels)
+    except ValueError as exc:
+        raise FormatError(f"{args.summaries}: {exc}") from None
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(tables.paired, out / "paired_tests.csv")

@@ -47,23 +47,26 @@ class Polarity(Enum):
 
 
 def parse_ga_weeks(text) -> float:
-    """Gestational age from decimal weeks or clinical 'w+d' notation."""
+    """Gestational age from decimal weeks or clinical 'w+d' notation.
+
+    Days are a whole number from 0 to 6. The notation is all this checks;
+    :class:`SubjectRecord` checks the range.
+    """
     if isinstance(text, (int, float)):
-        ga = float(text)
-    else:
-        token = str(text).strip()
-        if "+" in token:
-            w, _, d = token.partition("+")
-            ga = float(w) + float(d) / 7.0
-        else:
-            ga = float(token)
-    if not (GA_WEEKS_MIN <= ga <= GA_WEEKS_MAX):
-        raise ValueError(f"gestational age {ga} outside [{GA_WEEKS_MIN}, {GA_WEEKS_MAX}] weeks")
-    return ga
+        return float(text)
+    token = str(text).strip()
+    if "+" not in token:
+        return float(token)
+    w, _, d = token.partition("+")
+    if not (d.strip().isdigit() and int(d) <= 6):
+        raise ValueError(f"days in {token!r} must be a whole number from 0 to 6")
+    return float(w) + int(d) / 7.0
 
 
 @dataclass(frozen=True)
 class SubjectRecord:
+    """One subject; the only check of the gestational-age range and lung volume."""
+
     id: str
     ga_weeks: float
     group: Group
@@ -71,26 +74,25 @@ class SubjectRecord:
 
     def __post_init__(self):
         if not (GA_WEEKS_MIN <= self.ga_weeks <= GA_WEEKS_MAX):
-            raise ValueError(f"{self.id}: gestational age {self.ga_weeks} out of range")
+            raise ValueError(f"{self.id}: gestational age {self.ga_weeks} outside "
+                             f"[{GA_WEEKS_MIN}, {GA_WEEKS_MAX}] weeks")
         if not self.tlv_ml > 0:
             raise ValueError(f"{self.id}: measured lung volume must be positive")
 
 
 def expected_tlv(ga_weeks: float) -> float:
-    """Expected total lung volume (mL) at a gestational age, Horner form."""
+    """Expected total lung volume (mL) at a gestational age, Horner form.
+
+    Positive on the whole domain: the minimum is 6.6 mL, near 17.1 weeks.
+    """
     if not (GA_WEEKS_MIN <= ga_weeks <= GA_WEEKS_MAX):
         raise ValueError(f"gestational age {ga_weeks} outside [{GA_WEEKS_MIN}, {GA_WEEKS_MAX}]")
-    value = ((_TLV_C3 * ga_weeks + _TLV_C2) * ga_weeks + _TLV_C1) * ga_weeks + _TLV_C0
-    if value <= 0:
-        raise UndefinedMetricError(f"growth model gives non-positive volume at GA {ga_weeks}")
-    return value
+    return ((_TLV_C3 * ga_weeks + _TLV_C2) * ga_weeks + _TLV_C1) * ga_weeks + _TLV_C0
 
 
-def oe_tlv(observed_ml: float, ga_weeks: float) -> float:
-    """Observed-to-expected lung volume ratio."""
-    if not observed_ml > 0:
-        raise ValueError("observed volume must be positive")
-    return observed_ml / expected_tlv(ga_weeks)
+def oe_tlv(record: SubjectRecord) -> float:
+    """Observed-to-expected lung volume ratio of a subject."""
+    return record.tlv_ml / expected_tlv(record.ga_weeks)
 
 
 def zscore_fit(control_values) -> tuple[float, float]:
@@ -113,9 +115,6 @@ def zscore_apply(value: float, mean: float, sd: float) -> float:
 
 @dataclass(frozen=True)
 class RocAnalysis:
-    thresholds: np.ndarray  # strictly decreasing, +inf .. -inf
-    sensitivity: np.ndarray
-    specificity: np.ndarray
     auc: float
     youden_threshold: float
     youden_j: float
@@ -130,9 +129,8 @@ def roc(scores, labels, polarity: Polarity = Polarity.POSITIVE_HIGH) -> RocAnaly
     infinite endpoints, so the decision boundary never coincides with a
     training score. Youden ties prefer the more specific threshold.
 
-    The ``thresholds`` array is kept on the oriented scale (strictly
-    decreasing for either polarity); ``youden_threshold`` is reported on the
-    original score scale, directly usable with :func:`classify`.
+    ``youden_threshold`` is on the original score scale, directly usable with
+    :func:`classify`, for either polarity.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels, dtype=bool).ravel()
@@ -165,7 +163,7 @@ def roc(scores, labels, polarity: Polarity = Polarity.POSITIVE_HIGH) -> RocAnaly
     youden_thr = float(thr[best])
 
     return RocAnalysis(
-        thresholds=thr, sensitivity=sens, specificity=spec, auc=auc,
+        auc=auc,
         youden_threshold=-youden_thr if polarity is Polarity.POSITIVE_LOW else youden_thr,
         youden_j=float(j[best]), polarity=polarity,
     )
@@ -218,7 +216,7 @@ class TrainedClassifier:
     youden_j: float
 
     def score(self, record: SubjectRecord) -> float:
-        return zscore_apply(oe_tlv(record.tlv_ml, record.ga_weeks),
+        return zscore_apply(oe_tlv(record),
                             self.control_mean, self.control_sd)
 
     def predict(self, record: SubjectRecord) -> Group:
@@ -234,7 +232,7 @@ def train_classifier(records: list[SubjectRecord]) -> TrainedClassifier:
     """
     if len(records) < 2:
         raise ValueError("training needs at least two subjects")
-    ratios = np.array([oe_tlv(r.tlv_ml, r.ga_weeks) for r in records])
+    ratios = np.array([oe_tlv(r) for r in records])
     labels = np.array([r.group is Group.FGR for r in records])
     if labels.all() or not labels.any():
         raise ValueError("training set must contain both FGR and control subjects")

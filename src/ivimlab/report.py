@@ -1,12 +1,14 @@
 """Cohort-level comparison of manual vs automatic segmentation pipelines.
 
 Works on a flat per-subject summary table (one row per subject, mask source
-and fusion strategy). :func:`build_report` checks and groups the rows once,
-by strategy, source and subject, and derives three tables from that
-grouping: paired t-tests of manual vs automatic for every metric,
-inter-subject coefficients of variation per group, and, from the CV table,
-the mean absolute percentage difference of those CVs as an agreement score
-per fusion strategy.
+and fusion strategy). :func:`build_report` is the one check of the row
+rules: every column present, a source in SOURCES and a group in GROUPS, one
+row per (subject, source, strategy) and one group per subject. A message
+names a row by its caller's label (``summary row i`` by default, ``line N``
+from ``ivimlab report``). The rows are grouped once, by strategy, source and
+subject, into paired t-tests of manual vs automatic for every metric,
+inter-subject CVs per group, and the mean absolute percentage difference of
+those CVs as an agreement score per fusion strategy.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ SUMMARY_COLUMNS = ("subject", "group", "source", "strategy") + ALL_METRICS
 def summary_row(subject: str, group: Group, source: str,
                 strategy: FusionStrategy, maps: IvimMaps) -> dict:
     """One summaries-table row computed from a subject's fitted maps."""
-    if source not in SOURCES:
-        raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
     metrics = summarize(maps)
     if metrics is None:
         raise ValueError(f"{subject}: fewer than two fitted voxels, nothing to summarize")
@@ -42,35 +42,35 @@ def summary_row(subject: str, group: Group, source: str,
             "strategy": strategy.value, **metrics}
 
 
-def _group(rows: list[dict]) -> dict[str, dict[str, dict[str, dict]]]:
+def _group(rows: list[dict], labels: list[str]) -> dict[str, dict[str, dict[str, dict]]]:
     """{strategy: {source: {subject: row}}}, strategies in first-seen order.
 
     Every strategy gets both sources; rows keep their input order within a
-    cell. A row missing a column, with a source outside SOURCES or a group
-    outside GROUPS, repeating a (subject, source, strategy), or giving its
-    subject another group than the subject's first row is an error.
+    cell. ``labels[i]`` names row i in the message of a broken row rule.
     """
     grouped: dict[str, dict[str, dict[str, dict]]] = {}
-    first_group: dict[str, tuple[str, int]] = {}  # subject -> (group, row index)
-    for i, row in enumerate(rows):
+    first_group: dict[str, tuple[str, str]] = {}  # subject -> (group, row label)
+    first_label: dict[tuple[str, str, str], str] = {}  # (subject, source, strategy) -> label
+    for label, row in zip(labels, rows, strict=True):
         missing = [c for c in SUMMARY_COLUMNS if c not in row]
         if missing:
-            raise ValueError(f"summary row {i} missing columns {missing}")
+            raise ValueError(f"{label} missing columns {missing}")
         subject, source, strategy = row["subject"], row["source"], row["strategy"]
         if source not in SOURCES:
-            raise ValueError(f"summary row {i} ({subject}): source must be one of "
+            raise ValueError(f"{label} ({subject}): source must be one of "
                              f"{SOURCES}, got {source!r}")
         if row["group"] not in GROUPS:
-            raise ValueError(f"summary row {i} ({subject}): group must be one of "
+            raise ValueError(f"{label} ({subject}): group must be one of "
                              f"{GROUPS}, got {row['group']!r}")
-        group, j = first_group.setdefault(subject, (row["group"], i))
+        group, first = first_group.setdefault(subject, (row["group"], label))
         if row["group"] != group:
-            raise ValueError(f"summary row {i} ({subject}): group {row['group']!r} "
-                             f"disagrees with row {j} ({group!r})")
-        cell = grouped.setdefault(strategy, {s: {} for s in SOURCES})[source]
-        if subject in cell:
-            raise ValueError(f"summary row {i} repeats ({subject}, {source}, {strategy})")
-        cell[subject] = row
+            raise ValueError(f"{label} ({subject}): group {row['group']!r} "
+                             f"disagrees with {first} ({group!r})")
+        key = (subject, source, strategy)
+        if key in first_label:
+            raise ValueError(f"{label} repeats {first_label[key]} ({', '.join(key)})")
+        first_label[key] = label
+        grouped.setdefault(strategy, {s: {} for s in SOURCES})[source][subject] = row
     return grouped
 
 
@@ -99,50 +99,52 @@ def paired_table(grouped: dict) -> list[dict]:
     return out
 
 
-def cv_table(grouped: dict) -> list[dict]:
-    """Inter-subject CV (sample sd / mean) per parameter, strategy, source, group."""
-    cells = {
-        f"{strategy}_{source}_{group}": [r for r in by_subject.values() if r["group"] == group]
-        for strategy, by_source in grouped.items()
-        for source, by_subject in by_source.items()
-        for group in GROUPS
-    }
-    out = []
-    for metric in MEAN_METRICS:
-        entry: dict = {"parameter": metric}
-        for key, cell in cells.items():
-            if len(cell) >= 2:
-                entry[key] = stats.cv([float(r[metric]) for r in cell], ddof=1)
-            else:
-                entry[key] = float("nan")
-        out.append(entry)
-    return out
+def cv_cells(grouped: dict) -> dict[tuple[str, str, str], dict[str, float]]:
+    """{(strategy, source, group): {metric: CV}}, the inter-subject CVs.
+
+    A CV is the sample sd over the mean of a MEAN_METRICS column across the
+    cell's subjects, NaN where the cell holds fewer than two subjects.
+    """
+    cells = {}
+    for strategy, by_source in grouped.items():
+        for source, by_subject in by_source.items():
+            for group in GROUPS:
+                cell = [r for r in by_subject.values() if r["group"] == group]
+                cells[strategy, source, group] = {
+                    metric: (stats.cv([float(r[metric]) for r in cell], ddof=1)
+                             if len(cell) >= 2 else float("nan"))
+                    for metric in MEAN_METRICS}
+    return cells
 
 
-def cv_agreement(cvs: list[dict]) -> list[dict]:
+def cv_table(cells: dict) -> list[dict]:
+    """The :func:`cv_cells` as one row per parameter, one column per cell.
+
+    Columns are named ``<strategy>_<source>_<group>``.
+    """
+    return [{"parameter": metric,
+             **{"_".join(key): cvs[metric] for key, cvs in cells.items()}}
+            for metric in MEAN_METRICS]
+
+
+def cv_agreement(cells: dict) -> list[dict]:
     """Mean absolute % difference of inter-subject CVs, manual vs automatic.
 
-    ``cvs`` is the :func:`cv_table` output; NaN cells are skipped.
+    ``cells`` is the :func:`cv_cells` output; a pair with a NaN is skipped.
     """
-    suffix = f"_manual_{GROUPS[0]}"
-    strategies = [k[: -len(suffix)] for k in cvs[0] if k.endswith(suffix)]
     out = []
-    for strategy in strategies:
-        manual_cvs = []
-        auto_cvs = []
-        for entry in cvs:
-            for group in GROUPS:
-                a = entry[f"{strategy}_manual_{group}"]
-                b = entry[f"{strategy}_automatic_{group}"]
-                if a == a and b == b:  # skip NaN
-                    manual_cvs.append(a)
-                    auto_cvs.append(b)
-        if not manual_cvs:
+    for strategy in dict.fromkeys(strategy for strategy, _, _ in cells):
+        pairs = [(cells[strategy, "manual", group][metric],
+                  cells[strategy, "automatic", group][metric])
+                 for metric in MEAN_METRICS for group in GROUPS]
+        pairs = [(a, b) for a, b in pairs if a == a and b == b]  # skip NaN
+        if not pairs:
             raise ValueError(f"strategy {strategy}: no CV pairs to compare")
+        manual_cvs, auto_cvs = zip(*pairs)
         out.append({
             "strategy": strategy,
             "mean_abs_pct_diff": stats.mean_abs_pct_diff(manual_cvs, auto_cvs),
-            "n_pairs": len(manual_cvs),
+            "n_pairs": len(pairs),
         })
     return out
 
@@ -154,8 +156,12 @@ class ReportTables:
     agreement: list[dict]
 
 
-def build_report(rows: list[dict]) -> ReportTables:
-    """The paired, CV and agreement tables of one summaries table."""
-    grouped = _group(rows)
-    cvs = cv_table(grouped)
-    return ReportTables(paired=paired_table(grouped), cv=cvs, agreement=cv_agreement(cvs))
+def build_report(rows: list[dict], labels: list[str] | None = None) -> ReportTables:
+    """The paired, CV and agreement tables of one summaries table.
+
+    ``labels[i]`` names row i in messages; the default is ``summary row i``.
+    """
+    grouped = _group(rows, labels or [f"summary row {i}" for i in range(len(rows))])
+    cells = cv_cells(grouped)
+    return ReportTables(paired=paired_table(grouped), cv=cv_table(cells),
+                        agreement=cv_agreement(cells))

@@ -97,10 +97,7 @@ def mean_abs_pct_diff(reference, other) -> float:
 class TestResult:
     statistic: float
     p_value: float
-    n: int
-    n1: int | None = None
-    n2: int | None = None
-    method: str = ""
+    method: str
 
 
 def paired_t_test(x, y) -> TestResult:
@@ -118,14 +115,14 @@ def paired_t_test(x, y) -> TestResult:
         raise ValueError("paired t test needs at least two pairs")
     d = yv - xv
     if np.all(d == 0.0):
-        return TestResult(0.0, 1.0, n, method="paired-t")
+        return TestResult(0.0, 1.0, "paired-t")
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         t = math.inf if d.mean() > 0 else -math.inf
-        return TestResult(t, 0.0, n, method="paired-t")
+        return TestResult(t, 0.0, "paired-t")
     t = float(d.mean()) / (sd / math.sqrt(n))
     p = 2.0 * (1.0 - t_cdf(abs(t), n - 1))
-    return TestResult(t, min(max(p, 0.0), 1.0), n, method="paired-t")
+    return TestResult(t, min(max(p, 0.0), 1.0), "paired-t")
 
 
 def _u_statistic(x: np.ndarray, y: np.ndarray) -> float:
@@ -191,4 +188,4 @@ def mann_whitney_u(x, y) -> TestResult:
     else:
         p = mann_whitney_normal_p(xv, yv)
         method = "normal-approx"
-    return TestResult(u, p, n1 + n2, n1=n1, n2=n2, method=method)
+    return TestResult(u, p, method)

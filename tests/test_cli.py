@@ -454,13 +454,14 @@ class TestClassify:
             p.value for p in predictions]
         assert (out["n_train"], out["n_test"]) == (30, 15)
 
-    @pytest.mark.parametrize("bad", ["no tlv_ml", "14", "45+1", "46"])
+    @pytest.mark.parametrize("bad", ["no tlv_ml", "14", "45+1", "46", "32+-1", "32+9",
+                                     "32+3.5", "32+7"])
     def test_bad_subjects_file_exits_2(self, tmp_path, capsys, bad):
         path = write_subjects(subjects(6, 2), tmp_path / "test.csv")
         lines = path.read_text().splitlines()
         if bad == "no tlv_ml":
             lines = [line.rsplit(",", 1)[0] for line in lines]
-        else:  # a gestational age outside 15-45 weeks on line 4
+        else:  # a gestational age outside 15-45 weeks or bad days on line 4
             cells = lines[3].split(",")
             cells[1] = bad
             lines[3] = ",".join(cells)
@@ -481,6 +482,41 @@ class TestClassify:
         assert cli.main(args) == cli.EXIT_INPUT
         assert_names_the_line(capsys.readouterr().err, edit, 4, "tlv_ml")
         assert not (tmp_path / "c.json").exists()
+
+
+class TestTables:
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        summaries = write_summaries(summaries_rows(), tmp_path / "summaries.csv")
+        train = write_subjects(subjects(30, 1), tmp_path / "train.csv")
+        test = write_subjects(subjects(15, 2), tmp_path / "test.csv")
+        for path in (summaries, train, test):
+            bom = path.with_name("bom_" + path.name)
+            bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for prefix in ("", "bom_"):
+            assert cli.main(["report", str(tmp_path / f"{prefix}summaries.csv"),
+                             str(tmp_path / f"{prefix}report")]) == cli.EXIT_OK
+            assert cli.main(["classify", str(tmp_path / f"{prefix}train.csv"),
+                             str(tmp_path / f"{prefix}test.csv"),
+                             "-o", str(tmp_path / f"{prefix}c.json")]) == cli.EXIT_OK
+        for name in ("paired_tests.csv", "group_cv.csv", "cv_agreement.csv"):
+            assert ((tmp_path / "report" / name).read_bytes()
+                    == (tmp_path / "bom_report" / name).read_bytes())
+        plain = json.loads((tmp_path / "c.json").read_text())
+        bom = json.loads((tmp_path / "bom_c.json").read_text())
+        assert bom.pop("config") == {"train": str(tmp_path / "bom_train.csv"),
+                                     "test": str(tmp_path / "bom_test.csv")}
+        plain.pop("config")
+        assert json_text(bom) == json_text(plain)
+
+    def test_repeated_header_column_exits_2_naming_it(self, tmp_path, capsys):
+        path = write_summaries(summaries_rows(), tmp_path / "summaries.csv")
+        header, *lines = path.read_text().splitlines()
+        path.write_text("".join(line + "\n" for line in
+                                [header + ",f_mean"] + [line + ",9.0" for line in lines]))
+        assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "f_mean" in err
+        assert not (tmp_path / "out").exists()
 
 
 def rendered_csv(rows: list[dict]) -> bytes:

@@ -44,6 +44,13 @@ class TestGrowthModel:
 
     def test_clinical_notation(self):
         assert fgr.parse_ga_weeks("32+3") == 32 + 3 / 7
+        assert fgr.parse_ga_weeks(" 32 + 0 ") == 32.0
+        assert fgr.parse_ga_weeks("32+6") == 32 + 6 / 7
+
+    def test_subject_record_owns_the_range(self):
+        assert fgr.parse_ga_weeks("46") == 46.0
+        with pytest.raises(ValueError, match="P1: gestational age 46.0 outside"):
+            fgr.SubjectRecord("P1", 46.0, fgr.Group.CONTROL, 500.0)
 
 
 class TestClassifier:

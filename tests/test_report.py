@@ -113,3 +113,13 @@ class TestBadRows:
                 if (r["subject"], r["source"], r["strategy"]) != ("S4", "automatic", "lc")]
         with pytest.raises(ValueError, match="lc"):
             report.build_report(rows)
+
+
+class TestRowLabels:
+    def test_messages_name_rows_by_the_callers_labels(self):
+        rows = table()
+        rows.append(dict(rows[2], f_mean=9.0))  # (S2, manual, lc) again
+        labels = [f"line {i + 2}" for i in range(len(rows))]
+        with pytest.raises(ValueError, match=rf"^line {len(rows) + 1} repeats line 4 "
+                                             r"\(S2, manual, lc\)$"):
+            report.build_report(rows, labels)
