@@ -7,7 +7,8 @@ number is never JSON ``true``/``false`` or a string (``30``, not ``"30"``).
 A truth field is a number or an object with a ``kind`` (``constant``,
 ``linear`` or ``two_region``) and that field-spec class's fields. A flag
 overrides its config key. The run output echoes the resolved config, which
-reads back as ``--config``. ``fit`` runs one worker per CPU.
+reads back as ``--config``. ``fit``'s config holds ``b_threshold`` only, and
+``fit`` runs one worker per CPU that it may run on.
 
 The summaries table of ``report`` and the subjects tables of ``classify``
 are UTF-8 CSV files (a leading byte-order mark is read past) with a header
@@ -21,8 +22,9 @@ summary-row rules and ``fgr.SubjectRecord`` the subject ranges.
 
 Every subcommand is deterministic given identical inputs, flags and seeds,
 and writes its outputs atomically (temp file + rename). Exit codes: 0
-success; 2 input/usage problem, such as a malformed config value, reported
-in one line on stderr before any output is written; 1 internal failure.
+success; 2 input/usage problem, such as a malformed config value or a file
+that is not UTF-8, reported in one line on stderr before any output is
+written; 1 internal failure.
 """
 
 from __future__ import annotations
@@ -77,6 +79,15 @@ def _write_csv(rows: list[dict], path) -> None:
         _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
+def _read_text(path, encoding: str) -> str:
+    """A UTF-8 file's text by ``encoding`` (``utf-8-sig`` reads past a byte-order mark)."""
+    try:
+        return Path(path).read_bytes().decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start})") from None
+
+
 def _read_table(path, columns, parse) -> list:
     """``parse(line, row)`` of each data line of a CSV table with a header line.
 
@@ -87,25 +98,24 @@ def _read_table(path, columns, parse) -> list:
     one data line at least must be there. A ValueError that ``parse`` raises
     is reported with the line.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        if repeated:
-            raise FormatError(f"{path}: header names columns {repeated} more than once")
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise FormatError(f"{path}: missing columns {missing}")
-        records = []
-        for cells in reader:
-            if not cells:
-                continue
-            try:
-                if len(cells) != len(header):
-                    raise ValueError(f"{len(cells)} cells for {len(header)} header columns")
-                records.append(parse(reader.line_num, dict(zip(header, cells))))
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(_read_text(path, "utf-8-sig"), newline=""))
+    header = next(reader, [])
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise FormatError(f"{path}: header names columns {repeated} more than once")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise FormatError(f"{path}: missing columns {missing}")
+    records = []
+    for cells in reader:
+        if not cells:
+            continue
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells for {len(header)} header columns")
+            records.append(parse(reader.line_num, dict(zip(header, cells))))
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not records:
         raise FormatError(f"{path}: no data lines")
     return records
@@ -136,11 +146,10 @@ def _load_config(path, cls, **overrides):
     """
     values = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}: invalid JSON ({exc})") from None
+        try:
+            values = json.loads(_read_text(path, "utf-8"))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(values, dict):
             raise FormatError(f"{path}: config must be a JSON object")
     values.update((k, v) for k, v in overrides.items() if v is not None)
@@ -259,7 +268,8 @@ def _cmd_fit(args) -> int:
 
     start = time.perf_counter()
     series = average_by_bvalue(series)
-    maps = ivim.fit_volume(series, mask, cfg, workers=os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    maps = ivim.fit_volume(series, mask, cfg, workers=cpus or 1)
     wall = time.perf_counter() - start
 
     out = Path(args.outdir)
@@ -272,7 +282,7 @@ def _cmd_fit(args) -> int:
         "config": _to_json(cfg),
         "voxels_fitted": fitted,
         "voxels_failed": mask.voxel_count - fitted,
-        "boundary_hits": ivim.boundary_hits(maps, cfg),
+        "boundary_hits": ivim.boundary_hits(maps),
         "wall_time": wall,
         "summary": ivim.summarize(maps),
     }

@@ -228,7 +228,8 @@ def train_classifier(records: list[SubjectRecord]) -> TrainedClassifier:
 
     Ratios are standardized against the control subjects; the score direction
     (high vs low = disease) is chosen by training AUC, so the classifier does
-    not presuppose which way the ratios separate.
+    not presuppose which way the ratios separate. A training set whose groups
+    do not separate at all (best Youden J of 0) is a ValueError.
     """
     if len(records) < 2:
         raise ValueError("training needs at least two subjects")
@@ -242,6 +243,8 @@ def train_classifier(records: list[SubjectRecord]) -> TrainedClassifier:
     high = roc(z, labels, Polarity.POSITIVE_HIGH)
     low = roc(z, labels, Polarity.POSITIVE_LOW)
     best = high if high.auc >= low.auc else low
+    if best.youden_j <= 0.0:
+        raise ValueError("the training groups do not separate: the best Youden J is 0")
     return TrainedClassifier(
         control_mean=mean, control_sd=sd, polarity=best.polarity,
         threshold=best.youden_threshold, auc=best.auc, youden_j=best.youden_j,

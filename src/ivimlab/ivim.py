@@ -5,8 +5,10 @@ b threshold), giving the apparent diffusion coefficient. Step two fixes the
 tissue diffusion coefficient to that value and fits amplitude, perfusion
 fraction and pseudo-diffusion coefficient to the full decay curve, which
 stabilizes the otherwise poorly conditioned biexponential problem. The
-fitted D* lies in (ADC, ``D_STAR_MAX``]: a voxel whose perfusion term the
-data cannot resolve stops at the bound rather than running off to infinity.
+parameter box is fixed: S0 > 0, f in [0, 1], ADC in [``ADC_MIN``,
+``ADC_MAX``] and D* in (ADC, ``D_STAR_MAX``], so a voxel whose perfusion
+term the data cannot resolve stops at the D* bound rather than running off
+to infinity.
 
 Voxels that cannot be fitted (a non-finite sample, too few usable points,
 divergence) carry the NaN sentinel and are skipped by the summaries; they
@@ -25,33 +27,31 @@ from . import lm, stats
 from .errors import DimensionError
 from .grid import B_VALUE_TOL, BinaryMask, DwiSeries, IvimMaps, Volume3D
 
-# fitted values within 1% of an adc_range endpoint count as boundary hits
-_BOUND_MARGIN = 1.01
-
 # histogram bins of the summary entropies; one value keeps every summary comparable
 ENTROPY_BINS = 64
 
-# mm^2/s: the upper end of the D* fit; the lower end is the voxel's ADC
+# mm^2/s: the ADC box (a fitted ADC within 1% of an end is a boundary hit) and
+# the upper end of the D* box, whose lower end is the voxel's ADC
+ADC_MIN = 1e-5
+ADC_MAX = 1e-1
+_BOUND_MARGIN = 1.01
 D_STAR_MAX = 1.0
+
+# the transforms that no voxel changes, built once
+_S0 = lm.log_positive()
+_ADC = lm.logistic(ADC_MIN, ADC_MAX)
+_F = lm.logistic(0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class IvimFitConfig:
+    """The one fit setting; the fixed box is f in [0, 1] and ADC in [ADC_MIN, ADC_MAX]."""
+
     b_threshold: float = 100.0  # strict: only b > threshold enters the ADC fit
-    f_range: tuple[float, float] = (0.0, 1.0)
-    adc_range: tuple[float, float] = (1e-5, 1e-1)  # mm^2/s
 
     def __post_init__(self):
-        if self.b_threshold < 0:
+        if not self.b_threshold >= 0:
             raise ValueError("b_threshold must be >= 0")
-        for name in ("f_range", "adc_range"):
-            if len(getattr(self, name)) != 2:
-                raise ValueError(f"{name} must be (lo, hi), got {list(getattr(self, name))}")
-        if not (0 <= self.f_range[0] < self.f_range[1] <= 1):
-            raise ValueError(f"invalid f_range {self.f_range}")
-        if not (0 < self.adc_range[0] < self.adc_range[1] < D_STAR_MAX):
-            raise ValueError(f"invalid adc_range {self.adc_range}: "
-                             f"need 0 < lo < hi < D_STAR_MAX = {D_STAR_MAX}")
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,8 @@ def _high_b(b: np.ndarray, s: np.ndarray, cfg: IvimFitConfig):
     return (bh, sh, *_loglinear(bh, sh))
 
 
-def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float,
-                    cfg: IvimFitConfig) -> AdcFit | None:
-    lo, hi = cfg.adc_range
-    adc_init = _clamp_open(rate, lo, hi)
+def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float) -> AdcFit | None:
+    adc_init = _clamp_open(rate, ADC_MIN, ADC_MAX)
 
     def residual(th):
         return th[0] * np.exp(-th[1] * bh) - sh
@@ -131,7 +129,7 @@ def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float,
         residual=residual,
         jacobian=jacobian,
         theta0=np.array([max(s0_init, 1e-12), adc_init]),
-        transforms=(lm.log_positive(), lm.logistic(lo, hi)),
+        transforms=(_S0, _ADC),
     )
     result = lm.lm_fit(problem)
     if not result.converged:
@@ -141,13 +139,12 @@ def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float,
 
 def fit_adc(sig: VoxelSignal, cfg: IvimFitConfig | None = None) -> AdcFit | None:
     """Mono-exponential fit over the high-b subset; None marks an unfittable voxel."""
-    cfg = cfg or IvimFitConfig()
-    high = _high_b(sig.bvalues, sig.intensities, cfg)
-    return None if high is None else _fit_adc_arrays(*high, cfg)
+    high = _high_b(sig.bvalues, sig.intensities, cfg or IvimFitConfig())
+    return None if high is None else _fit_adc_arrays(*high)
 
 
-def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float, s0_high: float | None,
-                     cfg: IvimFitConfig) -> IvimFit | None:
+def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float,
+                     s0_high: float | None) -> IvimFit | None:
     """``s0_high`` is the high-b log-linear intercept, None without enough high-b points."""
     is_b0 = np.abs(b) < B_VALUE_TOL
     if not is_b0.any():
@@ -171,13 +168,11 @@ def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float, s0_high: float | 
         e = np.exp(-d_star * b)
         return np.array((f * e + (1.0 - f) * e_adc, s0 * (e - e_adc), -s0 * f * b * e))
 
-    f_lo, f_hi = cfg.f_range
     problem = lm.FitProblem(
         residual=residual,
         jacobian=jacobian,
         theta0=np.array([s0_init, f_init, d_star_init]),
-        transforms=(lm.log_positive(), lm.logistic(f_lo, f_hi),
-                    lm.logistic(adc, D_STAR_MAX)),
+        transforms=(_S0, _F, lm.logistic(adc, D_STAR_MAX)),
     )
     result = lm.lm_fit(problem)
     if not result.converged:
@@ -191,22 +186,15 @@ def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> 
     """Biexponential fit of (S0, f, D*) with the tissue coefficient fixed to adc."""
     if not 0 < adc < D_STAR_MAX:
         raise ValueError(f"adc must lie in (0, D_STAR_MAX = {D_STAR_MAX}), got {adc}")
-    cfg = cfg or IvimFitConfig()
-    high = _high_b(sig.bvalues, sig.intensities, cfg)
+    high = _high_b(sig.bvalues, sig.intensities, cfg or IvimFitConfig())
     return _fit_ivim_arrays(sig.bvalues, sig.intensities, adc,
-                            None if high is None else high[2], cfg)
+                            None if high is None else high[2])
 
 
 def _fit_voxel(b: np.ndarray, s: np.ndarray, cfg: IvimFitConfig):
-    if not np.isfinite(s).all():
-        return None
-    high = _high_b(b, s, cfg)
-    if high is None:
-        return None
-    adc_fit = _fit_adc_arrays(*high, cfg)
-    if adc_fit is None:
-        return None
-    ivim = _fit_ivim_arrays(b, s, adc_fit.adc, high[2], cfg)
+    high = _high_b(b, s, cfg) if np.isfinite(s).all() else None
+    adc_fit = None if high is None else _fit_adc_arrays(*high)
+    ivim = None if adc_fit is None else _fit_ivim_arrays(b, s, adc_fit.adc, high[2])
     if ivim is None:
         return None
     return ivim.s0, ivim.f, ivim.d_star, adc_fit.adc, ivim.residual
@@ -283,12 +271,10 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
                     residual=maps[4], mask=fitted_mask)
 
 
-def boundary_hits(maps: IvimMaps, cfg: IvimFitConfig | None = None) -> int:
-    """Number of fitted voxels whose ADC sits at an adc_range endpoint."""
-    cfg = cfg or IvimFitConfig()
-    lo, hi = cfg.adc_range
+def boundary_hits(maps: IvimMaps) -> int:
+    """Number of fitted voxels whose ADC lies within 1% of ``ADC_MIN`` or ``ADC_MAX``."""
     adc = maps.adc.data[maps.mask.data]
-    return int(((adc <= lo * _BOUND_MARGIN) | (adc >= hi / _BOUND_MARGIN)).sum())
+    return int(((adc <= ADC_MIN * _BOUND_MARGIN) | (adc >= ADC_MAX / _BOUND_MARGIN)).sum())
 
 
 def summarize(maps: IvimMaps) -> dict | None:

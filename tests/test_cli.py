@@ -337,6 +337,39 @@ class TestFit:
         text = (tmp_path / "fit" / "fit_log.json").read_text()
         assert '"d_star_max": 2.0' in text
 
+    def test_config_echo_is_the_b_threshold_and_reads_back(self, subject, tmp_path):
+        inputs = [str(subject / n) for n in ("series.nii", "series.bval", "mask.nii")]
+        assert cli.main(["fit", *inputs, str(tmp_path / "first")]) == cli.EXIT_OK
+        config = json.loads((tmp_path / "first" / "fit_log.json").read_text())["config"]
+        assert json.dumps(config) == '{"b_threshold": 100.0}'
+        (tmp_path / "fit.json").write_text(json.dumps(config))
+        assert cli.main(["fit", *inputs, str(tmp_path / "second"),
+                         "--config", str(tmp_path / "fit.json")]) == cli.EXIT_OK
+        for name in ("s0", "f", "d_star", "adc", "residual"):
+            assert ((tmp_path / "first" / f"{name}.nii").read_bytes()
+                    == (tmp_path / "second" / f"{name}.nii").read_bytes()), name
+
+    @pytest.mark.parametrize("affinity, cpu_count, workers", [
+        ({0}, 8, 1), ({0, 2, 5}, 8, 3), (None, 4, 4), (None, None, 1)])
+    def test_one_worker_per_cpu_it_may_run_on(self, subject, tmp_path, monkeypatch,
+                                              affinity, cpu_count, workers):
+        seen, fit_volume = [], ivim.fit_volume
+
+        def record(series, mask, cfg, workers):
+            seen.append(workers)
+            return fit_volume(series, mask, cfg)
+
+        monkeypatch.setattr(ivim, "fit_volume", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        if affinity is None:  # a platform without affinity sets
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        assert cli.main(["fit", *(str(subject / n) for n in
+                                  ("series.nii", "series.bval", "mask.nii")),
+                         str(tmp_path / "fit")]) == cli.EXIT_OK
+        assert seen == [workers]
+
     def test_one_fitted_voxel_has_no_summary(self, subject, tmp_path):
         mask = read_mask(subject / "mask.nii")
         one = np.zeros(mask.dims, dtype=bool)
@@ -484,7 +517,45 @@ class TestClassify:
         assert not (tmp_path / "c.json").exists()
 
 
+    def test_groups_that_do_not_separate_exit_2(self, tmp_path, capsys):
+        train = [fgr.SubjectRecord(i, 30.0, g, v) for i, g, v in
+                 (("A", fgr.Group.FGR, 30.0), ("B", fgr.Group.FGR, 40.0),
+                  ("C", fgr.Group.CONTROL, 30.0), ("D", fgr.Group.CONTROL, 40.0))]
+        args = ["classify", str(write_subjects(train, tmp_path / "train.csv")),
+                str(write_subjects(subjects(15, 2), tmp_path / "test.csv")),
+                "-o", str(tmp_path / "c.json")]
+        assert cli.main(args) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "do not separate" in err
+        assert not (tmp_path / "c.json").exists()
+
+
 class TestTables:
+    @pytest.mark.parametrize("kind", ["summaries", "subjects", "fit config"])
+    def test_not_utf8_exits_2_naming_the_file(self, subject, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        if kind == "summaries":
+            path = write_summaries(summaries_rows(), tmp_path / "summaries.csv")
+            args = ["report", str(path), str(out)]
+            old, new = b"S1,", b"S\xe91,"
+        elif kind == "subjects":
+            path = write_subjects(subjects(30, 1), tmp_path / "train.csv")
+            test = write_subjects(subjects(15, 2), tmp_path / "test.csv")
+            args = ["classify", str(path), str(test), "-o", str(out)]
+            old, new = b"P1-1,", b"P1-\xe91,"
+        else:
+            path = tmp_path / "fit.json"
+            path.write_text('{"b_threshold": 100.0}')
+            args = ["fit", *(str(subject / n) for n in ("series.nii", "series.bval", "mask.nii")),
+                    str(out), "--config", str(path)]
+            old, new = b"100.0", b"100.0 \xe9"
+        path.write_bytes(path.read_bytes().replace(old, new, 1))  # one Latin-1 byte
+        assert path.read_bytes().count(b"\xe9") == 1
+        assert cli.main(args) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_byte_order_mark_is_read_past(self, tmp_path):
         summaries = write_summaries(summaries_rows(), tmp_path / "summaries.csv")
         train = write_subjects(subjects(30, 1), tmp_path / "train.csv")

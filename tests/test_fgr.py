@@ -67,3 +67,11 @@ class TestClassifier:
         assert model.polarity is fgr.Polarity.POSITIVE_LOW
         assert model.auc == 1.0
         assert [model.predict(r) for r in records] == [r.group for r in records]
+
+    def test_groups_that_do_not_separate_are_rejected(self):
+        # equal lung volumes in both groups at one age: every threshold has Youden J 0
+        records = [fgr.SubjectRecord(i, 30.0, g, v) for i, g, v in
+                   (("A", fgr.Group.FGR, 30.0), ("B", fgr.Group.FGR, 40.0),
+                    ("C", fgr.Group.CONTROL, 30.0), ("D", fgr.Group.CONTROL, 40.0))]
+        with pytest.raises(ValueError, match="do not separate"):
+            fgr.train_classifier(records)

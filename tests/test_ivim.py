@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,12 +128,37 @@ class TestDStarBound:
             ivim.fit_ivim(sig, adc, CFG)
 
 
+class TestFixedBox:
+    def test_the_b_threshold_is_the_one_setting(self):
+        assert [f.name for f in dataclasses.fields(ivim.IvimFitConfig)] == ["b_threshold"]
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="b_threshold"):
+                ivim.IvimFitConfig(bad)
+
+    @pytest.mark.parametrize("adc, hit", [
+        (ivim.ADC_MIN, True), (ivim.ADC_MIN * 1.005, True), (ivim.ADC_MIN * 1.01, True),
+        (np.nextafter(ivim.ADC_MIN * 1.01, 1.0), False), (2e-3, False),
+        (np.nextafter(ivim.ADC_MAX / 1.01, 0.0), False), (ivim.ADC_MAX / 1.01, True),
+        (ivim.ADC_MAX / 1.005, True), (ivim.ADC_MAX, True),
+    ])
+    def test_boundary_hits_are_within_1_percent_of_an_adc_end(self, adc, hit):
+        # the second voxel is unfitted: NaN, outside the mask, never a hit
+        spacing = VoxelSpacing(1.0, 1.0, 1.0)
+
+        def vol(v):
+            return Volume3D(np.array([[[v, np.nan]]]), spacing)
+
+        maps = IvimMaps(s0=vol(100.0), f=vol(0.1), d_star=vol(ivim.D_STAR_MAX), adc=vol(adc),
+                        residual=vol(0.0), mask=BinaryMask(np.array([[[True, False]]]), spacing))
+        assert ivim.boundary_hits(maps) == int(hit)
+
+
 class TestModelJacobians:
     """Both fit steps' analytic Jacobians against central differences of their residuals."""
 
     @settings(max_examples=60, deadline=None)
-    @given(s0=st.floats(1.0, 1e4), f=st.floats(*CFG.f_range).filter(lambda v: 0.001 < v < 0.999),
-           adc=st.floats(*CFG.adc_range), d_star_frac=st.floats(0.01, 0.99))
+    @given(s0=st.floats(1.0, 1e4), f=st.floats(0.0, 1.0).filter(lambda v: 0.001 < v < 0.999),
+           adc=st.floats(ivim.ADC_MIN, ivim.ADC_MAX), d_star_frac=st.floats(0.01, 0.99))
     def test_match_central_differences(self, s0, f, adc, d_star_frac):
         d_star = adc + d_star_frac * (1.0 - adc)  # between the ADC and 1
         b = np.asarray(DEFAULT_BVALUES, dtype=float)
