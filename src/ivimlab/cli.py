@@ -10,8 +10,9 @@ overrides its config key. The run output echoes the resolved config, which
 reads back as ``--config``. ``fit``'s config holds ``b_threshold`` only, and
 ``fit`` runs one worker per CPU that it may run on.
 
-The summaries table of ``report`` and the subjects tables of ``classify``
-are UTF-8 CSV files (a leading byte-order mark is read past) with a header
+Every text input (a ``--config`` file, a table, a ``.bval`` sidecar) is
+UTF-8, and a leading byte-order mark is read past. The summaries table of
+``report`` and the subjects tables of ``classify`` are CSV files with a header
 line that names each column once. Each must hold the required columns and
 at least one data line, with exactly one cell per header column on every
 line (blank lines are skipped); number cells must be finite, labels (group,
@@ -44,8 +45,8 @@ from pathlib import Path
 from . import fgr, ivim, masks, phantom, report
 from .errors import FormatError
 from .grid import DwiSeries, average_by_bvalue
-from .nifti import (_atomic_write, read_mask, read_volume, write_mask,
-                    write_series, write_volume)
+from .nifti import (_atomic_write, _read_text, read_mask, read_volume,
+                    write_mask, write_series, write_volume)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -79,26 +80,16 @@ def _write_csv(rows: list[dict], path) -> None:
         _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
-def _read_text(path, encoding: str) -> str:
-    """A UTF-8 file's text by ``encoding`` (``utf-8-sig`` reads past a byte-order mark)."""
-    try:
-        return Path(path).read_bytes().decode(encoding)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x} "
-                          f"at offset {exc.start})") from None
-
-
 def _read_table(path, columns, parse) -> list:
     """``parse(line, row)`` of each data line of a CSV table with a header line.
 
     ``row`` maps the header's names to the line's cells and ``line`` is its
-    file line number. The file is UTF-8, with or without a byte-order mark.
-    The header must name each of ``columns`` and no column twice, each data
-    line must hold one cell per header column (blank lines are skipped), and
-    one data line at least must be there. A ValueError that ``parse`` raises
-    is reported with the line.
+    file line number. The header must name each of ``columns`` and no column
+    twice, each data line must hold one cell per header column (blank lines
+    are skipped), and one data line at least must be there. A ValueError that
+    ``parse`` raises is reported with the line.
     """
-    reader = csv.reader(io.StringIO(_read_text(path, "utf-8-sig"), newline=""))
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     header = next(reader, [])
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
@@ -147,7 +138,7 @@ def _load_config(path, cls, **overrides):
     values = {}
     if path is not None:
         try:
-            values = json.loads(_read_text(path, "utf-8"))
+            values = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(values, dict):

@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import DimensionError
 
-# b-values closer than this (s/mm^2) are treated as the same shell
-B_VALUE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class VoxelSpacing:
@@ -108,6 +105,8 @@ class DwiSeries:
     """A 4D series: one (n_frames, nz, ny, nx) array, one b-value per frame.
 
     All frames share the one grid by construction; ``data[t]`` is frame t.
+    Frames with equal b-values belong to one shell, and a b=0 frame has a
+    b-value of exactly 0; at least one is required.
     """
 
     data: np.ndarray
@@ -123,7 +122,7 @@ class DwiSeries:
         _check_dims(arr.shape[1:])
         if np.any(~np.isfinite(bvals)) or np.any(bvals < 0):
             raise ValueError("b-values must be finite and non-negative")
-        if not np.any(np.abs(bvals) < B_VALUE_TOL):
+        if not np.any(bvals == 0):
             raise ValueError("a series must contain at least one b=0 frame")
         object.__setattr__(self, "data", _freeze(arr))
         object.__setattr__(self, "bvalues", _freeze(bvals))
@@ -196,17 +195,8 @@ def average_by_bvalue(series: DwiSeries) -> DwiSeries:
     trace-weighted frame per shell: a new array with one frame per distinct
     b-value, sorted ascending.
     """
-    bvals = series.bvalues
-    order = np.argsort(bvals, kind="stable")
-    groups: list[tuple[float, list[int]]] = []
-    for idx in order:
-        b = float(bvals[idx])
-        if groups and abs(b - groups[-1][0]) < B_VALUE_TOL:
-            groups[-1][1].append(int(idx))
-        else:
-            groups.append((b, [int(idx)]))
-
-    means = np.empty((len(groups), *series.dims))
-    for g, (_, idxs) in enumerate(groups):
-        series.data[idxs].mean(axis=0, out=means[g])
-    return DwiSeries(means, series.spacing, np.array([b for b, _ in groups]))
+    shells, inverse = np.unique(series.bvalues, return_inverse=True)
+    means = np.empty((shells.size, *series.dims))
+    for g in range(shells.size):
+        series.data[inverse == g].mean(axis=0, out=means[g])
+    return DwiSeries(means, series.spacing, shells)

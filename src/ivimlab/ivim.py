@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lm, stats
 from .errors import DimensionError
-from .grid import B_VALUE_TOL, BinaryMask, DwiSeries, IvimMaps, Volume3D
+from .grid import BinaryMask, DwiSeries, IvimMaps, Volume3D
 
 # histogram bins of the summary entropies; one value keeps every summary comparable
 ENTROPY_BINS = 64
@@ -146,7 +146,7 @@ def fit_adc(sig: VoxelSignal, cfg: IvimFitConfig | None = None) -> AdcFit | None
 def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float,
                      s0_high: float | None) -> IvimFit | None:
     """``s0_high`` is the high-b log-linear intercept, None without enough high-b points."""
-    is_b0 = np.abs(b) < B_VALUE_TOL
+    is_b0 = b == 0
     if not is_b0.any():
         return None
     s0_init = float(s[is_b0].mean())

@@ -2,9 +2,10 @@
 
 Scope is deliberately narrow: uncompressed little-endian ``.nii`` with the
 "n+1" magic, datatypes uint8 / int16 / float32 / float64, spacing via pixdim.
-Anything else is rejected loudly rather than guessed at. Masks are stored as
-uint8 {0,1}; scalar volumes as float32. On-disk voxel order is x-fastest, so
-a C-ordered (z, y, x) array maps straight onto the data section.
+A ``.bval`` sidecar is UTF-8 text. Anything else is rejected loudly rather
+than guessed at. Masks are stored as uint8 {0,1}; scalar volumes as float32.
+On-disk voxel order is x-fastest, so a C-ordered (z, y, x) array maps straight
+onto the data section.
 """
 
 from __future__ import annotations
@@ -111,7 +112,10 @@ def read_volume(path, bval_path=None):
         raise FormatError(
             f"{bval_path}: {len(bvals)} b-values for {data.shape[0]} frames"
         )
-    return DwiSeries(data, spacing, np.asarray(bvals))
+    try:
+        return DwiSeries(data, spacing, np.asarray(bvals))
+    except ValueError as exc:
+        raise FormatError(f"{bval_path}: {exc}") from None
 
 
 def read_mask(path) -> BinaryMask:
@@ -149,6 +153,15 @@ def _atomic_write(path, payload: bytes) -> None:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
+def _read_text(path) -> str:
+    """A UTF-8 file's text; a leading byte-order mark is read past."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start})") from None
+
+
 def _write_array(arr: np.ndarray, spacing: VoxelSpacing, path, dtype_code: int) -> None:
     if arr.ndim == 3:
         nz, ny, nx = arr.shape
@@ -181,7 +194,7 @@ def write_series(series: DwiSeries, path, bval_path=None) -> None:
 
 def read_bvals(path) -> list[float]:
     """Parse a whitespace-separated list of non-negative b-values."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     values = []
     for pos, token in enumerate(text.split(), start=1):
         try:

@@ -4,6 +4,8 @@ Signals are generated voxel-wise from the biexponential perfusion-diffusion
 decay model, inside an ellipsoidal "lung" mask on an otherwise empty grid.
 Truth parameter fields may be constant, linear gradients or two-region
 splits, and optional Gaussian/Rician noise is reproducible per seed.
+``boundary_flip`` toggles voxels along a mask's boundary, a stand-in for an
+automatic segmentation's errors.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Union
 import numpy as np
 from scipy.ndimage import binary_dilation, binary_erosion, generate_binary_structure
 
-from .grid import B_VALUE_TOL, BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3D
+from .grid import BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3D
 
 _STRUCT6 = generate_binary_structure(3, 1)  # 6-connected neighbourhood
 
@@ -158,7 +160,7 @@ def add_noise(series: DwiSeries, mask: BinaryMask, model: str, snr: float,
     if not mask.data.any():
         raise ValueError("noise needs a non-empty mask: its sd scales with the masked signal")
     data = series.data
-    b0 = np.abs(series.bvalues) < B_VALUE_TOL
+    b0 = series.bvalues == 0
     sd = float(data[b0][:, mask.data].mean()) / snr
     rng = np.random.default_rng(seed)
     if model == "gaussian":
@@ -168,14 +170,6 @@ def add_noise(series: DwiSeries, mask: BinaryMask, model: str, snr: float,
         n2 = rng.normal(0.0, sd, data.shape)
         noisy = np.sqrt((data + n1) ** 2 + n2**2)
     return DwiSeries(noisy, series.spacing, series.bvalues)
-
-
-def dilate(mask: BinaryMask, radius: int = 1) -> BinaryMask:
-    """6-connected morphological dilation by ``radius`` voxels."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    return BinaryMask(binary_dilation(mask.data, _STRUCT6, iterations=radius),
-                      mask.spacing)
 
 
 def boundary_band(mask: BinaryMask) -> np.ndarray:

@@ -6,7 +6,6 @@ all-pairs scans, quadrature) and shares no code with the package.
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad
@@ -35,42 +34,6 @@ def brute_hausdorff(a: np.ndarray, b: np.ndarray, spacing) -> float:
     return math.sqrt(max(directed(pa, pb), directed(pb, pa)))
 
 
-def rank_sum_u(x, y) -> float:
-    """U of sample x from midranks (independent of the pair-counting route)."""
-    pooled = np.concatenate([np.asarray(x, float), np.asarray(y, float)])
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.size)
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    n1 = len(x)
-    r1 = ranks[:n1].sum()
-    return r1 - n1 * (n1 + 1) / 2.0
-
-
-def enumerate_mw_two_sided_p(x, y) -> float:
-    """Exact permutation p via rank sums over every split of the pooled data."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    n1, n2 = len(x), len(y)
-    pooled = np.concatenate([x, y])
-    mu = n1 * n2 / 2.0
-    obs = abs(rank_sum_u(x, y) - mu)
-    total = extreme = 0
-    idx = set(range(n1 + n2))
-    for picked in combinations(range(n1 + n2), n1):
-        rest = sorted(idx - set(picked))
-        u = rank_sum_u(pooled[list(picked)], pooled[rest])
-        total += 1
-        if abs(u - mu) >= obs - 1e-9:
-            extreme += 1
-    return extreme / total
-
-
 def t_pdf(t: float, df: float) -> float:
     ln_c = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
     return math.exp(ln_c) * (1 + t * t / df) ** (-(df + 1) / 2)
@@ -82,14 +45,6 @@ def t_cdf_quadrature(t: float, df: float) -> float:
         return 0.5
     half, _ = quad(t_pdf, 0.0, abs(t), args=(df,), epsabs=1e-12, epsrel=1e-12)
     return 0.5 + half if t > 0 else 0.5 - half
-
-
-def normal_cdf_quadrature(z: float) -> float:
-    if z == 0:
-        return 0.5
-    pdf = lambda u: math.exp(-u * u / 2) / math.sqrt(2 * math.pi)
-    half, _ = quad(pdf, 0.0, abs(z), epsabs=1e-13, epsrel=1e-13)
-    return 0.5 + half if z > 0 else 0.5 - half
 
 
 def pair_counting_auc(scores, positive) -> float:

@@ -404,6 +404,18 @@ class TestFit:
         assert fitted.sum() == log["voxels_fitted"]
         assert np.isfinite(d_star[fitted]).all()
 
+    def test_bvals_without_b0_exit_2_naming_the_sidecar(self, subject, tmp_path, capsys):
+        bvals = tmp_path / "series.bval"
+        text = (subject / "series.bval").read_text()
+        assert text.startswith("0 ")
+        bvals.write_text("5" + text[1:])
+        code = cli.main(["fit", str(subject / "series.nii"), str(bvals),
+                         str(subject / "mask.nii"), str(tmp_path / "fit")])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"error: {bvals}: a series must contain at least one b=0 frame\n"
+        assert not (tmp_path / "fit").exists()
+
     def test_missing_input_exits_2(self, subject, tmp_path, capsys):
         code = cli.main(["fit", str(tmp_path / "absent.nii"), str(subject / "series.bval"),
                          str(subject / "mask.nii"), str(tmp_path / "fit")])
@@ -531,9 +543,11 @@ class TestClassify:
 
 
 class TestTables:
-    @pytest.mark.parametrize("kind", ["summaries", "subjects", "fit config"])
+    @pytest.mark.parametrize("kind", ["summaries", "subjects", "fit config", "b-values"])
     def test_not_utf8_exits_2_naming_the_file(self, subject, tmp_path, capsys, kind):
         out = tmp_path / "out"
+        series, bvals, mask = (str(subject / n) for n in
+                               ("series.nii", "series.bval", "mask.nii"))
         if kind == "summaries":
             path = write_summaries(summaries_rows(), tmp_path / "summaries.csv")
             args = ["report", str(path), str(out)]
@@ -543,12 +557,16 @@ class TestTables:
             test = write_subjects(subjects(15, 2), tmp_path / "test.csv")
             args = ["classify", str(path), str(test), "-o", str(out)]
             old, new = b"P1-1,", b"P1-\xe91,"
-        else:
+        elif kind == "fit config":
             path = tmp_path / "fit.json"
             path.write_text('{"b_threshold": 100.0}')
-            args = ["fit", *(str(subject / n) for n in ("series.nii", "series.bval", "mask.nii")),
-                    str(out), "--config", str(path)]
+            args = ["fit", series, bvals, mask, str(out), "--config", str(path)]
             old, new = b"100.0", b"100.0 \xe9"
+        else:
+            path = tmp_path / "series.bval"
+            path.write_bytes(Path(bvals).read_bytes())
+            args = ["fit", series, str(path), mask, str(out)]
+            old, new = b"600", b"600 \xe9"
         path.write_bytes(path.read_bytes().replace(old, new, 1))  # one Latin-1 byte
         assert path.read_bytes().count(b"\xe9") == 1
         assert cli.main(args) == cli.EXIT_INPUT
@@ -578,6 +596,26 @@ class TestTables:
                                      "test": str(tmp_path / "bom_test.csv")}
         plain.pop("config")
         assert json_text(bom) == json_text(plain)
+
+    def test_byte_order_mark_config_and_bvals_give_the_same_maps(self, subject, tmp_path):
+        plain = {"series.bval": (subject / "series.bval").read_bytes(),
+                 "fit.json": b'{"b_threshold": 100.0}'}
+        for name, text in plain.items():
+            (tmp_path / name).write_bytes(text)
+            (tmp_path / f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + text)
+        for prefix in ("", "bom_"):
+            assert cli.main(["fit", str(subject / "series.nii"),
+                             str(tmp_path / f"{prefix}series.bval"), str(subject / "mask.nii"),
+                             str(tmp_path / f"{prefix}fit"),
+                             "--config", str(tmp_path / f"{prefix}fit.json")]) == cli.EXIT_OK
+        for name in ("s0", "f", "d_star", "adc", "residual"):
+            assert ((tmp_path / "fit" / f"{name}.nii").read_bytes()
+                    == (tmp_path / "bom_fit" / f"{name}.nii").read_bytes()), name
+        logs = [json.loads((tmp_path / d / "fit_log.json").read_text())
+                for d in ("fit", "bom_fit")]
+        for log in logs:
+            log.pop("wall_time")
+        assert json_text(logs[0]) == json_text(logs[1])
 
     def test_repeated_header_column_exits_2_naming_it(self, tmp_path, capsys):
         path = write_summaries(summaries_rows(), tmp_path / "summaries.csv")
@@ -666,3 +704,15 @@ class TestReport:
         with open(path, "a") as fh:
             fh.write("S9,fgr\n")
         assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
+
+
+class TestImportCost:
+    def test_cli_import_does_not_load_scipy_stats(self):
+        # scipy.stats adds about 44 MB of resident memory at import
+        env = {**os.environ, "PYTHONPATH": str(Path(ivimlab.__file__).parents[1])}
+        probe = ("import sys, ivimlab.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

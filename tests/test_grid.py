@@ -103,6 +103,8 @@ class TestDwiSeries:
     def test_requires_b0(self):
         with pytest.raises(ValueError, match="b=0"):
             make_series([100, 200], [1.0, 1.0])
+        with pytest.raises(ValueError, match="b=0"):  # b=0 means exactly 0
+            make_series([1e-12, 200], [1.0, 1.0])
 
     def test_requires_matching_lengths(self):
         with pytest.raises(DimensionError):
@@ -150,6 +152,13 @@ class TestAverageByBvalue:
         twice = average_by_bvalue(once)
         assert list(once.bvalues) == list(twice.bvalues)
         assert np.array_equal(once.data, twice.data)
+
+    def test_shells_are_equal_b_values(self):
+        b = np.nextafter(100.0, 200.0)  # one ulp above 100
+        s = make_series([0, 100, b, 0], [1.0, 2.0, 4.0, 3.0])
+        out = average_by_bvalue(s)
+        assert list(out.bvalues) == [0.0, 100.0, b]
+        assert [fr.data[0, 0, 0] for fr in out.frames] == [2.0, 2.0, 4.0]
 
     def test_preserves_grid_and_bvalue_set(self):
         rng = np.random.default_rng(4)

@@ -151,6 +151,11 @@ class TestBvals:
         p.write_text("0\n0\n100\n")
         assert nifti.read_bvals(p) == [0.0, 0.0, 100.0]
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        p = tmp_path / "b.bval"
+        p.write_bytes(b"\xef\xbb\xbf0 100 600\n")
+        assert nifti.read_bvals(p) == [0.0, 100.0, 600.0]
+
     def test_negative_rejected_with_position(self, tmp_path):
         p = tmp_path / "b.bval"
         p.write_text("0 100 -50")

@@ -6,7 +6,7 @@ import pytest
 from ivimlab import stats
 from ivimlab.errors import UndefinedMetricError
 
-from oracles import enumerate_mw_two_sided_p, normal_cdf_quadrature, t_cdf_quadrature
+from oracles import t_cdf_quadrature
 
 
 class TestCv:
@@ -74,11 +74,6 @@ class TestDistributionFunctions:
             assert stats.t_cdf(float(t), df) == pytest.approx(
                 t_cdf_quadrature(float(t), df), abs=1e-8)
 
-    def test_normal_cdf_matches_quadrature(self):
-        for z in np.linspace(-8, 8, 33):
-            assert stats.normal_cdf(float(z)) == pytest.approx(
-                normal_cdf_quadrature(float(z)), abs=1e-10)
-
 
 class TestPairedT:
     def test_identical_samples_p_one(self):
@@ -101,59 +96,6 @@ class TestPairedT:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             stats.paired_t_test([1, 2], [1, 2, 3])
-
-
-class TestMannWhitney:
-    def test_separated_two_by_two(self):
-        r = stats.mann_whitney_u([1.0, 2.0], [3.0, 4.0])
-        assert r.statistic == 0.0
-        assert r.p_value == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert r.method == "exact"
-
-    def test_identical_multisets_p_one(self):
-        x = [1.0, 2.0, 2.0, 5.0]
-        assert stats.mann_whitney_u(x, list(x)).p_value == 1.0
-
-    def test_exact_matches_independent_enumeration(self):
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            n1 = int(rng.integers(2, 6))
-            n2 = int(rng.integers(2, 6))
-            x = rng.integers(0, 6, n1).astype(float)  # ties likely
-            y = rng.integers(0, 6, n2).astype(float)
-            got = stats.mann_whitney_u(x, y).p_value
-            assert got == pytest.approx(enumerate_mw_two_sided_p(x, y), abs=1e-12)
-
-    def test_exhaustive_n6_n6_approx_gap(self):
-        # tie-free p depends only on ranks: sweep every achievable U once
-        base = np.arange(12, dtype=float)
-        from itertools import combinations
-        seen = set()
-        worst = 0.0
-        for picked in combinations(range(12), 6):
-            x = base[list(picked)]
-            y = base[sorted(set(range(12)) - set(picked))]
-            u = stats._u_statistic(x, y)
-            if u in seen:
-                continue
-            seen.add(u)
-            exact = stats.mann_whitney_exact_p(x, y)
-            approx = stats.mann_whitney_normal_p(x, y)
-            worst = max(worst, abs(exact - approx))
-        assert len(seen) == 37
-        assert worst < 0.02
-
-    def test_large_sample_uses_approximation(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(0, 1, 10)
-        y = rng.normal(0.5, 1, 10)
-        r = stats.mann_whitney_u(x, y)
-        assert r.method == "normal-approx"
-        assert 0.0 <= r.p_value <= 1.0
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            stats.mann_whitney_u([], [1.0])
 
 
 class TestMeanAbsPctDiff:
