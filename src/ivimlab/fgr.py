@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import UndefinedMetricError
-from . import stats
 
 GA_WEEKS_MIN = 15.0
 GA_WEEKS_MAX = 45.0
@@ -65,7 +64,10 @@ def parse_ga_weeks(text) -> float:
 
 @dataclass(frozen=True)
 class SubjectRecord:
-    """One subject; the only check of the gestational-age range and lung volume."""
+    """One subject; checks every record's gestational-age range and lung volume.
+
+    ``expected_tlv`` checks its own argument against the same range.
+    """
 
     id: str
     ga_weeks: float
@@ -154,7 +156,7 @@ def roc(scores, labels, polarity: Polarity = Polarity.POSITIVE_HIGH) -> RocAnaly
         spec[i] = (~pred_pos & ~y).sum() / n_neg
 
     fpr = 1.0 - spec
-    auc = float(np.trapezoid(sens, fpr)) if hasattr(np, "trapezoid") else float(np.trapz(sens, fpr))
+    auc = float((np.diff(fpr) * (sens[1:] + sens[:-1]) / 2.0).sum())
 
     j = sens + spec - 1.0
     best = np.flatnonzero(j >= j.max() - 1e-15)

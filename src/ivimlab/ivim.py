@@ -10,9 +10,11 @@ parameter box is fixed: S0 > 0, f in [0, 1], ADC in [``ADC_MIN``,
 term the data cannot resolve stops at the D* bound rather than running off
 to infinity.
 
-Voxels that cannot be fitted (a non-finite sample, too few usable points,
-divergence) carry the NaN sentinel and are skipped by the summaries; they
-never abort a volume fit.
+A voxel fails only for its data: a non-finite sample, fewer than two distinct
+positive samples above the b threshold, or no positive b=0 mean. Elsewhere
+each step keeps the solver's last estimate, which lies in the box and costs
+no more than the start. Failed voxels carry the NaN sentinel, are skipped by
+the summaries and never abort a volume fit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -115,7 +118,7 @@ def _high_b(b: np.ndarray, s: np.ndarray, cfg: IvimFitConfig):
     return (bh, sh, *_loglinear(bh, sh))
 
 
-def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float) -> AdcFit | None:
+def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float) -> AdcFit:
     adc_init = _clamp_open(rate, ADC_MIN, ADC_MAX)
 
     def residual(th):
@@ -132,20 +135,18 @@ def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float)
         transforms=(_S0, _ADC),
     )
     result = lm.lm_fit(problem)
-    if not result.converged:
-        return None
     return AdcFit(float(result.params[0]), float(result.params[1]))
 
 
 def fit_adc(sig: VoxelSignal, cfg: IvimFitConfig | None = None) -> AdcFit | None:
-    """Mono-exponential fit over the high-b subset; None marks an unfittable voxel."""
+    """Mono-exponential fit over the high-b subset; None below two usable high-b samples."""
     high = _high_b(sig.bvalues, sig.intensities, cfg or IvimFitConfig())
     return None if high is None else _fit_adc_arrays(*high)
 
 
 def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float,
                      s0_high: float | None) -> IvimFit | None:
-    """``s0_high`` is the high-b log-linear intercept, None without enough high-b points."""
+    """None without a positive b=0 mean; ``s0_high`` is the high-b intercept or None."""
     is_b0 = b == 0
     if not is_b0.any():
         return None
@@ -175,15 +176,13 @@ def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float,
         transforms=(_S0, _F, lm.logistic(adc, D_STAR_MAX)),
     )
     result = lm.lm_fit(problem)
-    if not result.converged:
-        return None
     s0, f, d_star = (float(v) for v in result.params)
     rms = math.sqrt(result.ssr / b.size) / s0
     return IvimFit(s0, f, d_star, rms)
 
 
 def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> IvimFit | None:
-    """Biexponential fit of (S0, f, D*) with the tissue coefficient fixed to adc."""
+    """Biexponential fit of (S0, f, D*) at a fixed adc; None without a positive b=0 mean."""
     if not 0 < adc < D_STAR_MAX:
         raise ValueError(f"adc must lie in (0, D_STAR_MAX = {D_STAR_MAX}), got {adc}")
     high = _high_b(sig.bvalues, sig.intensities, cfg or IvimFitConfig())
@@ -191,23 +190,17 @@ def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> 
                             None if high is None else high[2])
 
 
-def _fit_voxel(b: np.ndarray, s: np.ndarray, cfg: IvimFitConfig):
+_FAILED = (math.nan,) * 5
+
+
+def _fit_voxel(s: np.ndarray, b: np.ndarray, cfg: IvimFitConfig) -> tuple[float, ...]:
+    """(s0, f, d_star, adc, residual) of one voxel; all NaN when it cannot be fitted."""
     high = _high_b(b, s, cfg) if np.isfinite(s).all() else None
-    adc_fit = None if high is None else _fit_adc_arrays(*high)
-    ivim = None if adc_fit is None else _fit_ivim_arrays(b, s, adc_fit.adc, high[2])
+    adc = None if high is None else _fit_adc_arrays(*high).adc
+    ivim = None if adc is None else _fit_ivim_arrays(b, s, adc, high[2])
     if ivim is None:
-        return None
-    return ivim.s0, ivim.f, ivim.d_star, adc_fit.adc, ivim.residual
-
-
-def _fit_chunk(args):
-    b, signals, cfg = args
-    out = np.full((signals.shape[0], 5), np.nan)
-    for i in range(signals.shape[0]):
-        fit = _fit_voxel(b, signals[i], cfg)
-        if fit is not None:
-            out[i] = fit
-    return out
+        return _FAILED
+    return ivim.s0, ivim.f, ivim.d_star, adc, ivim.residual
 
 
 def _validate_series(series: DwiSeries, cfg: IvimFitConfig) -> None:
@@ -227,12 +220,14 @@ def _validate_series(series: DwiSeries, cfg: IvimFitConfig) -> None:
 
 def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = None,
                workers: int = 1) -> IvimMaps:
-    """Fit every masked voxel; NaN everywhere a fit failed or outside the mask.
+    """Fit every masked voxel; NaN outside the mask and where a voxel's data fail it.
 
-    The result is independent of voxel visit order and of ``workers``: voxel
-    fits share no state, and chunks are reassembled in index order.
+    The result is independent of voxel visit order and of ``workers`` (at
+    least 1): voxel fits share no state, and ``map`` keeps index order.
     """
     cfg = cfg or IvimFitConfig()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if not mask.same_grid(series):
         raise DimensionError(
             f"mask grid {mask.dims}/{mask.spacing.as_tuple()} does not match "
@@ -240,24 +235,18 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
         )
     _validate_series(series, cfg)
 
-    b = np.asarray(series.bvalues)
     flat_idx = np.flatnonzero(mask.data.ravel())
     n_vox = int(np.prod(series.dims))
-    results = np.full((flat_idx.size, 5), np.nan)
-
-    if flat_idx.size:
-        signals = series.data.reshape(series.n_frames, n_vox)[:, flat_idx].T
-        signals = np.ascontiguousarray(np.maximum(signals, 0.0))
-        workers = max(1, int(workers))
-        if workers == 1 or flat_idx.size < 2 * workers:
-            results = _fit_chunk((b, signals, cfg))
-        else:
-            chunk = math.ceil(flat_idx.size / (workers * 4))
-            jobs = [(b, signals[i : i + chunk], cfg)
-                    for i in range(0, flat_idx.size, chunk)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_fit_chunk, jobs))
-            results = np.concatenate(parts, axis=0)
+    signals = series.data.reshape(series.n_frames, n_vox)[:, flat_idx].T
+    signals = np.ascontiguousarray(np.maximum(signals, 0.0))
+    fit = partial(_fit_voxel, b=np.asarray(series.bvalues), cfg=cfg)
+    if workers == 1 or flat_idx.size < 2 * workers:
+        results = list(map(fit, signals))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fit, signals,
+                                    chunksize=math.ceil(flat_idx.size / (4 * workers))))
+    results = np.array(results, dtype=np.float64).reshape(flat_idx.size, 5)
 
     maps = []
     for col in range(5):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, UnsupportedTypeError
+from .errors import FormatError, UnsupportedTypeError
 from .grid import BinaryMask, DwiSeries, VoxelSpacing, Volume3D
 
 HEADER_SIZE = 348
@@ -119,10 +119,11 @@ def read_volume(path, bval_path=None):
 
 
 def read_mask(path) -> BinaryMask:
-    vol = read_volume(path)
-    if not isinstance(vol, Volume3D):
+    """Read a 3D .nii mask; a 4D image is rejected before any b-value lookup."""
+    data, spacing = _read_array(path)
+    if data.ndim != 3:
         raise FormatError(f"{path}: expected a 3D mask, found a 4D image")
-    return BinaryMask(vol.data > 0.5, vol.spacing)
+    return BinaryMask(data > 0.5, spacing)
 
 
 def _pack_header(shape_xyz: tuple[int, ...], pixdim_xyz: tuple[float, ...],

@@ -260,6 +260,18 @@ class ExtendedFitConfig(ivim.IvimFitConfig):
     d_star_max: float = 1.0
 
 
+def series_as_mask(subject, tmp_path, sidecar: bool) -> str:
+    """The subject's 4D series, with its .bval sidecar or copied away from it."""
+    if sidecar:
+        return str(subject / "series.nii")
+    copy = tmp_path / "series_copy.nii"
+    copy.write_bytes((subject / "series.nii").read_bytes())
+    return str(copy)
+
+
+MASK_IS_4D = "expected a 3D mask, found a 4D image"
+
+
 class TestFit:
     def test_log_summary_is_the_summary_row(self, subject, tmp_path):
         series, bvals, mask = (str(subject / n) for n in
@@ -416,6 +428,14 @@ class TestFit:
         assert err == f"error: {bvals}: a series must contain at least one b=0 frame\n"
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no sidecar"])
+    def test_series_as_mask_exits_2_naming_it(self, subject, tmp_path, capsys, sidecar):
+        mask = series_as_mask(subject, tmp_path, sidecar)
+        code = cli.main(["fit", str(subject / "series.nii"), str(subject / "series.bval"),
+                         mask, str(tmp_path / "fit")])
+        assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {mask}: {MASK_IS_4D}\n"
+
     def test_missing_input_exits_2(self, subject, tmp_path, capsys):
         code = cli.main(["fit", str(tmp_path / "absent.nii"), str(subject / "series.bval"),
                          str(subject / "mask.nii"), str(tmp_path / "fit")])
@@ -446,6 +466,12 @@ class TestFuse:
 
 
 class TestMetrics:
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no sidecar"])
+    def test_4d_image_as_mask_exits_2_naming_it(self, subject, tmp_path, capsys, sidecar):
+        mask = series_as_mask(subject, tmp_path, sidecar)
+        assert cli.main(["metrics", str(subject / "mask.nii"), mask]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {mask}: {MASK_IS_4D}\n"
+
     def test_row_is_the_mask_metrics(self, subject, tmp_path, capsys):
         a = read_mask(subject / "mask.nii")
         b = phantom.perturb_mask(a, "boundary_flip", p=0.4, seed=1)

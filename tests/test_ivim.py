@@ -106,6 +106,73 @@ class TestWorkerInvariance:
             assert a.tobytes() == b.tobytes(), name
 
 
+class TestOutcomeRule:
+    """A voxel fails only for its data, never for where the solver stopped."""
+
+    def test_unconverged_solver_estimates_are_kept(self, monkeypatch):
+        bundle = phantom.make_phantom(phantom.PhantomConfig(
+            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        plain = ivim.fit_volume(bundle.series, bundle.mask)
+        solve = lm.lm_fit
+
+        def out_of_budget(problem):
+            return dataclasses.replace(solve(problem), converged=False, reason="max_iter reached")
+
+        monkeypatch.setattr(lm, "lm_fit", out_of_budget)
+        stopped = ivim.fit_volume(bundle.series, bundle.mask)
+        assert np.array_equal(stopped.mask.data, plain.mask.data)
+        for name in ("s0", "f", "d_star", "adc", "residual"):
+            assert getattr(stopped, name).data.tobytes() == getattr(plain, name).data.tobytes()
+
+    def test_fitted_mask_is_the_mask_minus_the_data_failures(self):
+        # this draw holds one voxel whose IVIM step stops at the solver's max_iter
+        bundle = phantom.make_phantom(phantom.PhantomConfig(
+            dims=(3, 8, 8), noise_model="rician", snr=30.0, seed=23))
+        b = bundle.series.bvalues
+        data = bundle.series.data.copy()
+        nan_at, zero_tail_at, zero_b0_at = (tuple(v) for v in np.argwhere(bundle.mask.data)[:3])
+        data[(2, *nan_at)] = np.nan
+        data[(b > CFG.b_threshold, *zero_tail_at)] = 0.0
+        data[(b == 0, *zero_b0_at)] = 0.0
+        series = DwiSeries(data, bundle.series.spacing, b)
+
+        maps = ivim.fit_volume(series, bundle.mask, CFG)
+
+        # the three failure reasons, read straight off each voxel's samples
+        s = data[:, bundle.mask.data]
+        high = b > CFG.b_threshold
+        failed = (~np.isfinite(s).all(axis=0)
+                  | np.array([np.unique(b[high & (col > 0)]).size < 2 for col in s.T])
+                  | ~(s[b == 0].mean(axis=0) > 0))
+        expected = bundle.mask.data.copy()
+        expected[bundle.mask.data] = ~failed
+        assert {nan_at, zero_tail_at, zero_b0_at} == {tuple(v) for v in
+                                                    np.argwhere(bundle.mask.data & ~expected)}
+        assert np.array_equal(maps.mask.data, expected)
+        m = maps.mask.data
+        for name in ("s0", "f", "d_star", "adc", "residual"):
+            vol = getattr(maps, name).data
+            assert np.isfinite(vol[m]).all() and np.isnan(vol[~m]).all(), name
+        adc, d_star, f = maps.adc.data[m], maps.d_star.data[m], maps.f.data[m]
+        assert ((ivim.ADC_MIN <= adc) & (adc <= ivim.ADC_MAX)).all()
+        assert ((adc < d_star) & (d_star <= ivim.D_STAR_MAX)).all()
+        assert ((0 <= f) & (f <= 1)).all() and (maps.s0.data[m] > 0).all()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_mask_fits_nothing(self, workers):
+        bundle = phantom.make_phantom(phantom.PhantomConfig(dims=(3, 8, 8)))
+        empty = BinaryMask(np.zeros(bundle.mask.dims, dtype=bool), bundle.mask.spacing)
+        maps = ivim.fit_volume(bundle.series, empty, workers=workers)
+        assert maps.mask.voxel_count == 0
+        for name in ("s0", "f", "d_star", "adc", "residual"):
+            assert np.isnan(getattr(maps, name).data).all(), name
+
+    def test_workers_below_one_rejected(self):
+        bundle = phantom.make_phantom(phantom.PhantomConfig(dims=(3, 8, 8)))
+        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+            ivim.fit_volume(bundle.series, bundle.mask, workers=0)
+
+
 class TestDStarBound:
     def test_noisy_voxel_stays_below_the_bound(self):
         # this Rician draw sent D* to 2.7e75 through a transform with no upper bound
