@@ -4,11 +4,11 @@ A ``--config`` JSON file holds the fields of the subcommand's one config
 dataclass: ``phantom.PhantomConfig`` for ``phantom``, ``ivim.IvimFitConfig``
 for ``fit``. Lists stand for tuples, an absent key keeps the default, and a
 number is never JSON ``true``/``false`` or a string (``30``, not ``"30"``).
-A truth field is a number or an object with a ``kind`` (``constant``,
-``linear`` or ``two_region``) and that field-spec class's fields. A flag
-overrides its config key. The run output echoes the resolved config, which
-reads back as ``--config``. ``fit``'s config holds ``b_threshold`` only, and
-``fit`` runs one worker per CPU that it may run on.
+A truth field is a number, the same in every voxel, or an object with a
+``kind`` (``linear`` or ``two_region``) and that field-spec class's fields.
+A flag overrides its config key. The run output echoes the resolved config,
+which reads back as ``--config``. ``fit``'s config holds ``b_threshold``
+only, and ``fit`` runs one worker per CPU that it may run on.
 
 Every text input (a ``--config`` file, a table, a ``.bval`` sidecar) is
 UTF-8, and a leading byte-order mark is read past. The summaries table of
@@ -16,10 +16,11 @@ UTF-8, and a leading byte-order mark is read past. The summaries table of
 line that names each column once. Each must hold the required columns and
 at least one data line, with exactly one cell per header column on every
 line (blank lines are skipped); number cells must be finite, labels (group,
-source, strategy) are read in any case, and ``ga`` is decimal weeks or
-``w+d`` with whole days 0-6. A table that breaks a rule exits 2, naming
-the file line where a line breaks it; ``report.build_report`` checks the
-summary-row rules and ``fgr.SubjectRecord`` the subject ranges.
+source, strategy) are read in any case, ``ga`` is decimal weeks or ``w+d``
+with whole days 0-6, and no subject ``id`` is on two lines of a subjects
+table. A table that breaks a rule exits 2, naming the file line where a
+line breaks it; ``report.build_report`` checks the summary-row rules and
+``fgr.SubjectRecord`` the subject ranges.
 
 Every subcommand is deterministic given identical inputs, flags and seeds,
 and writes its outputs atomically (temp file + rename). Exit codes: 0
@@ -124,8 +125,7 @@ def _finite(row: dict, column: str) -> float:
 
 
 # the JSON "kind" of each truth-field spec class
-_FIELD_SPECS = {"constant": phantom.Constant, "linear": phantom.LinearGradient,
-                "two_region": phantom.TwoRegion}
+_FIELD_SPECS = {"linear": phantom.LinearGradient, "two_region": phantom.TwoRegion}
 _FIELD_SPEC_KINDS = {cls: kind for kind, cls in _FIELD_SPECS.items()}
 
 
@@ -334,7 +334,13 @@ def _cmd_report(args) -> int:
 
 
 def _read_subjects(path) -> list[fgr.SubjectRecord]:
+    """The subjects of a table, each id on one line only."""
+    seen = {}  # id -> its line
+
     def parse(i: int, row: dict) -> fgr.SubjectRecord:
+        if row["id"] in seen:
+            raise ValueError(f"subject {row['id']!r} repeats line {seen[row['id']]}")
+        seen[row["id"]] = i
         return fgr.SubjectRecord(id=row["id"], ga_weeks=fgr.parse_ga_weeks(row["ga"]),
                                  group=fgr.Group.parse(row["group"]),
                                  tlv_ml=_finite(row, "tlv_ml"))

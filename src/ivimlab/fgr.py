@@ -1,11 +1,12 @@
 """Lung-volume biomarker and its ROC/Youden classifier.
 
 The expected total lung volume for a gestational age comes from a published
-cubic growth model; the observed/expected ratio is standardized against the
-control group and thresholded at the Youden-optimal operating point. Because
-growth-restricted lungs are smaller, low scores normally indicate disease;
-the training step measures both score directions and keeps the better one
-rather than assuming a sign convention.
+cubic growth model. ``train_classifier`` standardizes the observed/expected
+ratio against the control group and picks the Youden-optimal threshold from
+``roc``; the ``TrainedClassifier`` it returns checks, scores and decides on
+its own. Because growth-restricted lungs are smaller, low scores normally
+indicate disease; the training step measures both score directions and keeps
+the better one rather than assuming a sign convention.
 """
 
 from __future__ import annotations
@@ -109,12 +110,6 @@ def zscore_fit(control_values) -> tuple[float, float]:
     return mean, sd
 
 
-def zscore_apply(value: float, mean: float, sd: float) -> float:
-    if sd <= 0:
-        raise UndefinedMetricError("z-score reference sd must be positive")
-    return (value - mean) / sd
-
-
 @dataclass(frozen=True)
 class RocAnalysis:
     auc: float
@@ -131,8 +126,8 @@ def roc(scores, labels, polarity: Polarity = Polarity.POSITIVE_HIGH) -> RocAnaly
     infinite endpoints, so the decision boundary never coincides with a
     training score. Youden ties prefer the more specific threshold.
 
-    ``youden_threshold`` is on the original score scale, directly usable with
-    :func:`classify`, for either polarity.
+    ``youden_threshold`` is on the original score scale for either polarity:
+    :meth:`TrainedClassifier.predict` compares scores with it unchanged.
     """
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = np.asarray(labels, dtype=bool).ravel()
@@ -148,12 +143,9 @@ def roc(scores, labels, polarity: Polarity = Polarity.POSITIVE_HIGH) -> RocAnaly
     mids = (distinct[:-1] + distinct[1:]) / 2.0
     thr = np.concatenate([[math.inf], mids[::-1], [-math.inf]])
 
-    sens = np.empty(thr.size)
-    spec = np.empty(thr.size)
-    for i, t in enumerate(thr):
-        pred_pos = oriented > t
-        sens[i] = (pred_pos & y).sum() / n_pos
-        spec[i] = (~pred_pos & ~y).sum() / n_neg
+    called = oriented > thr[:, None]  # one row per threshold
+    sens = (called & y).sum(axis=1) / n_pos
+    spec = (~called & ~y).sum(axis=1) / n_neg
 
     fpr = 1.0 - spec
     auc = float((np.diff(fpr) * (sens[1:] + sens[:-1]) / 2.0).sum())
@@ -169,17 +161,6 @@ def roc(scores, labels, polarity: Polarity = Polarity.POSITIVE_HIGH) -> RocAnaly
         youden_threshold=-youden_thr if polarity is Polarity.POSITIVE_LOW else youden_thr,
         youden_j=float(j[best]), polarity=polarity,
     )
-
-
-def classify(score: float, threshold: float, polarity: Polarity) -> Group:
-    """Strict-inequality decision; a score exactly at the threshold is Control."""
-    if not math.isfinite(threshold):
-        raise ValueError("threshold must be finite")
-    if polarity is Polarity.POSITIVE_HIGH:
-        positive = score > threshold
-    else:
-        positive = score < threshold
-    return Group.FGR if positive else Group.CONTROL
 
 
 @dataclass(frozen=True)
@@ -210,6 +191,10 @@ def confusion(predictions, labels) -> Confusion:
 
 @dataclass(frozen=True)
 class TrainedClassifier:
+    """The classifier's rule: a subject's score is its O/E ratio's z-score
+    against the controls, and a score strictly past the threshold in the
+    polarity's direction is FGR; one exactly at the threshold is Control."""
+
     control_mean: float
     control_sd: float
     polarity: Polarity
@@ -217,12 +202,20 @@ class TrainedClassifier:
     auc: float
     youden_j: float
 
+    def __post_init__(self):
+        if not self.control_sd > 0:
+            raise UndefinedMetricError(f"control sd must be positive, got {self.control_sd}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
+
     def score(self, record: SubjectRecord) -> float:
-        return zscore_apply(oe_tlv(record),
-                            self.control_mean, self.control_sd)
+        return (oe_tlv(record) - self.control_mean) / self.control_sd
 
     def predict(self, record: SubjectRecord) -> Group:
-        return classify(self.score(record), self.threshold, self.polarity)
+        score = self.score(record)
+        positive = (score > self.threshold if self.polarity is Polarity.POSITIVE_HIGH
+                    else score < self.threshold)
+        return Group.FGR if positive else Group.CONTROL
 
 
 def train_classifier(records: list[SubjectRecord]) -> TrainedClassifier:

@@ -2,8 +2,9 @@
 
 Signals are generated voxel-wise from the biexponential perfusion-diffusion
 decay model, inside an ellipsoidal "lung" mask on an otherwise empty grid.
-Truth parameter fields may be constant, linear gradients or two-region
-splits, and optional Gaussian/Rician noise is reproducible per seed.
+A truth parameter field is a number (the same value in every voxel), a
+``LinearGradient`` or a ``TwoRegion`` split, and optional Gaussian/Rician
+noise is reproducible per seed.
 ``boundary_flip`` toggles voxels along a mask's boundary, a stand-in for an
 automatic segmentation's errors.
 """
@@ -34,11 +35,6 @@ class _AlongAxis:
 
 
 @dataclass(frozen=True)
-class Constant:
-    value: float
-
-
-@dataclass(frozen=True)
 class LinearGradient(_AlongAxis):
     lo: float
     hi: float
@@ -52,14 +48,12 @@ class TwoRegion(_AlongAxis):
     axis: int = 0
 
 
-FieldSpec = Union[float, Constant, LinearGradient, TwoRegion]
+FieldSpec = Union[float, LinearGradient, TwoRegion]
 
 
 def _evaluate_field(spec: FieldSpec, dims: tuple[int, int, int]) -> np.ndarray:
     if isinstance(spec, (int, float)):
-        spec = Constant(float(spec))
-    if isinstance(spec, Constant):
-        return np.full(dims, spec.value)
+        return np.full(dims, float(spec))
     n = dims[spec.axis]
     if isinstance(spec, LinearGradient):
         ramp = np.linspace(spec.lo, spec.hi, n) if n > 1 else np.array([spec.lo])

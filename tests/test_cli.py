@@ -118,7 +118,6 @@ def _field_spec(lo, hi):
     axis = st.sampled_from([0, 1, 2])
     return st.one_of(
         value,
-        st.builds(lambda v: {"kind": "constant", "value": v}, value),
         st.builds(lambda a, b: {"kind": "linear", "lo": a, "hi": b}, value, value),
         st.builds(lambda a, b, x: {"kind": "linear", "lo": a, "hi": b, "axis": x},
                   value, value, axis),
@@ -169,7 +168,7 @@ class TestPhantom:
         config = {"dims": [3, 8, 8], "spacing": [7, 2, 2], "bvalues": [0, 50, 200, 600],
                   "s0": {"kind": "linear", "lo": 80, "hi": 120, "axis": 2},
                   "f": {"kind": "two_region", "value_a": 0.2, "value_b": 0.35},
-                  "d_star": {"kind": "constant", "value": 0.05}, "d": 0.002,
+                  "d_star": 0.05, "d": 0.002,
                   "noise_model": "gaussian", "snr": 10, "seed": 4}
         manifest = run_phantom(tmp_path / "p", config, "--noise", "rician", "--snr", "30",
                                "--seed", "9")
@@ -180,7 +179,7 @@ class TestPhantom:
                        "s0": {"kind": "linear", "lo": 80.0, "hi": 120.0, "axis": 2},
                        "f": {"kind": "two_region", "value_a": 0.2, "value_b": 0.35,
                              "axis": 0},
-                       "d_star": {"kind": "constant", "value": 0.05}, "d": 0.002,
+                       "d_star": 0.05, "d": 0.002,
                        "noise_model": "rician", "snr": 30.0, "seed": 9},
             "mask_voxels": manifest["mask_voxels"],
             "mask_volume_ml": manifest["mask_volume_ml"],
@@ -189,7 +188,7 @@ class TestPhantom:
         bundle = phantom.make_phantom(phantom.PhantomConfig(
             dims=(3, 8, 8), spacing=(7.0, 2.0, 2.0), bvalues=(0.0, 50.0, 200.0, 600.0),
             s0=phantom.LinearGradient(80.0, 120.0, axis=2),
-            f=phantom.TwoRegion(0.2, 0.35), d_star=phantom.Constant(0.05),
+            f=phantom.TwoRegion(0.2, 0.35), d_star=0.05,
             noise_model="rician", snr=30.0, seed=9))
         assert manifest["mask_voxels"] == bundle.mask.voxel_count
         series = read_volume(tmp_path / "p" / "series.nii", tmp_path / "p" / "series.bval")
@@ -199,14 +198,14 @@ class TestPhantom:
         ({"s0": {"kind": "linear", "lo": 1}}, "s0.hi"),
         ({"f": {"kind": "two_region", "value_a": 0.2, "value_b": 0.3, "axis": 5}}, "f.axis"),
         ({"f": {"kind": "linear", "lo": 0.2, "hi": 0.3, "axis": -1}}, "f.axis"),
-        ({"d": {"kind": "constant", "value": 0.002, "axis": 1}}, "d.axis"),
+        ({"d": {"kind": "linear", "lo": 0.002, "hi": 0.003, "value": 1}}, "d.value"),
         ({"d_star": {"kind": "ramp", "lo": 0.01, "hi": 0.1}}, "d_star.kind"),
         ({"dims": [8, 32]}, "dims"),
         ({"spacing": [2.0, 2.0]}, "spacing"),
         ({"semi_axes_frac": [0.4, 0.4]}, "semi_axes_frac"),
         ({"noise_model": "poisson", "snr": 0}, "noise_model"),
         ({"seed": 2.5}, "seed"),
-        ({"snr": {"kind": "constant", "value": 30}}, "snr"),
+        ({"snr": {"kind": "linear", "lo": 30, "hi": 40}}, "snr"),
         ({"dims": [2, 2, 2], "semi_axes_frac": [0.3, 0.3, 0.3], "noise_model": "gaussian",
           "snr": 10}, "mask"),
         ({"f": 1.2}, "f"),
@@ -215,9 +214,10 @@ class TestPhantom:
         ({"s0": True}, "s0"),
         ({"seed": False}, "seed"),
         ({"dims": [True, 8, 8]}, "dims"),
-        ({"f": {"kind": "constant", "value": True}}, "f.value"),
+        ({"f": {"kind": "two_region", "value_a": True, "value_b": 0.3}}, "f.value_a"),
         ({"dims": [3, 8, 8], "noise_model": "gaussian", "snr": "30"}, "snr"),
         ({"dims": ["3", 8, 8]}, "dims"),
+        ({"d": {"kind": "constant", "value": 0.002}}, "d.kind"),  # a number says it
     ])
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, config, key):
         (tmp_path / "p.json").write_text(json.dumps(config))
@@ -554,6 +554,23 @@ class TestClassify:
         assert_names_the_line(capsys.readouterr().err, edit, 4, "tlv_ml")
         assert not (tmp_path / "c.json").exists()
 
+
+    @pytest.mark.parametrize("table", ["train", "test"])
+    def test_repeated_id_exits_2_naming_both_lines(self, tmp_path, capsys, table):
+        paths = {"train": write_subjects(subjects(30, 1), tmp_path / "train.csv"),
+                 "test": write_subjects(subjects(6, 2), tmp_path / "test.csv")}
+        lines = paths[table].read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[0] = lines[1].split(",")[0]  # line 5 takes line 2's id
+        lines[4] = ",".join(cells)
+        paths[table].write_text("\n".join(lines) + "\n")
+        args = ["classify", str(paths["train"]), str(paths["test"]),
+                "-o", str(tmp_path / "c.json")]
+        assert cli.main(args) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(paths[table]) in err and "line 5" in err and "line 2" in err
+        assert not (tmp_path / "c.json").exists()
 
     def test_groups_that_do_not_separate_exit_2(self, tmp_path, capsys):
         train = [fgr.SubjectRecord(i, 30.0, g, v) for i, g, v in

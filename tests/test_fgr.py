@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -6,6 +9,13 @@ from hypothesis import strategies as st
 from ivimlab import fgr
 
 from oracles import brute_youden, expected_volume_power_form, pair_counting_auc
+
+
+def classifier(**fields) -> fgr.TrainedClassifier:
+    """A trained classifier with ``fields``; the rest are placeholders."""
+    return fgr.TrainedClassifier(**{
+        "control_mean": 1.0, "control_sd": 0.1, "polarity": fgr.Polarity.POSITIVE_LOW,
+        "threshold": 0.0, "auc": 1.0, "youden_j": 1.0, **fields})
 
 
 class TestRoc:
@@ -75,3 +85,79 @@ class TestClassifier:
                     ("C", fgr.Group.CONTROL, 30.0), ("D", fgr.Group.CONTROL, 40.0))]
         with pytest.raises(ValueError, match="do not separate"):
             fgr.train_classifier(records)
+
+    @pytest.mark.parametrize("polarity", list(fgr.Polarity))
+    def test_predict_is_the_signed_margin(self, polarity):
+        sign = 1.0 if polarity is fgr.Polarity.POSITIVE_HIGH else -1.0
+        model = classifier(control_mean=0.5, control_sd=0.25, polarity=polarity,
+                           threshold=2.0)
+        rng = np.random.default_rng(3)
+        for i in range(200):
+            ga = float(rng.uniform(20.0, 40.0))
+            record = fgr.SubjectRecord(f"S{i}", ga, fgr.Group.CONTROL,
+                                       float(rng.uniform(0.6, 1.4)) * fgr.expected_tlv(ga))
+            fgr_called = sign * (model.score(record) - model.threshold) > 0
+            assert model.predict(record) is (fgr.Group.FGR if fgr_called else fgr.Group.CONTROL)
+        # O/E exactly 1 scores (1 - 0.5) / 0.25 = 2.0, the threshold itself
+        at = fgr.SubjectRecord("T", 30.0, fgr.Group.FGR, fgr.expected_tlv(30.0))
+        assert model.score(at) == model.threshold
+        assert model.predict(at) is fgr.Group.CONTROL
+
+    def test_score_is_the_control_z_score(self):
+        model = classifier(control_mean=0.9, control_sd=0.2)
+        for ga in (20.0, 27.5, 39.0):
+            record = fgr.SubjectRecord("S", ga, fgr.Group.CONTROL, 0.8 * fgr.expected_tlv(ga))
+            oe = record.tlv_ml / expected_volume_power_form(ga)
+            assert model.score(record) == pytest.approx((oe - 0.9) / 0.2, rel=1e-10)
+
+    @pytest.mark.parametrize("control_sd", [0.0, -1.0, math.nan])
+    def test_rejects_a_control_sd_that_is_not_positive(self, control_sd):
+        with pytest.raises(ValueError, match="control sd must be positive"):
+            classifier(control_sd=control_sd)
+
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+    def test_rejects_a_threshold_that_is_not_finite(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            classifier(threshold=threshold)
+
+    @given(ga=st.lists(st.floats(20.0, 40.0), min_size=4, max_size=30),
+           control_ratio=st.lists(st.floats(0.9, 1.2), min_size=2, max_size=30),
+           fgr_ratio=st.lists(st.floats(0.4, 0.8), min_size=1, max_size=30),
+           fgr_larger=st.booleans())
+    def test_separable_cohorts_train_a_finite_threshold(self, ga, control_ratio, fgr_ratio,
+                                                        fgr_larger):
+        assume(len(set(control_ratio)) > 1)  # the control sd is positive
+        if fgr_larger:  # growth-restricted lungs larger: the other polarity
+            fgr_ratio = [2.0 / r for r in fgr_ratio]
+        cohort = ([(r, fgr.Group.CONTROL) for r in control_ratio]
+                  + [(r, fgr.Group.FGR) for r in fgr_ratio])
+        records = [fgr.SubjectRecord(f"S{i}", ga[i % len(ga)], group,
+                                     ratio * fgr.expected_tlv(ga[i % len(ga)]))
+                   for i, (ratio, group) in enumerate(cohort)]
+        model = fgr.train_classifier(records)
+        assert math.isfinite(model.threshold)
+        assert model.youden_j > 0
+        assert model.polarity is (fgr.Polarity.POSITIVE_HIGH if fgr_larger
+                                  else fgr.Polarity.POSITIVE_LOW)
+
+
+class TestConfusion:
+    @given(pairs=st.lists(st.tuples(st.sampled_from(fgr.Group), st.sampled_from(fgr.Group)),
+                          max_size=40))
+    def test_counts_and_accuracy_are_the_2x2_table(self, pairs):
+        predicted = [p for p, _ in pairs]
+        actual = [a for _, a in pairs]
+        table = Counter((p.value, a.value) for p, a in pairs)
+        got = fgr.confusion(predicted, actual)
+        assert (got.tp, got.fp, got.tn, got.fn) == (
+            table["fgr", "fgr"], table["fgr", "control"],
+            table["control", "control"], table["control", "fgr"])
+        agree = table["fgr", "fgr"] + table["control", "control"]
+        if pairs:
+            assert got.accuracy == agree / len(pairs)
+        else:
+            assert math.isnan(got.accuracy)
+
+    def test_unequal_lengths_are_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            fgr.confusion([fgr.Group.FGR], [])
