@@ -18,15 +18,17 @@ at least one data line, with exactly one cell per header column on every
 line (blank lines are skipped); number cells must be finite, labels (group,
 source, strategy) are read in any case, ``ga`` is decimal weeks or ``w+d``
 with whole days 0-6, and no subject ``id`` is on two lines of a subjects
-table. A table that breaks a rule exits 2, naming the file line where a
-line breaks it; ``report.build_report`` checks the summary-row rules and
-``fgr.SubjectRecord`` the subject ranges.
+table or in both tables of ``classify``. A table that breaks a rule exits 2,
+naming the file line where a line breaks it; ``report.build_report`` checks
+the summary-row rules and ``fgr.SubjectRecord`` the subject ranges.
 
 Every subcommand is deterministic given identical inputs, flags and seeds,
 and writes its outputs atomically (temp file + rename). Exit codes: 0
-success; 2 input/usage problem, such as a malformed config value or a file
-that is not UTF-8, reported in one line on stderr before any output is
-written; 1 internal failure.
+success; 2 input/usage problem, reported in one line on stderr before any
+output is written; 1 internal failure. Every input check raises a plain
+``ValueError`` (a malformed config value, a file that is not UTF-8, grids
+that differ, a metric undefined for the data) or ``OSError`` (a missing or
+unreadable file), and those two exit 2; any other exception exits 1.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ import typing
 from pathlib import Path
 
 from . import fgr, ivim, masks, phantom, report
-from .errors import FormatError
 from .grid import DwiSeries, average_by_bvalue
 from .nifti import (_atomic_write, _read_text, read_mask, read_volume,
                     write_mask, write_series, write_volume)
@@ -94,10 +95,10 @@ def _read_table(path, columns, parse) -> list:
     header = next(reader, [])
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
-        raise FormatError(f"{path}: header names columns {repeated} more than once")
+        raise ValueError(f"{path}: header names columns {repeated} more than once")
     missing = [c for c in columns if c not in header]
     if missing:
-        raise FormatError(f"{path}: missing columns {missing}")
+        raise ValueError(f"{path}: missing columns {missing}")
     records = []
     for cells in reader:
         if not cells:
@@ -107,9 +108,9 @@ def _read_table(path, columns, parse) -> list:
                 raise ValueError(f"{len(cells)} cells for {len(header)} header columns")
             records.append(parse(reader.line_num, dict(zip(header, cells))))
         except ValueError as exc:
-            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not records:
-        raise FormatError(f"{path}: no data lines")
+        raise ValueError(f"{path}: no data lines")
     return records
 
 
@@ -140,13 +141,13 @@ def _load_config(path, cls, **overrides):
         try:
             values = json.loads(_read_text(path))
         except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(values, dict):
-            raise FormatError(f"{path}: config must be a JSON object")
+            raise ValueError(f"{path}: config must be a JSON object")
     values.update((k, v) for k, v in overrides.items() if v is not None)
     unknown = sorted(set(values).difference(_field_names(cls)))
     if unknown:
-        raise FormatError(f"{path}: unknown config keys {unknown}")
+        raise ValueError(f"{path}: unknown config keys {unknown}")
     return _build(cls, values)
 
 
@@ -156,11 +157,11 @@ def _cast(hint, value, key: str):
         if isinstance(value, dict):
             return _field_spec(value, key)
         if not isinstance(value, (int, float)):
-            raise FormatError(f"{key} must be a number or a field spec, got {value!r}")
+            raise ValueError(f"{key} must be a number or a field spec, got {value!r}")
         hint = float
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
-            raise FormatError(f"{key} must be a list, got {value!r}")
+            raise ValueError(f"{key} must be a list, got {value!r}")
         item = typing.get_args(hint)[0]
         return tuple(_cast(item, v, key) for v in value)
     try:
@@ -168,9 +169,9 @@ def _cast(hint, value, key: str):
             raise TypeError
         cast = hint(value)
     except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"{key}: expected {hint.__name__}, got {value!r}") from None
+        raise ValueError(f"{key}: expected {hint.__name__}, got {value!r}") from None
     if hint is int and isinstance(value, float) and cast != value:  # no silent truncation
-        raise FormatError(f"{key} must be an integer, got {value!r}")
+        raise ValueError(f"{key} must be an integer, got {value!r}")
     return cast
 
 
@@ -186,11 +187,11 @@ def _build(cls, values: dict, prefix: str = ""):
         if f.name in values:
             kwargs[f.name] = _cast(hints[f.name], values[f.name], prefix + f.name)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise FormatError(f"{prefix}{f.name} is missing")
+            raise ValueError(f"{prefix}{f.name} is missing")
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise FormatError(f"{prefix}{exc}") from None
+        raise ValueError(f"{prefix}{exc}") from None
 
 
 def _field_names(cls) -> list[str]:
@@ -200,11 +201,11 @@ def _field_names(cls) -> list[str]:
 def _field_spec(value: dict, key: str):
     kind = value.get("kind")
     if kind not in _FIELD_SPECS:
-        raise FormatError(f"{key}.kind must be one of {sorted(_FIELD_SPECS)}, got {kind!r}")
+        raise ValueError(f"{key}.kind must be one of {sorted(_FIELD_SPECS)}, got {kind!r}")
     cls = _FIELD_SPECS[kind]
     unknown = sorted(set(value).difference(["kind"], _field_names(cls)))
     if unknown:
-        raise FormatError(f"unknown config keys {[f'{key}.{k}' for k in unknown]}")
+        raise ValueError(f"unknown config keys {[f'{key}.{k}' for k in unknown]}")
     return _build(cls, value, key + ".")
 
 
@@ -254,7 +255,7 @@ def _cmd_fit(args) -> int:
             raise FileNotFoundError(f"input not found: {path}")
     series = read_volume(args.series, bval_path=args.bvals)
     if not isinstance(series, DwiSeries):
-        raise FormatError(f"{args.series}: expected a 4D series")
+        raise ValueError(f"{args.series}: expected a 4D series")
     mask = read_mask(args.mask)
 
     start = time.perf_counter()
@@ -262,11 +263,6 @@ def _cmd_fit(args) -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     maps = ivim.fit_volume(series, mask, cfg, workers=cpus or 1)
     wall = time.perf_counter() - start
-
-    out = Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in ("s0", "f", "d_star", "adc", "residual"):
-        write_volume(getattr(maps, name), out / f"{name}.nii")
 
     fitted = maps.mask.voxel_count
     log = {
@@ -277,6 +273,10 @@ def _cmd_fit(args) -> int:
         "wall_time": wall,
         "summary": ivim.summarize(maps),
     }
+    out = Path(args.outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ("s0", "f", "d_star", "adc", "residual"):
+        write_volume(getattr(maps, name), out / f"{name}.nii")
     _write_json(log, out / "fit_log.json")
     return EXIT_OK
 
@@ -324,7 +324,7 @@ def _cmd_report(args) -> int:
     try:
         tables = report.build_report(rows, labels)
     except ValueError as exc:
-        raise FormatError(f"{args.summaries}: {exc}") from None
+        raise ValueError(f"{args.summaries}: {exc}") from None
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(tables.paired, out / "paired_tests.csv")
@@ -351,6 +351,9 @@ def _read_subjects(path) -> list[fgr.SubjectRecord]:
 def _cmd_classify(args) -> int:
     train = _read_subjects(args.train)
     test = _read_subjects(args.test)
+    shared = sorted({r.id for r in train} & {r.id for r in test})
+    if shared:  # the accuracy is held-out accuracy
+        raise ValueError(f"subjects {shared} are in both {args.train} and {args.test}")
     model = fgr.train_classifier(train)
     predictions = [model.predict(r) for r in test]
     actual = [r.group for r in test]
@@ -442,7 +445,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         message = str(exc).splitlines()[0] if str(exc) else exc.__class__.__name__
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,7 +17,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import UndefinedMetricError
 
 GA_WEEKS_MIN = 15.0
 GA_WEEKS_MAX = 45.0
@@ -106,7 +105,7 @@ def zscore_fit(control_values) -> tuple[float, float]:
     mean = float(v.mean())
     sd = float(v.std(ddof=1))
     if sd == 0.0:
-        raise UndefinedMetricError("control values are constant; z-scores undefined")
+        raise ValueError("control values are constant; z-scores undefined")
     return mean, sd
 
 
@@ -204,7 +203,7 @@ class TrainedClassifier:
 
     def __post_init__(self):
         if not self.control_sd > 0:
-            raise UndefinedMetricError(f"control sd must be positive, got {self.control_sd}")
+            raise ValueError(f"control sd must be positive, got {self.control_sd}")
         if not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
 

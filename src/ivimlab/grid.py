@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-
 
 @dataclass(frozen=True)
 class VoxelSpacing:
@@ -48,7 +46,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _check_dims(shape: tuple[int, ...]) -> None:
     if len(shape) != 3 or any(int(n) <= 0 for n in shape):
-        raise DimensionError(f"dims must be three positive integers, got {shape}")
+        raise ValueError(f"dims must be three positive integers, got {shape}")
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,8 @@ class DwiSeries:
         arr = np.asarray(self.data, dtype=np.float64)
         bvals = np.asarray(self.bvalues, dtype=np.float64).ravel()
         if arr.ndim != 4 or arr.shape[0] != bvals.size:
-            raise DimensionError(f"data of shape {arr.shape} is not (n_frames, nz, ny, nx) "
-                                 f"with one frame per b-value ({bvals.size})")
+            raise ValueError(f"data of shape {arr.shape} is not (n_frames, nz, ny, nx) "
+                             f"with one frame per b-value ({bvals.size})")
         _check_dims(arr.shape[1:])
         if np.any(~np.isfinite(bvals)) or np.any(bvals < 0):
             raise ValueError("b-values must be finite and non-negative")
@@ -164,9 +162,9 @@ class IvimMaps:
         vols = (self.s0, self.f, self.d_star, self.adc, self.residual)
         for v in vols[1:]:
             if not v.same_grid(vols[0]):
-                raise DimensionError("all parameter maps must share one grid")
+                raise ValueError("all parameter maps must share one grid")
         if not self.mask.same_grid(vols[0]):
-            raise DimensionError("mask grid differs from the parameter maps")
+            raise ValueError("mask grid differs from the parameter maps")
         m = self.mask.data
         if not m.any():
             return

@@ -27,7 +27,6 @@ from functools import partial
 import numpy as np
 
 from . import lm, stats
-from .errors import DimensionError
 from .grid import BinaryMask, DwiSeries, IvimMaps, Volume3D
 
 # histogram bins of the summary entropies; one value keeps every summary comparable
@@ -68,7 +67,7 @@ class VoxelSignal:
         b = np.asarray(self.bvalues, dtype=np.float64).ravel()
         s = np.asarray(self.intensities, dtype=np.float64).ravel()
         if b.size != s.size:
-            raise DimensionError("bvalues and intensities must have equal length")
+            raise ValueError("bvalues and intensities must have equal length")
         if np.any(np.diff(b) < 0):
             raise ValueError("bvalues must be ascending")
         if np.any(s < 0) or not np.all(np.isfinite(s)):
@@ -229,7 +228,7 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if not mask.same_grid(series):
-        raise DimensionError(
+        raise ValueError(
             f"mask grid {mask.dims}/{mask.spacing.as_tuple()} does not match "
             f"series grid {series.dims}/{series.spacing.as_tuple()}"
         )
@@ -269,14 +268,14 @@ def boundary_hits(maps: IvimMaps) -> int:
 def summarize(maps: IvimMaps) -> dict | None:
     """The summary metrics of one subject's fitted maps.
 
-    None with fewer than two fitted voxels, the fewest a CV is defined for.
-
     Volume, the mean of every map, the CV of s0, f, D* and ADC, and the
     ``ENTROPY_BINS``-bin histogram entropy of f, D* and ADC, all over the
-    fitted voxels.
+    fitted voxels. None where a CV is undefined: with fewer than two fitted
+    voxels, or when every fitted f is 0 (f's mean is then 0; S0, ADC and D*
+    are positive by the fit's box).
     """
     m = maps.mask.data
-    if maps.mask.voxel_count < 2:
+    if maps.mask.voxel_count < 2 or not maps.f.data[m].any():
         return None
     values = {name: getattr(maps, name).data[m]
               for name in ("s0", "f", "d_star", "adc", "residual")}

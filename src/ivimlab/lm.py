@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError
 
 _LAMBDA_MAX = 1e15
 
@@ -116,7 +115,7 @@ class FitProblem:
     def __post_init__(self):
         theta0 = np.asarray(self.theta0, dtype=np.float64).ravel()
         if len(self.transforms) != theta0.size:
-            raise DimensionError("one transform required per parameter")
+            raise ValueError("one transform required per parameter")
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "transforms", tuple(self.transforms))
 
@@ -157,7 +156,7 @@ def lm_fit(problem: FitProblem) -> FitResult:
 
     r = np.asarray(fn(theta), dtype=np.float64).ravel()
     if r.size < m:
-        raise DimensionError(f"need at least {m} residuals, got {r.size}")
+        raise ValueError(f"need at least {m} residuals, got {r.size}")
     ssr = float(r @ r)
     if not math.isfinite(ssr):
         raise ValueError("residual is non-finite at the initial guess")
@@ -173,7 +172,7 @@ def lm_fit(problem: FitProblem) -> FitResult:
         iterations += 1
         J = jac(theta)
         if J.shape != (m, r.size):
-            raise DimensionError(f"jacobian must have shape {(m, r.size)}, got {J.shape}")
+            raise ValueError(f"jacobian must have shape {(m, r.size)}, got {J.shape}")
         J = J * dtheta[:, None]  # chain rule into the transformed space
         JtJ = J @ J.T
         diag = JtJ.diagonal()

@@ -14,7 +14,6 @@ from enum import Enum
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionError, UndefinedMetricError
 from .grid import BinaryMask
 
 # relative width of a distance tie: far above the transform's few-ulp
@@ -41,7 +40,7 @@ def _require_same_grid(masks) -> None:
     first = masks[0]
     for m in masks[1:]:
         if not m.same_grid(first):
-            raise DimensionError("masks must share dims and spacing")
+            raise ValueError("masks must share dims and spacing")
 
 
 def fuse(masks: list[BinaryMask], strategy: FusionStrategy) -> BinaryMask:
@@ -106,7 +105,7 @@ def hausdorff(a: BinaryMask, b: BinaryMask) -> float:
     """Symmetric max-Hausdorff distance between voxel centers, in millimetres."""
     _require_same_grid([a, b])
     if a.voxel_count == 0 or b.voxel_count == 0:
-        raise UndefinedMetricError("Hausdorff distance is undefined for an empty mask")
+        raise ValueError("Hausdorff distance is undefined for an empty mask")
     spacing = np.array(a.spacing.as_tuple())
     return float(np.sqrt(max(_directed_sq(a.data, b.data, spacing),
                              _directed_sq(b.data, a.data, spacing))))

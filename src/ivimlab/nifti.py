@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, UnsupportedTypeError
 from .grid import BinaryMask, DwiSeries, VoxelSpacing, Volume3D
 
 HEADER_SIZE = 348
@@ -29,16 +28,16 @@ _BITPIX = {2: 8, 4: 16, 16: 32, 64: 64}
 
 def _read_header(raw: bytes, path) -> dict:
     if len(raw) < HEADER_SIZE:
-        raise FormatError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
+        raise ValueError(f"{path}: file shorter than the {HEADER_SIZE}-byte header")
     (sizeof_hdr,) = struct.unpack_from("<i", raw, 0)
     if sizeof_hdr != HEADER_SIZE:
-        raise FormatError(
+        raise ValueError(
             f"{path}: sizeof_hdr is {sizeof_hdr}, expected {HEADER_SIZE} "
             "(big-endian or non-NIfTI input is not supported)"
         )
     magic = struct.unpack_from("<4s", raw, 344)[0]
     if magic != MAGIC:
-        raise FormatError(f"{path}: magic is {magic!r}, expected {MAGIC!r}")
+        raise ValueError(f"{path}: magic is {magic!r}, expected {MAGIC!r}")
     dim = struct.unpack_from("<8h", raw, 40)
     datatype, bitpix = struct.unpack_from("<hh", raw, 70)
     pixdim = struct.unpack_from("<8f", raw, 76)
@@ -46,19 +45,20 @@ def _read_header(raw: bytes, path) -> dict:
     scl_slope, scl_inter = struct.unpack_from("<2f", raw, 112)
 
     if datatype not in _DTYPES:
-        raise UnsupportedTypeError(f"{path}: unsupported datatype code {datatype}")
+        raise ValueError(f"{path}: unsupported datatype code {datatype}")
     if bitpix != _BITPIX[datatype]:
-        raise FormatError(f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}")
+        raise ValueError(f"{path}: bitpix {bitpix} inconsistent with datatype {datatype}")
     ndim = dim[0]
     if ndim not in (3, 4):
-        raise FormatError(f"{path}: dim[0] is {ndim}, only 3D/4D images are supported")
+        raise ValueError(f"{path}: dim[0] is {ndim}, only 3D/4D images are supported")
     shape = dim[1 : 1 + ndim]
     if any(n <= 0 for n in shape):
-        raise FormatError(f"{path}: non-positive entry in dim {tuple(shape)}")
+        raise ValueError(f"{path}: non-positive entry in dim {tuple(shape)}")
     if any(p <= 0 or not np.isfinite(p) for p in pixdim[1:4]):
-        raise FormatError(f"{path}: non-positive pixdim {pixdim[1:4]}")
-    if not np.isfinite(vox_offset) or int(vox_offset) < MIN_VOX_OFFSET:
-        raise FormatError(f"{path}: vox_offset {vox_offset} below {MIN_VOX_OFFSET}")
+        raise ValueError(f"{path}: non-positive pixdim {pixdim[1:4]}")
+    if not (vox_offset >= MIN_VOX_OFFSET and vox_offset.is_integer()):
+        raise ValueError(f"{path}: vox_offset {vox_offset} is not a whole byte count "
+                         f">= {MIN_VOX_OFFSET}")
     return {
         "shape": tuple(int(n) for n in shape),  # (nx, ny, nz[, nt])
         "datatype": int(datatype),
@@ -80,7 +80,7 @@ def _read_array(path) -> tuple[np.ndarray, VoxelSpacing]:
     nbytes = count * dtype().itemsize
     start = hdr["vox_offset"]
     if len(raw) < start + nbytes:
-        raise FormatError(
+        raise ValueError(
             f"{path}: data section truncated ({len(raw) - start} bytes, need {nbytes})"
         )
     flat = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
@@ -106,23 +106,23 @@ def read_volume(path, bval_path=None):
     if bval_path is None:
         bval_path = Path(path).with_suffix(".bval")
     if not Path(bval_path).exists():
-        raise FormatError(f"{path}: 4D image needs a b-value sidecar, none at {bval_path}")
+        raise ValueError(f"{path}: 4D image needs a b-value sidecar, none at {bval_path}")
     bvals = read_bvals(bval_path)
     if len(bvals) != data.shape[0]:
-        raise FormatError(
+        raise ValueError(
             f"{bval_path}: {len(bvals)} b-values for {data.shape[0]} frames"
         )
     try:
         return DwiSeries(data, spacing, np.asarray(bvals))
     except ValueError as exc:
-        raise FormatError(f"{bval_path}: {exc}") from None
+        raise ValueError(f"{bval_path}: {exc}") from None
 
 
 def read_mask(path) -> BinaryMask:
     """Read a 3D .nii mask; a 4D image is rejected before any b-value lookup."""
     data, spacing = _read_array(path)
     if data.ndim != 3:
-        raise FormatError(f"{path}: expected a 3D mask, found a 4D image")
+        raise ValueError(f"{path}: expected a 3D mask, found a 4D image")
     return BinaryMask(data > 0.5, spacing)
 
 
@@ -159,8 +159,8 @@ def _read_text(path) -> str:
     try:
         return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x} "
-                          f"at offset {exc.start})") from None
+        raise ValueError(f"{path}: not UTF-8 (byte {exc.object[exc.start]:#04x} "
+                         f"at offset {exc.start})") from None
 
 
 def _write_array(arr: np.ndarray, spacing: VoxelSpacing, path, dtype_code: int) -> None:
@@ -201,12 +201,12 @@ def read_bvals(path) -> list[float]:
         try:
             v = float(token)
         except ValueError:
-            raise FormatError(f"{path}: token {pos} ({token!r}) is not a number") from None
+            raise ValueError(f"{path}: token {pos} ({token!r}) is not a number") from None
         if not np.isfinite(v) or v < 0:
-            raise FormatError(f"{path}: token {pos} ({token!r}) must be a finite value >= 0")
+            raise ValueError(f"{path}: token {pos} ({token!r}) must be a finite value >= 0")
         values.append(v)
     if not values:
-        raise FormatError(f"{path}: no b-values found")
+        raise ValueError(f"{path}: no b-values found")
     return values
 
 

@@ -85,6 +85,11 @@ class PhantomConfig:
             if len(getattr(self, name)) != 3:
                 raise ValueError(f"{name} must have 3 entries (z, y, x), "
                                  f"got {list(getattr(self, name))}")
+        if not all(np.isfinite(v) and v > 0 for v in self.semi_axes_frac):
+            raise ValueError(f"semi_axes_frac entries must be finite and positive, "
+                             f"got {list(self.semi_axes_frac)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}, "
                              f"got {self.noise_model!r}")
@@ -116,8 +121,10 @@ def make_phantom(cfg: PhantomConfig | None = None) -> PhantomBundle:
     cfg = cfg or PhantomConfig()
     spacing = VoxelSpacing(*cfg.spacing)
     mask = ellipsoid_mask(cfg.dims, spacing, cfg.semi_axes_frac)
-
     m = mask.data
+    if not m.any():
+        raise ValueError(f"semi_axes_frac {list(cfg.semi_axes_frac)} gives an empty mask "
+                         f"on dims {list(cfg.dims)}")
 
     def masked(spec) -> Volume3D:
         out = np.full(cfg.dims, np.nan)

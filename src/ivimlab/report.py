@@ -37,7 +37,8 @@ def summary_row(subject: str, group: Group, source: str,
     """One summaries-table row computed from a subject's fitted maps."""
     metrics = summarize(maps)
     if metrics is None:
-        raise ValueError(f"{subject}: fewer than two fitted voxels, nothing to summarize")
+        raise ValueError(f"{subject}: nothing to summarize (fewer than two fitted voxels "
+                         "or every fitted f is 0)")
     return {"subject": subject, "group": group.value, "source": source,
             "strategy": strategy.value, **metrics}
 

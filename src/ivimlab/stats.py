@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import UndefinedMetricError
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +60,7 @@ def cv(values, ddof: int = 0) -> float:
         raise ValueError("cv needs at least two values")
     mean = float(v.mean())
     if mean == 0.0:
-        raise UndefinedMetricError("cv is undefined for zero-mean data")
+        raise ValueError("cv is undefined for zero-mean data")
     return float(v.std(ddof=ddof)) / mean
 
 
@@ -74,7 +73,7 @@ def mean_abs_pct_diff(reference, other) -> float:
     if a.size == 0:
         raise ValueError("lists must be non-empty")
     if np.any(a == 0.0):
-        raise UndefinedMetricError("percentage difference undefined for a zero reference")
+        raise ValueError("percentage difference undefined for a zero reference")
     return float(np.mean(np.abs(b - a) / np.abs(a)) * 100.0)
 
 

@@ -218,6 +218,10 @@ class TestPhantom:
         ({"dims": [3, 8, 8], "noise_model": "gaussian", "snr": "30"}, "snr"),
         ({"dims": ["3", 8, 8]}, "dims"),
         ({"d": {"kind": "constant", "value": 0.002}}, "d.kind"),  # a number says it
+        ({"dims": [3, 8, 8], "semi_axes_frac": [float("nan"), 0.4, 0.4]}, "semi_axes_frac"),
+        ({"dims": [3, 8, 8], "semi_axes_frac": [-1, 0.4, 0.4]}, "semi_axes_frac"),
+        ({"dims": [3, 8, 8], "semi_axes_frac": [0.01, 0.01, 0.01]}, "empty mask"),
+        ({"dims": [3, 8, 8], "seed": -1}, "seed"),
     ])
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, config, key):
         (tmp_path / "p.json").write_text(json.dumps(config))
@@ -392,6 +396,16 @@ class TestFit:
         assert code == cli.EXIT_OK
         log = json.loads((tmp_path / "fit" / "fit_log.json").read_text())
         assert log["voxels_fitted"] == 1 and log["summary"] is None
+
+    def test_zero_f_subject_has_no_summary(self, tmp_path):
+        # f is the one map whose mean can be 0, and then its CV is undefined
+        made = tmp_path / "p"
+        run_phantom(made, {"dims": [3, 10, 10], "f": 0.0})
+        code = cli.main(["fit", *(str(made / n) for n in ("series.nii", "series.bval",
+                                                           "mask.nii")), str(tmp_path / "fit")])
+        assert code == cli.EXIT_OK
+        log = json.loads((tmp_path / "fit" / "fit_log.json").read_text())
+        assert log["voxels_fitted"] >= 2 and log["summary"] is None
 
     def test_noisy_default_subject_writes_finite_outputs_quietly(self, tmp_path):
         def run(*args):
@@ -570,6 +584,19 @@ class TestClassify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(paths[table]) in err and "line 5" in err and "line 2" in err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_subject_in_both_tables_exits_2_naming_it_and_the_files(self, tmp_path, capsys):
+        # the reported accuracy is held-out accuracy
+        train = subjects(30, 1)
+        paths = [write_subjects(train, tmp_path / "train.csv"),
+                 write_subjects(subjects(6, 2) + train[3:5], tmp_path / "test.csv")]
+        args = ["classify", *map(str, paths), "-o", str(tmp_path / "c.json")]
+        assert cli.main(args) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert all(str(p) in err for p in paths)
+        assert train[3].id in err and train[4].id in err and train[5].id not in err
         assert not (tmp_path / "c.json").exists()
 
     def test_groups_that_do_not_separate_exit_2(self, tmp_path, capsys):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ivimlab.errors import DimensionError
 from ivimlab.grid import (BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3D,
                           average_by_bvalue)
 
@@ -26,9 +25,9 @@ class TestVoxelSpacing:
 
 class TestVolume3D:
     def test_rejects_bad_shapes(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="dims must be three positive integers"):
             Volume3D(np.zeros((0, 2, 2)), UNIT)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="dims must be three positive integers"):
             Volume3D(np.zeros((2, 2)), UNIT)
 
     def test_data_frozen(self):
@@ -107,13 +106,15 @@ class TestDwiSeries:
             make_series([1e-12, 200], [1.0, 1.0])
 
     def test_requires_matching_lengths(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="one frame per b-value"):
             make_series([0, 100, 200], [1.0, 1.0])
 
     def test_requires_4d_array(self):
         # one array cannot hold frames on different grids; its shape is checked
-        for shape in [(2, 2, 2), (2, 2, 2, 2, 1), (2, 0, 2, 2)]:
-            with pytest.raises(DimensionError):
+        for shape, message in [((2, 2, 2), "one frame per b-value"),
+                               ((2, 2, 2, 2, 1), "one frame per b-value"),
+                               ((2, 0, 2, 2), "dims must be three positive integers")]:
+            with pytest.raises(ValueError, match=message):
                 DwiSeries(np.zeros(shape), UNIT, np.array([0.0, 100.0]))
 
     def test_frames_are_views_of_data(self):

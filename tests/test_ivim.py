@@ -276,3 +276,8 @@ class TestSummarize:
                             residual=truth.residual,
                             mask=BinaryMask(fitted, bundle.mask.spacing))
             assert ivim.summarize(maps) is None, n_fitted
+
+    def test_none_when_every_fitted_f_is_zero(self):
+        # f's CV is undefined at a zero mean; S0, D* and ADC are positive by the fit's box
+        truth = phantom.make_phantom(phantom.PhantomConfig(dims=(3, 8, 8), f=0.0)).truth
+        assert truth.mask.voxel_count >= 2 and ivim.summarize(truth) is None

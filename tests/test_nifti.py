@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ivimlab import nifti
-from ivimlab.errors import FormatError, UnsupportedTypeError
 from ivimlab.grid import BinaryMask, DwiSeries, VoxelSpacing, Volume3D
 
 SP = VoxelSpacing(7.2, 2.07, 2.07)
@@ -57,7 +56,7 @@ class TestRoundTrip:
         path = tmp_path / "s.nii"
         nifti.write_series(series, path)
         (tmp_path / "s.bval").unlink()
-        with pytest.raises(FormatError, match="sidecar"):
+        with pytest.raises(ValueError, match="sidecar"):
             nifti.read_volume(path)
 
 
@@ -82,37 +81,45 @@ class TestHeaderValidation:
     def test_wrong_size_field(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, sizeof_hdr=349)
-        with pytest.raises(FormatError, match="sizeof_hdr"):
+        with pytest.raises(ValueError, match="sizeof_hdr"):
             nifti.read_volume(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, magic=b"ni1\x00")
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(ValueError, match="magic"):
             nifti.read_volume(p)
 
     def test_unsupported_datatype(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, datatype=8, bitpix=32)  # int32 is outside the subset
-        with pytest.raises(UnsupportedTypeError, match="datatype"):
+        with pytest.raises(ValueError, match="datatype"):
             nifti.read_volume(p)
 
     def test_inconsistent_bitpix(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, datatype=16, bitpix=64)
-        with pytest.raises(FormatError, match="bitpix"):
+        with pytest.raises(ValueError, match="bitpix"):
             nifti.read_volume(p)
 
     def test_truncated_data_section(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, payload=np.zeros(7, dtype=np.float32).tobytes())
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(ValueError, match="truncated"):
             nifti.read_volume(p)
 
     def test_bad_vox_offset(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, vox_offset=100.0)
-        with pytest.raises(FormatError, match="vox_offset"):
+        with pytest.raises(ValueError, match="vox_offset"):
+            nifti.read_volume(p)
+
+    @pytest.mark.parametrize("vox_offset", [352.5, 353.5, float("inf"), float("nan")])
+    def test_vox_offset_that_is_not_a_whole_byte_count(self, tmp_path, vox_offset):
+        # a truncated 353.5 would read the float32 payload one byte off
+        p = tmp_path / "bad.nii"
+        write_minimal(p, vox_offset=vox_offset, payload=np.ones(9, dtype=np.float32).tobytes())
+        with pytest.raises(ValueError, match="vox_offset"):
             nifti.read_volume(p)
 
     def test_scl_slope_applied(self, tmp_path):
@@ -159,13 +166,13 @@ class TestBvals:
     def test_negative_rejected_with_position(self, tmp_path):
         p = tmp_path / "b.bval"
         p.write_text("0 100 -50")
-        with pytest.raises(FormatError, match="token 3"):
+        with pytest.raises(ValueError, match="token 3"):
             nifti.read_bvals(p)
 
     def test_non_numeric_rejected(self, tmp_path):
         p = tmp_path / "b.bval"
         p.write_text("0 abc 100")
-        with pytest.raises(FormatError, match="token 2"):
+        with pytest.raises(ValueError, match="token 2"):
             nifti.read_bvals(p)
 
 
