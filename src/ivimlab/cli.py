@@ -46,7 +46,7 @@ import typing
 from pathlib import Path
 
 from . import fgr, ivim, masks, phantom, report
-from .grid import DwiSeries, average_by_bvalue
+from .grid import DwiSeries
 from .nifti import (_atomic_write, _read_text, read_mask, read_volume,
                     write_mask, write_series, write_volume)
 
@@ -259,7 +259,6 @@ def _cmd_fit(args) -> int:
     mask = read_mask(args.mask)
 
     start = time.perf_counter()
-    series = average_by_bvalue(series)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     maps = ivim.fit_volume(series, mask, cfg, workers=cpus or 1)
     wall = time.perf_counter() - start

@@ -45,15 +45,13 @@ class Polarity(Enum):
     POSITIVE_LOW = "positive_low"    # scores below the threshold are FGR
 
 
-def parse_ga_weeks(text) -> float:
+def parse_ga_weeks(text: str) -> float:
     """Gestational age from decimal weeks or clinical 'w+d' notation.
 
     Days are a whole number from 0 to 6. The notation is all this checks;
     :class:`SubjectRecord` checks the range.
     """
-    if isinstance(text, (int, float)):
-        return float(text)
-    token = str(text).strip()
+    token = text.strip()
     if "+" not in token:
         return float(token)
     w, _, d = token.partition("+")

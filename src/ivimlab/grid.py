@@ -2,8 +2,10 @@
 
 Axis order is (z, y, x) everywhere, with spacing stated in the same order so
 slice loops stay outermost. A 4D series puts the frame axis first, as one
-(n_frames, nz, ny, nx) array. All containers freeze their arrays after
+(n_frames, nz, ny, nx) array; a volume, a mask and a series all take
+``dims`` from the last three axes. All containers freeze their arrays after
 construction and are safe to share across concurrent readers.
+``ivim.fit_volume`` averages every series it fits with ``average_by_bvalue``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ class VoxelSpacing:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.dz, self.dy, self.dx)
 
-    def close_to(self, other: "VoxelSpacing", rtol: float = 1e-5) -> bool:
-        return bool(np.allclose(self.as_tuple(), other.as_tuple(), rtol=rtol, atol=0.0))
+    def close_to(self, other: "VoxelSpacing") -> bool:
+        return bool(np.allclose(self.as_tuple(), other.as_tuple(), rtol=1e-5, atol=0.0))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -50,40 +52,38 @@ def _check_dims(shape: tuple[int, ...]) -> None:
 
 
 @dataclass(frozen=True)
-class Volume3D:
-    """A scalar field on a regular (z, y, x) grid."""
+class _OnGrid:
+    """An array whose last three axes are a (z, y, x) grid of ``spacing``."""
 
     data: np.ndarray
     spacing: VoxelSpacing
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.data.shape[-3:]  # type: ignore[return-value]
+
+    def same_grid(self, other: "_OnGrid") -> bool:
+        return self.dims == other.dims and self.spacing.close_to(other.spacing)
+
+
+@dataclass(frozen=True)
+class Volume3D(_OnGrid):
+    """A scalar field on a regular (z, y, x) grid."""
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
         _check_dims(arr.shape)
         object.__setattr__(self, "data", _freeze(arr))
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape  # type: ignore[return-value]
-
-    def same_grid(self, other) -> bool:
-        return self.dims == other.dims and self.spacing.close_to(other.spacing)
-
 
 @dataclass(frozen=True)
-class BinaryMask:
+class BinaryMask(_OnGrid):
     """A boolean lattice sharing a grid with the volumes it selects from."""
-
-    data: np.ndarray
-    spacing: VoxelSpacing
 
     def __post_init__(self):
         arr = np.asarray(self.data)
         _check_dims(arr.shape)
         object.__setattr__(self, "data", _freeze(arr.astype(bool)))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape  # type: ignore[return-value]
 
     @property
     def voxel_count(self) -> int:
@@ -94,12 +94,9 @@ class BinaryMask:
         """Mask volume in millilitres (voxel count times voxel volume / 1000)."""
         return self.voxel_count * self.spacing.voxel_volume_mm3 / 1000.0
 
-    def same_grid(self, other) -> bool:
-        return self.dims == other.dims and self.spacing.close_to(other.spacing)
-
 
 @dataclass(frozen=True)
-class DwiSeries:
+class DwiSeries(_OnGrid):
     """A 4D series: one (n_frames, nz, ny, nx) array, one b-value per frame.
 
     All frames share the one grid by construction; ``data[t]`` is frame t.
@@ -107,8 +104,6 @@ class DwiSeries:
     b-value of exactly 0; at least one is required.
     """
 
-    data: np.ndarray
-    spacing: VoxelSpacing
     bvalues: np.ndarray
 
     def __post_init__(self):
@@ -124,10 +119,6 @@ class DwiSeries:
             raise ValueError("a series must contain at least one b=0 frame")
         object.__setattr__(self, "data", _freeze(arr))
         object.__setattr__(self, "bvalues", _freeze(bvals))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape[1:]  # type: ignore[return-value]
 
     @property
     def n_frames(self) -> int:

@@ -1,4 +1,4 @@
-"""Two-step voxel-wise IVIM fitting over a masked 4D series.
+"""Two-step voxel-wise IVIM fitting over a masked 4D series, averaged by b-value first.
 
 Step one fits a mono-exponential decay to the high-b tail (strictly above the
 b threshold), giving the apparent diffusion coefficient. Step two fixes the
@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from . import lm, stats
-from .grid import BinaryMask, DwiSeries, IvimMaps, Volume3D
+from .grid import BinaryMask, DwiSeries, IvimMaps, Volume3D, average_by_bvalue
 
 # histogram bins of the summary entropies; one value keeps every summary comparable
 ENTROPY_BINS = 64
@@ -100,9 +100,9 @@ def _loglinear(b: np.ndarray, s: np.ndarray) -> tuple[float, float]:
     return math.exp(lm_ - slope * bm), -slope
 
 
-def _clamp_open(v: float, lo: float, hi: float, margin: float = 1e-3) -> float:
+def _clamp_open(v: float, lo: float, hi: float) -> float:
     span = hi - lo
-    return min(max(v, lo + margin * span), hi - margin * span)
+    return min(max(v, lo + 1e-3 * span), hi - 1e-3 * span)
 
 
 def _high_b(b: np.ndarray, s: np.ndarray, cfg: IvimFitConfig):
@@ -202,27 +202,14 @@ def _fit_voxel(s: np.ndarray, b: np.ndarray, cfg: IvimFitConfig) -> tuple[float,
     return ivim.s0, ivim.f, ivim.d_star, adc, ivim.residual
 
 
-def _validate_series(series: DwiSeries, cfg: IvimFitConfig) -> None:
-    b = series.bvalues
-    if np.unique(b).size != b.size:
-        raise ValueError(
-            "series must be direction-averaged first (one frame per b-value); "
-            "see grid.average_by_bvalue"
-        )
-    if b.size < 3:
-        raise ValueError("voxel fits need at least 3 b-values")
-    if np.unique(b[b > cfg.b_threshold]).size < 2:
-        raise ValueError(
-            f"need at least 2 distinct b-values above the threshold {cfg.b_threshold}"
-        )
-
-
 def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = None,
                workers: int = 1) -> IvimMaps:
     """Fit every masked voxel; NaN outside the mask and where a voxel's data fail it.
 
-    The result is independent of voxel visit order and of ``workers`` (at
-    least 1): voxel fits share no state, and ``map`` keeps index order.
+    ``series`` is averaged by b-value first (``grid.average_by_bvalue``), and
+    two of its b-values must lie above ``cfg.b_threshold``. The result is
+    independent of voxel visit order and of ``workers`` (at least 1): voxel
+    fits share no state, and ``map`` keeps index order.
     """
     cfg = cfg or IvimFitConfig()
     if workers < 1:
@@ -232,7 +219,10 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
             f"mask grid {mask.dims}/{mask.spacing.as_tuple()} does not match "
             f"series grid {series.dims}/{series.spacing.as_tuple()}"
         )
-    _validate_series(series, cfg)
+    series = average_by_bvalue(series)
+    if np.count_nonzero(series.bvalues > cfg.b_threshold) < 2:
+        raise ValueError(f"need at least 2 distinct b-values above the threshold "
+                         f"{cfg.b_threshold}")
 
     flat_idx = np.flatnonzero(mask.data.ravel())
     n_vox = int(np.prod(series.dims))

@@ -185,12 +185,10 @@ def write_mask(mask: BinaryMask, path) -> None:
     _write_array(mask.data.astype(np.uint8), mask.spacing, path, 2)
 
 
-def write_series(series: DwiSeries, path, bval_path=None) -> None:
-    """Store a 4D series as float32 plus its .bval sidecar."""
+def write_series(series: DwiSeries, path) -> None:
+    """Store a 4D series as float32 plus its .bval sidecar next to it."""
     _write_array(series.data, series.spacing, path, 16)
-    if bval_path is None:
-        bval_path = Path(path).with_suffix(".bval")
-    write_bvals(series.bvalues, bval_path)
+    write_bvals(series.bvalues, Path(path).with_suffix(".bval"))
 
 
 def read_bvals(path) -> list[float]:
@@ -211,5 +209,7 @@ def read_bvals(path) -> list[float]:
 
 
 def write_bvals(bvalues, path) -> None:
-    line = " ".join(format(float(b), "g") for b in np.asarray(bvalues).ravel())
+    """Each b-value as the shortest text that reads back to the same float."""
+    line = " ".join(np.format_float_positional(float(b), trim="-")
+                    for b in np.asarray(bvalues).ravel())
     _atomic_write(path, (line + "\n").encode())

@@ -93,6 +93,8 @@ class PhantomConfig:
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(f"noise_model must be one of {NOISE_MODELS}, "
                              f"got {self.noise_model!r}")
+        if not np.isfinite(self.snr):
+            raise ValueError(f"snr must be finite, got {self.snr}")
         if self.noise_model != "none" and not self.snr > 0:
             raise ValueError(f"snr must be positive with {self.noise_model} noise, "
                              f"got {self.snr}")

@@ -108,5 +108,5 @@ def paired_t_test(x, y) -> TestResult:
         t = math.inf if d.mean() > 0 else -math.inf
         return TestResult(t, 0.0)
     t = float(d.mean()) / (sd / math.sqrt(n))
-    p = 2.0 * (1.0 - t_cdf(abs(t), n - 1))
+    p = 2.0 * t_cdf(-abs(t), n - 1)
     return TestResult(t, min(max(p, 0.0), 1.0))

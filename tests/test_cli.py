@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import ivimlab
 from ivimlab import cli, fgr, ivim, masks, phantom, report
-from ivimlab.grid import BinaryMask, average_by_bvalue
+from ivimlab.grid import BinaryMask
 from ivimlab.nifti import read_mask, read_volume, write_mask
 
 PHANTOM_OUTPUTS = ["series.nii", "series.bval", "mask.nii", "truth_s0.nii",
@@ -222,6 +222,8 @@ class TestPhantom:
         ({"dims": [3, 8, 8], "semi_axes_frac": [-1, 0.4, 0.4]}, "semi_axes_frac"),
         ({"dims": [3, 8, 8], "semi_axes_frac": [0.01, 0.01, 0.01]}, "empty mask"),
         ({"dims": [3, 8, 8], "seed": -1}, "seed"),
+        ({"dims": [3, 8, 8], "noise_model": "rician", "snr": float("inf")}, "snr"),
+        ({"dims": [3, 8, 8], "snr": 1e999}, "snr"),  # JSON Infinity, no noise
     ])
     def test_malformed_config_exits_2_naming_the_key(self, tmp_path, capsys, config, key):
         (tmp_path / "p.json").write_text(json.dumps(config))
@@ -284,8 +286,7 @@ class TestFit:
         assert cli.main(["fit", series, bvals, mask, str(out)]) == cli.EXIT_OK
         log = json.loads((out / "fit_log.json").read_text())
 
-        maps = ivim.fit_volume(average_by_bvalue(read_volume(series, bval_path=bvals)),
-                               read_mask(mask))
+        maps = ivim.fit_volume(read_volume(series, bval_path=bvals), read_mask(mask))
         row = report.summary_row("s", fgr.Group.CONTROL, "manual",
                                  masks.FusionStrategy.OLP, maps)
         assert log["summary"] == {m: row[m] for m in report.ALL_METRICS}

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivimlab import ivim, lm, phantom, report
-from ivimlab.grid import BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3D
+from ivimlab.grid import (BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3D,
+                          average_by_bvalue)
 from ivimlab.phantom import DEFAULT_BVALUES
 
 CFG = ivim.IvimFitConfig()
@@ -104,6 +105,27 @@ class TestWorkerInvariance:
         for name in ("s0", "f", "d_star", "adc", "residual"):
             a, b = getattr(one, name).data, getattr(two, name).data
             assert a.tobytes() == b.tobytes(), name
+
+
+class TestSeriesAveraging:
+    def test_repeated_b_values_fit_as_their_average(self):
+        # twelve frames: two b=0 baselines, two at b=400 and three directions at b=600
+        bvalues = (0.0, 0.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0, 600.0, 600.0, 600.0, 400.0)
+        bundle = phantom.make_phantom(phantom.PhantomConfig(
+            dims=(3, 8, 8), bvalues=bvalues, noise_model="rician", snr=30.0, seed=2))
+        raw = ivim.fit_volume(bundle.series, bundle.mask)
+        averaged = ivim.fit_volume(average_by_bvalue(bundle.series), bundle.mask)
+        assert raw.mask.voxel_count > 0
+        assert np.array_equal(raw.mask.data, averaged.mask.data)
+        for name in ("s0", "f", "d_star", "adc", "residual"):
+            assert getattr(raw, name).data.tobytes() == getattr(averaged, name).data.tobytes()
+
+    def test_one_b_value_above_the_threshold_rejected(self):
+        # two frames above the threshold, but at one b-value
+        bundle = phantom.make_phantom(phantom.PhantomConfig(
+            dims=(3, 8, 8), bvalues=(0.0, 50.0, 100.0, 600.0, 600.0)))
+        with pytest.raises(ValueError, match="above the threshold 100.0"):
+            ivim.fit_volume(bundle.series, bundle.mask)
 
 
 class TestOutcomeRule:

@@ -51,6 +51,14 @@ class TestRoundTrip:
         assert list(back.bvalues) == [0.0, 100.0, 600.0]
         assert np.array_equal(back.data, series.data)
 
+    def test_series_b_values_read_back_exactly(self, tmp_path):
+        bvals = [0.0, 10.0, 600.0, 0.1, 1000.123, 123456.7, 1 / 3]
+        series = DwiSeries(np.zeros((7, 2, 2, 2)), SP, np.array(bvals))
+        nifti.write_series(series, tmp_path / "s.nii")
+        # whole b-values keep their text; the rest read back to the same float
+        assert (tmp_path / "s.bval").read_text().startswith("0 10 600 0.1 1000.123 123456.7 0.3")
+        assert list(nifti.read_volume(tmp_path / "s.nii").bvalues) == bvals
+
     def test_4d_without_sidecar_fails(self, tmp_path):
         series = DwiSeries(np.zeros((2, 2, 2, 2)), SP, np.array([0.0, 100.0]))
         path = tmp_path / "s.nii"

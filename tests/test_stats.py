@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from ivimlab import stats
 
@@ -91,6 +92,17 @@ class TestPairedT:
         expected = 2.0 * (1.0 - t_cdf_quadrature(math.sqrt(3.0), 2))
         assert r.p_value == pytest.approx(expected, abs=1e-10)
         assert r.p_value == pytest.approx(0.2254, abs=2e-4)
+
+    def test_far_tail_matches_scipy(self):
+        # t = 77 with n = 60: p is about 6.7e-61, far below the rounding of 1 - t_cdf
+        z = np.random.default_rng(0).normal(size=60)
+        z = (z - z.mean()) / z.std(ddof=1)
+        y = 77.0 / math.sqrt(60) + z
+        r = stats.paired_t_test(np.zeros(60), y)
+        want = scipy.stats.ttest_rel(y, np.zeros(60))
+        assert r.statistic == pytest.approx(77.0, rel=1e-12)
+        assert r.p_value == pytest.approx(want.pvalue, rel=1e-12)
+        assert 6e-61 < r.p_value < 7e-61
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
