@@ -10,10 +10,27 @@ parameter box is fixed: S0 > 0, f in [0, 1], ADC in [``ADC_MIN``,
 term the data cannot resolve stops at the D* bound rather than running off
 to infinity.
 
-A voxel fails only for its data: a non-finite sample, fewer than two distinct
-positive samples above the b threshold, or no positive b=0 mean. Elsewhere
-each step keeps the solver's last estimate, which lies in the box and costs
-no more than the start. Failed voxels carry the NaN sentinel, are skipped by
+Step two is separable least squares (Golub & Pereyra 1973). At a fixed D*
+the model a*exp(-D* b) + c*exp(-ADC b) is linear in a = S0 f and
+c = S0 (1 - f), and the best a, c >= 0 is a closed-form two-variable
+non-negative least squares (NNLS): the interior solution, or one of its
+faces f = 0 and f = 1. So the cost, profiled over (a, c), is a function of
+D* alone. One search over all voxels at once finds each voxel's least point
+in log D*: a coarse grid over (ADC, ``D_STAR_MAX``], a finer grid across the
+two coarse steps around its best point, then one parabolic step. The
+Levenberg-Marquardt solver (``lm``) polishes that start, and the voxel keeps
+whichever of the two points costs less.
+
+Costs within a few ulps of the voxel's sum of squared samples (``_TIE``
+times it) are a tie, broken by rule: a face of the NNLS beats the interior
+point, and the searched point beats the polished one. So a voxel whose
+data hold no perfusion term gets f = 0 exactly, not a rounding residue.
+
+A voxel fails only for its data: a sum of squared samples that is not
+finite (a non-finite sample, or one whose square overflows), fewer than two
+distinct b-values above the threshold with a positive sample, or no
+positive b=0 sample. Elsewhere each step keeps a point in the box that costs
+no more than its start. Failed voxels carry the NaN sentinel, are skipped by
 the summaries and never abort a volume fit.
 """
 
@@ -43,6 +60,15 @@ D_STAR_MAX = 1.0
 _S0 = lm.log_positive()
 _ADC = lm.logistic(ADC_MIN, ADC_MAX)
 _F = lm.logistic(0.0, 1.0)
+
+# the D* search: _COARSE points evenly spaced in log D* over (ADC, D_STAR_MAX], then
+# _FINE points across the two coarse steps around the best one, then a parabolic step
+_COARSE = 64
+_FINE = 64
+# its memory budget: the (voxel, D*, b-value) elements evaluated at once
+_BLOCK = 1 << 15
+# two costs closer than this many times the voxel's sum of squared samples are a tie
+_TIE = 8 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -90,6 +116,24 @@ class IvimFit:
     residual: float
 
 
+def _usable(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.ndarray:
+    """The data rule over an (N, n_b) matrix of non-negative samples: True where a voxel fits.
+
+    A voxel fails when its sum of squared samples is not finite, when fewer
+    than two distinct b-values above the threshold hold a positive sample, or
+    when no b=0 sample is positive (so its b=0 mean is not positive). ``b``
+    is ascending.
+    """
+    with np.errstate(over="ignore"):  # an overflowing square fails its voxel, quietly
+        finite = np.isfinite(np.square(signals).sum(axis=1))
+    positive = signals > 0
+    high = b > cfg.b_threshold
+    shells = np.flatnonzero(np.diff(b[high], prepend=-1.0))  # the first column of each b-value
+    distinct = (np.logical_or.reduceat(positive[:, high], shells, axis=1).sum(axis=1)
+                if shells.size else 0)
+    return finite & (distinct >= 2) & positive[:, b == 0].any(axis=1)
+
+
 def _loglinear(b: np.ndarray, s: np.ndarray) -> tuple[float, float]:
     """OLS of ln(s) on b; returns (intercept_amplitude, decay_rate)."""
     ln_s = np.log(s)
@@ -105,20 +149,11 @@ def _clamp_open(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo + 1e-3 * span), hi - 1e-3 * span)
 
 
-def _high_b(b: np.ndarray, s: np.ndarray, cfg: IvimFitConfig):
-    """(b, s, log-linear intercept, rate) over b > threshold with s > 0.
-
-    None when fewer than two distinct b-values remain.
-    """
+def _adc_step(s: np.ndarray, b: np.ndarray, cfg: IvimFitConfig) -> AdcFit:
+    """Mono-exponential fit over the positive samples above the b threshold of a usable voxel."""
     keep = (b > cfg.b_threshold) & (s > 0)
     bh, sh = b[keep], s[keep]
-    if np.unique(bh).size < 2:
-        return None
-    return (bh, sh, *_loglinear(bh, sh))
-
-
-def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float) -> AdcFit:
-    adc_init = _clamp_open(rate, ADC_MIN, ADC_MAX)
+    s0_init, rate = _loglinear(bh, sh)
 
     def residual(th):
         return th[0] * np.exp(-th[1] * bh) - sh
@@ -130,7 +165,7 @@ def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float)
     problem = lm.FitProblem(
         residual=residual,
         jacobian=jacobian,
-        theta0=np.array([max(s0_init, 1e-12), adc_init]),
+        theta0=np.array([max(s0_init, 1e-12), _clamp_open(rate, ADC_MIN, ADC_MAX)]),
         transforms=(_S0, _ADC),
     )
     result = lm.lm_fit(problem)
@@ -138,26 +173,106 @@ def _fit_adc_arrays(bh: np.ndarray, sh: np.ndarray, s0_init: float, rate: float)
 
 
 def fit_adc(sig: VoxelSignal, cfg: IvimFitConfig | None = None) -> AdcFit | None:
-    """Mono-exponential fit over the high-b subset; None below two usable high-b samples."""
-    high = _high_b(sig.bvalues, sig.intensities, cfg or IvimFitConfig())
-    return None if high is None else _fit_adc_arrays(*high)
-
-
-def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float,
-                     s0_high: float | None) -> IvimFit | None:
-    """None without a positive b=0 mean; ``s0_high`` is the high-b intercept or None."""
-    is_b0 = b == 0
-    if not is_b0.any():
+    """Mono-exponential fit over the high-b subset; None where the voxel's data fail it."""
+    cfg = cfg or IvimFitConfig()
+    if not _usable(sig.bvalues, sig.intensities[None], cfg)[0]:
         return None
-    s0_init = float(s[is_b0].mean())
-    if s0_init <= 0:
-        return None
+    return _adc_step(sig.intensities, sig.bvalues, cfg)
 
-    if s0_high is None:
-        s0_high = s0_init
-    # segmented-IVIM intercept estimate for the perfusion fraction start
-    f_init = min(max(1.0 - s0_high / s0_init, 0.01), 0.99)
-    d_star_init = _clamp_open(max(10.0 * adc, adc + 1e-3), adc, D_STAR_MAX)
+
+def _profile(tau, b, adc, v, w, vv, vs, ss, cost0, s0_0, tie):
+    """The NNLS at each log(D*/ADC) offset ``tau`` > 0, shape (n, k), of n voxels.
+
+    Returns the profiled cost, S0 and f, each (n, k). ``v`` = exp(-ADC b) is
+    (n, 1, n_b) and ``w`` stacks v and the samples s, (2, n, 1, n_b); the
+    per-voxel ``adc``, sums ``vv`` = v.v, ``vs`` = v.s and ``ss`` = s.s, the
+    f = 0 face's cost and S0, and the tie are (n, 1). The model a*u + c*v,
+    with u = exp(-D* b), is solved as a*d + S0*v: d = u - v is computed
+    without cancellation, so the 2x2 system stays well conditioned as D*
+    nears ADC.
+    """
+    # (n, k, n_b): D* - ADC = ADC*expm1(tau), and d = v*expm1(-(D* - ADC) b)
+    d = v * np.expm1((adc * np.expm1(tau))[..., None] * -b)
+    # a sum over the last, contiguous axis adds each (voxel, D*) row on its own
+    dd = (d * d).sum(axis=2)
+    dv, ds = (d * w).sum(axis=3)
+    # the f = 1 face (c = 0): the model S0*u, with u = v + d
+    us, uu = vs + ds, vv + 2.0 * dv + dd
+    s0_one = us / uu
+    cost1 = ss - us * s0_one  # each product is at most ss, so a usable voxel cannot overflow
+    det = dd * vv - dv * dv
+    # a singular or overflowing system has no interior solution
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = (vv * ds - dv * vs) / det
+        s0 = (dd * vs - dv * ds) / det
+        cost = ss - a * ds - s0 * vs
+    on_one = cost1 < cost0
+    out = np.minimum(cost1, cost0)
+    interior = (det > 0) & (a >= 0) & (s0 >= a) & (cost < out - tie)
+    np.copyto(out, cost, where=interior)
+    f = on_one.astype(np.float64)
+    np.divide(a, s0, out=f, where=interior)
+    s0_out = np.where(on_one, s0_one, s0_0)
+    np.copyto(s0_out, s0, where=interior)
+    return out, s0_out, f
+
+
+def _search_block(b: np.ndarray, s: np.ndarray, adc: np.ndarray) -> np.ndarray:
+    adc = adc[:, None]
+    v = np.exp(-adc * b)
+    vv, vs, ss = ((v * v).sum(axis=1, keepdims=True), (v * s).sum(axis=1, keepdims=True),
+                  (s * s).sum(axis=1, keepdims=True))
+    profile = partial(_profile, b=b, adc=adc, v=v[:, None], w=np.stack((v, s))[:, :, None],
+                      vv=vv, vs=vs, ss=ss, cost0=ss - vs * (vs / vv), s0_0=vs / vv, tie=_TIE * ss)
+    rows = np.arange(len(s))[:, None]
+
+    top = np.log(D_STAR_MAX / adc)  # the upper end of tau = log(D*/ADC)
+    h = top / _COARSE
+    grid = h * np.arange(1, _COARSE + 1)
+    coarse = grid[rows, profile(grid)[0].argmin(axis=1)[:, None]]
+
+    # midpoints of _FINE equal steps across [coarse - h, coarse + h]: all above 0
+    step = 2.0 * h / _FINE
+    fine = coarse - h + step * (np.arange(_FINE) + 0.5)
+    cost = profile(np.minimum(fine, top))[0]
+    cost[fine > top] = np.inf
+    j = cost.argmin(axis=1)[:, None]
+    left, mid, right = (cost[rows, np.minimum(np.maximum(j + i, 0), _FINE - 1)]
+                        for i in (-1, 0, 1))
+    # the vertex of the parabola through the best fine point and its two neighbours
+    curvature = left - 2.0 * mid + right
+    convex = (j > 0) & (j < _FINE - 1) & np.isfinite(curvature) & (curvature > 0)
+    shift = np.divide(0.5 * step * (left - right), curvature,
+                      out=np.zeros_like(curvature), where=convex)
+
+    # the least of the three candidates, a tie going to the coarser
+    tau = np.hstack((coarse, fine[rows, j], fine[rows, j] + shift))
+    cost, s0, f = profile(tau)
+    pick = cost.argmin(axis=1)[:, None]
+    d_star = np.minimum(adc * np.exp(tau[rows, pick]), D_STAR_MAX)
+    return np.hstack((s0[rows, pick], f[rows, pick], d_star)).T
+
+
+def _search(b: np.ndarray, signals: np.ndarray, adc: np.ndarray) -> np.ndarray:
+    """(S0, f, D*) of each voxel at its least profiled cost: shape (3, N).
+
+    ``signals`` is (N, n_b) and ``adc`` (N,). Voxels are searched in blocks of
+    at most ``_BLOCK`` (voxel, D*, b-value) elements; every voxel's arithmetic
+    is its own, so its result does not depend on the block it falls in.
+    """
+    out = np.empty((3, len(signals)))
+    size = max(1, _BLOCK // (_COARSE * b.size))
+    for lo in range(0, len(signals), size):
+        out[:, lo:lo + size] = _search_block(b, signals[lo:lo + size], adc[lo:lo + size])
+    return out
+
+
+def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
+            b: np.ndarray) -> IvimFit:
+    """LM from the searched point (S0, f, D*); the cheaper of the two, a tie going to the start.
+
+    LM starts strictly inside the box, so a point on its edge moves in by 0.1% of the box first.
+    """
     e_adc = np.exp(-adc * b)
 
     def residual(th):
@@ -168,38 +283,43 @@ def _fit_ivim_arrays(b: np.ndarray, s: np.ndarray, adc: float,
         e = np.exp(-d_star * b)
         return np.array((f * e + (1.0 - f) * e_adc, s0 * (e - e_adc), -s0 * f * b * e))
 
+    theta = np.array([s0, f, d_star])
+    r = residual(theta)
+    ssr = float(r @ r)
     problem = lm.FitProblem(
         residual=residual,
         jacobian=jacobian,
-        theta0=np.array([s0_init, f_init, d_star_init]),
+        theta0=np.array([s0, _clamp_open(f, 0.0, 1.0), _clamp_open(d_star, adc, D_STAR_MAX)]),
         transforms=(_S0, _F, lm.logistic(adc, D_STAR_MAX)),
     )
     result = lm.lm_fit(problem)
-    s0, f, d_star = (float(v) for v in result.params)
-    rms = math.sqrt(result.ssr / b.size) / s0
-    return IvimFit(s0, f, d_star, rms)
+    if result.ssr < ssr - _TIE * float(s @ s):
+        theta, ssr = result.params, result.ssr
+    s0, f, d_star = (float(v) for v in theta)
+    return IvimFit(s0, f, d_star, math.sqrt(ssr / b.size) / s0)
 
 
 def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> IvimFit | None:
-    """Biexponential fit of (S0, f, D*) at a fixed adc; None without a positive b=0 mean."""
+    """Biexponential fit of (S0, f, D*) at a fixed adc; None where the voxel's data fail it.
+
+    The same two stages as ``fit_volume`` on a batch of one: the profiled
+    search over log D*, then the LM polish from its point.
+    """
     if not 0 < adc < D_STAR_MAX:
         raise ValueError(f"adc must lie in (0, D_STAR_MAX = {D_STAR_MAX}), got {adc}")
-    high = _high_b(sig.bvalues, sig.intensities, cfg or IvimFitConfig())
-    return _fit_ivim_arrays(sig.bvalues, sig.intensities, adc,
-                            None if high is None else high[2])
+    b, s = sig.bvalues, sig.intensities
+    if not _usable(b, s[None], cfg or IvimFitConfig())[0]:
+        return None
+    return _polish(s, adc, *_search(b, s[None], np.array([adc]))[:, 0], b=b)
 
 
-_FAILED = (math.nan,) * 5
-
-
-def _fit_voxel(s: np.ndarray, b: np.ndarray, cfg: IvimFitConfig) -> tuple[float, ...]:
-    """(s0, f, d_star, adc, residual) of one voxel; all NaN when it cannot be fitted."""
-    high = _high_b(b, s, cfg) if np.isfinite(s).all() else None
-    adc = None if high is None else _fit_adc_arrays(*high).adc
-    ivim = None if adc is None else _fit_ivim_arrays(b, s, adc, high[2])
-    if ivim is None:
-        return _FAILED
-    return ivim.s0, ivim.f, ivim.d_star, adc, ivim.residual
+def _fit_usable(signals: np.ndarray, b: np.ndarray, cfg: IvimFitConfig, mapper) -> np.ndarray:
+    """(S0, f, D*, ADC, residual) rows of usable voxels; ``mapper`` is ``map`` or a pool's."""
+    adc = np.array([fit.adc for fit in mapper(partial(_adc_step, b=b, cfg=cfg), signals)])
+    start = _search(b, signals, adc)
+    fits = mapper(partial(_polish, b=b), signals, adc, *start)
+    return np.array([(fit.s0, fit.f, fit.d_star, a, fit.residual) for fit, a in zip(fits, adc)],
+                    dtype=np.float64).reshape(len(signals), 5)
 
 
 def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = None,
@@ -207,9 +327,19 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
     """Fit every masked voxel; NaN outside the mask and where a voxel's data fail it.
 
     ``series`` is averaged by b-value first (``grid.average_by_bvalue``), and
-    two of its b-values must lie above ``cfg.b_threshold``. The result is
-    independent of voxel visit order and of ``workers`` (at least 1): voxel
-    fits share no state, and ``map`` keeps index order.
+    two of its b-values must lie above ``cfg.b_threshold``. The fit runs in
+    three stages over the (voxels, b-values) signal matrix, after the data
+    rule has set the failed voxels aside:
+
+    1. the ADC step, per voxel;
+    2. one search over all voxels for each voxel's least profiled IVIM cost
+       in log D*;
+    3. the LM polish of that point, per voxel.
+
+    With ``workers`` above 1 the two per-voxel stages map through one process
+    pool, and the search runs in this process. The result is independent of
+    voxel visit order and of ``workers`` (at least 1): no voxel's arithmetic
+    depends on another's, and ``map`` keeps index order.
     """
     cfg = cfg or IvimFitConfig()
     if workers < 1:
@@ -226,16 +356,18 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
 
     flat_idx = np.flatnonzero(mask.data.ravel())
     n_vox = int(np.prod(series.dims))
+    b = np.asarray(series.bvalues)
     signals = series.data.reshape(series.n_frames, n_vox)[:, flat_idx].T
-    signals = np.ascontiguousarray(np.maximum(signals, 0.0))
-    fit = partial(_fit_voxel, b=np.asarray(series.bvalues), cfg=cfg)
-    if workers == 1 or flat_idx.size < 2 * workers:
-        results = list(map(fit, signals))
+    signals = np.maximum(signals, 0.0)
+    usable = _usable(b, signals, cfg)
+    signals = signals[usable]
+    results = np.full((flat_idx.size, 5), np.nan)
+    if workers == 1 or signals.shape[0] < 2 * workers:
+        results[usable] = _fit_usable(signals, b, cfg, map)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fit, signals,
-                                    chunksize=math.ceil(flat_idx.size / (4 * workers))))
-    results = np.array(results, dtype=np.float64).reshape(flat_idx.size, 5)
+            chunk = math.ceil(signals.shape[0] / (4 * workers))
+            results[usable] = _fit_usable(signals, b, cfg, partial(pool.map, chunksize=chunk))
 
     maps = []
     for col in range(5):
@@ -243,7 +375,7 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
         full[flat_idx] = results[:, col]
         maps.append(Volume3D(full.reshape(series.dims), series.spacing))
     fitted = np.zeros(n_vox, dtype=bool)
-    fitted[flat_idx] = np.isfinite(results[:, 3])
+    fitted[flat_idx] = usable
     fitted_mask = BinaryMask(fitted.reshape(series.dims), series.spacing)
     return IvimMaps(s0=maps[0], f=maps[1], d_star=maps[2], adc=maps[3],
                     residual=maps[4], mask=fitted_mask)

@@ -1,9 +1,12 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from ivimlab import ivim, lm, phantom, report
 from ivimlab.grid import (BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3D,
@@ -54,7 +57,8 @@ def with_bad_sample(series: DwiSeries, frame: int, at, value: float) -> DwiSerie
 
 
 class TestNonFiniteSamples:
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    # 1e160 is finite, but its square is not: a float64 series can hold it
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e160])
     @pytest.mark.parametrize("bvalue", [0.0, 400.0])
     def test_bad_voxel_fails_alone(self, value, bvalue):
         bundle = phantom.make_phantom(phantom.PhantomConfig(dims=(3, 8, 8)))
@@ -215,6 +219,128 @@ class TestDStarBound:
         sig = ivim.VoxelSignal(b, 100.0 * np.exp(-0.002 * b))
         with pytest.raises(ValueError, match="adc must lie in"):
             ivim.fit_ivim(sig, adc, CFG)
+
+
+def ivim_cost(b, s, adc, fit) -> float:
+    r = fit.s0 * (fit.f * np.exp(-fit.d_star * b) + (1 - fit.f) * np.exp(-adc * b)) - s
+    return float(r @ r)
+
+
+def profiled_cost(b, s, adc, d_star) -> float:
+    """The least cost over a, c >= 0 of a*exp(-D* b) + c*exp(-ADC b), by scipy's NNLS."""
+    return nnls(np.column_stack((np.exp(-d_star * b), np.exp(-adc * b))), s)[1] ** 2
+
+
+def usable_by_loop(b, s, cfg) -> bool:
+    """The data rule for one voxel, sample by sample."""
+    s = [float(sv) for sv in s]  # a Python float's square overflows to inf, quietly
+    high = {bv for bv, sv in zip(b, s) if bv > cfg.b_threshold and sv > 0}
+    finite = all(math.isfinite(sv) for sv in s) and math.isfinite(sum(sv * sv for sv in s))
+    return finite and len(high) >= 2 and any(sv > 0 for bv, sv in zip(b, s) if bv == 0)
+
+
+class TestProfiledSearch:
+    """The IVIM step's searched start, polished by LM, against an independent profile."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(s0=st.floats(1.0, 1e4), f=st.floats(0.0, 1.0), adc=st.floats(ivim.ADC_MIN, 0.05),
+           d_star_ratio=st.floats(1.0, 500.0), snr=st.sampled_from([10.0, 30.0, 100.0, np.inf]),
+           seed=st.integers(0, 2**16))
+    def test_cost_is_at_most_the_profile_everywhere(self, s0, f, adc, d_star_ratio, snr, seed):
+        b = np.asarray(DEFAULT_BVALUES, dtype=float)
+        d_star = min(adc * d_star_ratio, ivim.D_STAR_MAX)
+        truth = s0 * (f * np.exp(-d_star * b) + (1 - f) * np.exp(-adc * b))
+        sd = 0.0 if np.isinf(snr) else s0 / snr
+        rng = np.random.default_rng(seed)
+        s = np.hypot(truth + rng.normal(0, sd, b.size), rng.normal(0, sd, b.size))
+        fit = ivim.fit_ivim(ivim.VoxelSignal(b, s), adc, CFG)
+        assert fit is not None
+        assert 0 <= fit.f <= 1 and adc < fit.d_star <= ivim.D_STAR_MAX and fit.s0 > 0
+
+        cost, ss = ivim_cost(b, s, adc, fit), float(s @ s)
+        assert fit.residual == pytest.approx(np.sqrt(cost / b.size) / fit.s0, rel=1e-9, abs=1e-300)
+        # both ends of the D* range (at D* = ADC the two terms are one) and a grid between
+        ends_and_grid = adc * (ivim.D_STAR_MAX / adc) ** np.linspace(0.0, 1.0, 97)
+        for point in ends_and_grid:
+            assert cost <= profiled_cost(b, s, adc, point) + 1e-12 * ss, point
+
+    def test_mono_exponential_voxel_fits_f_zero_quietly(self):
+        # the D* grid meets ADC here, where the two decay terms coincide
+        b = np.asarray(DEFAULT_BVALUES, dtype=float)
+        sig = ivim.VoxelSignal(b, 100.0 * np.exp(-0.002 * b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            adc = ivim.fit_adc(sig, CFG).adc
+            fit = ivim.fit_ivim(sig, adc, CFG)
+        assert fit.f == 0.0 and adc < fit.d_star <= ivim.D_STAR_MAX
+        assert fit.s0 == pytest.approx(100.0, rel=1e-9)
+
+    def test_zero_f_phantom_fits_f_zero_exactly(self):
+        # the NNLS face f = 0 wins a tie with the interior, so no rounding residue is left
+        bundle = phantom.make_phantom(phantom.PhantomConfig(dims=(3, 8, 8), f=0.0))
+        maps = ivim.fit_volume(bundle.series, bundle.mask)
+        assert maps.mask.voxel_count == bundle.mask.voxel_count
+        assert not maps.f.data[maps.mask.data].any()
+        assert ivim.summarize(maps) is None
+
+
+class TestBatchInvariance:
+    """A voxel fitted alone gives the bits it gets inside a volume, in either visit order."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        bundle = phantom.make_phantom(phantom.PhantomConfig(
+            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        forward = ivim.fit_volume(bundle.series, bundle.mask)
+        axes = (0, 1, 2)
+        backward = ivim.fit_volume(
+            DwiSeries(np.flip(bundle.series.data, (1, 2, 3)), bundle.series.spacing,
+                      bundle.series.bvalues),
+            BinaryMask(np.flip(bundle.mask.data, axes), bundle.mask.spacing))
+        backward = {name: np.flip(getattr(backward, name).data, axes)
+                    for name in ("s0", "f", "d_star", "adc", "residual")}
+        voxels = [(tuple(at), ivim.VoxelSignal(bundle.series.bvalues,
+                                               np.maximum(bundle.series.data[(slice(None), *at)], 0)))
+                  for at in np.argwhere(bundle.mask.data)]
+        assert forward.mask.voxel_count == len(voxels)
+        return forward, backward, voxels
+
+    def test_adc_map_is_fit_adc_per_voxel(self, fitted):
+        forward, backward, voxels = fitted
+        for at, sig in voxels:
+            adc = ivim.fit_adc(sig, CFG).adc
+            assert adc == forward.adc.data[at] == backward["adc"][at], at
+
+    def test_ivim_maps_are_fit_ivim_per_voxel(self, fitted):
+        forward, backward, voxels = fitted
+        for at, sig in voxels:
+            fit = ivim.fit_ivim(sig, forward.adc.data[at], CFG)
+            for name in ("s0", "f", "d_star", "residual"):
+                assert getattr(fit, name) == getattr(forward, name).data[at] \
+                    == backward[name][at], (at, name)
+
+
+class TestDataRule:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), threshold=st.sampled_from([0.0, 100.0, 300.0]))
+    def test_matrix_rule_matches_the_voxel_loop(self, data, threshold):
+        # repeated b-values, zero and non-finite samples, and samples whose squares overflow
+        cfg = ivim.IvimFitConfig(threshold)
+        b = np.sort(data.draw(st.lists(st.sampled_from([0.0, 50.0, 200.0, 400.0, 800.0]),
+                                       min_size=3, max_size=9)))
+        values = st.sampled_from([0.0, 1.0, 80.0, 1e100, 1e160, np.inf, np.nan])
+        signals = np.array(data.draw(st.lists(st.lists(values, min_size=b.size, max_size=b.size),
+                                              min_size=1, max_size=6)))
+        expected = [usable_by_loop(b, s, cfg) for s in signals]
+        assert ivim._usable(b, signals, cfg).tolist() == expected
+
+    def test_per_voxel_api_fails_the_voxels_the_rule_fails(self):
+        b = np.array([0.0, 0.0, 200.0, 200.0, 400.0])
+        for s in ([1.0, 0.0, 80.0, 80.0, 0.0],  # one distinct b-value above the threshold
+                  [0.0, 0.0, 80.0, 80.0, 40.0],  # no positive b=0 sample
+                  [1e160, 1.0, 80.0, 80.0, 40.0]):  # squares that overflow
+            sig = ivim.VoxelSignal(b, s)
+            assert ivim.fit_adc(sig, CFG) is None and ivim.fit_ivim(sig, 2e-3, CFG) is None, s
 
 
 class TestFixedBox:
