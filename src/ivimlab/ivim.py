@@ -10,14 +10,20 @@ parameter box is fixed: S0 > 0, f in [0, 1], ADC in [``ADC_MIN``,
 term the data cannot resolve stops at the D* bound rather than running off
 to infinity.
 
-Step two is separable least squares (Golub & Pereyra 1973). At a fixed D*
-the model a*exp(-D* b) + c*exp(-ADC b) is linear in a = S0 f and
-c = S0 (1 - f), and the best a, c >= 0 is a closed-form two-variable
-non-negative least squares (NNLS): the interior solution, or one of its
-faces f = 0 and f = 1. So the cost, profiled over (a, c), is a function of
-D* alone. One search over all voxels at once finds each voxel's least point
-in log D*: a coarse grid over (ADC, ``D_STAR_MAX``], a finer grid across the
-two coarse steps around its best point, then one parabolic step. The
+Both steps are separable least squares (Golub & Pereyra 1973): once its
+decay rate is fixed, each model is linear in its amplitudes, so the cost
+profiled over the amplitudes is a function of one rate. In step one, at a
+fixed ADC the best S0 is closed form, sum(w e s) / sum(w e^2) with
+e = exp(-ADC b), where the 0/1 weight w keeps the positive samples above the
+b threshold. In step two, at a fixed D* the model a*exp(-D* b) +
+c*exp(-ADC b) is linear in a = S0 f and c = S0 (1 - f), and the best
+a, c >= 0 is a closed-form two-variable non-negative least squares (NNLS):
+the interior solution, or one of its faces f = 0 and f = 1.
+
+Each step runs one search over all voxels at once for each voxel's least
+profiled point in the log of its rate: a coarse grid over [``ADC_MIN``,
+``ADC_MAX``] or (ADC, ``D_STAR_MAX``], a finer grid across the two coarse
+steps around its best point, then one parabolic step. The
 Levenberg-Marquardt solver (``lm``) polishes that start, and the voxel keeps
 whichever of the two points costs less.
 
@@ -61,11 +67,11 @@ _S0 = lm.log_positive()
 _ADC = lm.logistic(ADC_MIN, ADC_MAX)
 _F = lm.logistic(0.0, 1.0)
 
-# the D* search: _COARSE points evenly spaced in log D* over (ADC, D_STAR_MAX], then
+# both searches: _COARSE steps evenly spaced in the log of the rate over its range, then
 # _FINE points across the two coarse steps around the best one, then a parabolic step
 _COARSE = 64
 _FINE = 64
-# its memory budget: the (voxel, D*, b-value) elements evaluated at once
+# their memory budget: the (voxel, grid point, b-value) elements evaluated at once
 _BLOCK = 1 << 15
 # two costs closer than this many times the voxel's sum of squared samples are a tie
 _TIE = 8 * np.finfo(np.float64).eps
@@ -134,26 +140,119 @@ def _usable(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.ndarra
     return finite & (distinct >= 2) & positive[:, b == 0].any(axis=1)
 
 
-def _loglinear(b: np.ndarray, s: np.ndarray) -> tuple[float, float]:
-    """OLS of ln(s) on b; returns (intercept_amplitude, decay_rate)."""
-    ln_s = np.log(s)
-    bm = b.mean()
-    lm_ = ln_s.mean()
-    sxx = float(((b - bm) ** 2).sum())
-    slope = float(((b - bm) * (ln_s - lm_)).sum()) / sxx
-    return math.exp(lm_ - slope * bm), -slope
-
-
 def _clamp_open(v: float, lo: float, hi: float) -> float:
     span = hi - lo
     return min(max(v, lo + 1e-3 * span), hi - 1e-3 * span)
 
 
-def _adc_step(s: np.ndarray, b: np.ndarray, cfg: IvimFitConfig) -> AdcFit:
-    """Mono-exponential fit over the positive samples above the b threshold of a usable voxel."""
+def _grid_min(profile, lo: np.ndarray, hi: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
+    """Each row's least point x of ``profile`` over [lo, hi], and the profile's other outputs there.
+
+    ``profile(x)`` maps an (n, k) array of points to a tuple of (n, k) arrays,
+    the cost first; ``lo`` and ``hi`` are (n, 1). The coarse grid takes
+    ``_COARSE`` equal steps up to ``hi``, starting at ``lo`` (``first`` 0) or
+    one step above it (``first`` 1). Each result is (n, 1).
+    """
+    rows = np.arange(len(lo))[:, None]
+    h = (hi - lo) / _COARSE
+    grid = lo + h * np.arange(first, _COARSE + 1)
+    coarse = grid[rows, profile(grid)[0].argmin(axis=1)[:, None]]
+
+    # midpoints of _FINE equal steps across [coarse - h, coarse + h]; outside [lo, hi] cost inf
+    step = 2.0 * h / _FINE
+    fine = coarse - h + step * (np.arange(_FINE) + 0.5)
+    cost = profile(np.clip(fine, lo, hi))[0]
+    cost[(fine < lo) | (fine > hi)] = np.inf
+    j = cost.argmin(axis=1)[:, None]
+    left, mid, right = (cost[rows, np.minimum(np.maximum(j + i, 0), _FINE - 1)]
+                        for i in (-1, 0, 1))
+    # the vertex of the parabola through the best fine point and its two neighbours
+    curvature = left - 2.0 * mid + right
+    convex = (j > 0) & (j < _FINE - 1) & np.isfinite(curvature) & (curvature > 0)
+    shift = np.divide(0.5 * step * (left - right), curvature,
+                      out=np.zeros_like(curvature), where=convex)
+
+    # the least of the three candidates, a tie going to the coarser
+    x = np.hstack((coarse, fine[rows, j], fine[rows, j] + shift))
+    out = profile(x)
+    pick = out[0].argmin(axis=1)[:, None]
+    return (x[rows, pick], *(v[rows, pick] for v in out[1:]))
+
+
+def _blocked(search, n_out: int, b: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+    """``search(b, *rows)`` over blocks of voxels, stacked into shape (``n_out``, N).
+
+    Each column holds one row per voxel. A block holds at most ``_BLOCK``
+    (voxel, grid point, b-value) elements; every voxel's arithmetic is its
+    own, so its result does not depend on the block it falls in.
+    """
+    out = np.empty((n_out, len(columns[0])))
+    size = max(1, _BLOCK // ((_COARSE + 1) * b.size))
+    for lo in range(0, out.shape[1], size):
+        out[:, lo:lo + size] = search(b, *(c[lo:lo + size] for c in columns))
+    return out
+
+
+def _profile_adc(x, b, w, ws, ss):
+    """The least mono-exponential cost over S0 at each log ADC ``x``, shape (n, k), of n voxels.
+
+    Returns the cost and S0, each (n, k). The 0/1 sample weights ``w`` and
+    ``ws`` = w*s are (n, 1, n_b), and ``ss`` = sum(w s^2) is (n, 1). Where
+    every weighted e^2 underflows, S0 is 0 and the cost is ``ss``.
+    """
+    e = np.exp(np.exp(x)[..., None] * -b)
+    # a sum over the last, contiguous axis adds each (voxel, ADC) row on its own
+    es = (e * ws).sum(axis=2)
+    ee = (e * e * w).sum(axis=2)
+    s0 = np.divide(es, ee, out=np.zeros_like(es), where=ee > 0)
+    return ss - es * s0, s0
+
+
+def _search_adc_block(b: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    ws = w * s
+    ss = (ws * s).sum(axis=1, keepdims=True)
+    profile = partial(_profile_adc, b=b, w=w[:, None], ws=ws[:, None], ss=ss)
+    lo, hi = np.full_like(ss, math.log(ADC_MIN)), np.full_like(ss, math.log(ADC_MAX))
+    x, s0 = _grid_min(profile, lo, hi, first=0)
+    return np.hstack((s0, np.clip(np.exp(x), ADC_MIN, ADC_MAX))).T
+
+
+def _search_adc(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.ndarray:
+    """(S0, ADC) of each voxel at its least profiled mono-exponential cost: shape (2, N).
+
+    ``signals`` is (N, n_b). The cost is over each voxel's positive samples
+    above the b threshold, and ADC is searched over [ADC_MIN, ADC_MAX], both
+    ends included.
+    """
+    w = ((b > cfg.b_threshold) & (signals > 0)).astype(np.float64)
+    return _blocked(_search_adc_block, 2, b, signals, w)
+
+
+def _polished(problem: lm.FitProblem, theta: np.ndarray,
+              s: np.ndarray) -> tuple[np.ndarray, float]:
+    """LM from ``problem``'s start; the cheaper of its result and ``theta``, a tie going to theta.
+
+    Returns the kept point and its cost. ``s`` holds the samples that the
+    cost is over, and sets the tie.
+    """
+    r = problem.residual(theta)
+    ssr = float(r @ r)
+    result = lm.lm_fit(problem)
+    if result.ssr < ssr - _TIE * float(s @ s):
+        return result.params, result.ssr
+    return theta, ssr
+
+
+def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray,
+                cfg: IvimFitConfig) -> AdcFit:
+    """LM from the searched point (S0, ADC) over the positive samples above the b threshold.
+
+    LM starts strictly inside the box, so an ADC within 0.1% of the box of an
+    end moves in first; the voxel keeps the cheaper point, as ``_polished``
+    decides.
+    """
     keep = (b > cfg.b_threshold) & (s > 0)
     bh, sh = b[keep], s[keep]
-    s0_init, rate = _loglinear(bh, sh)
 
     def residual(th):
         return th[0] * np.exp(-th[1] * bh) - sh
@@ -165,19 +264,24 @@ def _adc_step(s: np.ndarray, b: np.ndarray, cfg: IvimFitConfig) -> AdcFit:
     problem = lm.FitProblem(
         residual=residual,
         jacobian=jacobian,
-        theta0=np.array([max(s0_init, 1e-12), _clamp_open(rate, ADC_MIN, ADC_MAX)]),
+        theta0=np.array([s0, _clamp_open(adc, ADC_MIN, ADC_MAX)]),
         transforms=(_S0, _ADC),
     )
-    result = lm.lm_fit(problem)
-    return AdcFit(float(result.params[0]), float(result.params[1]))
+    s0, adc = (float(v) for v in _polished(problem, np.array([s0, adc]), sh)[0])
+    return AdcFit(s0, adc)
 
 
 def fit_adc(sig: VoxelSignal, cfg: IvimFitConfig | None = None) -> AdcFit | None:
-    """Mono-exponential fit over the high-b subset; None where the voxel's data fail it."""
+    """Mono-exponential fit over the high-b subset; None where the voxel's data fail it.
+
+    The same two stages as ``fit_volume``'s ADC step on a batch of one: the
+    profiled search over log ADC, then the LM polish from its point.
+    """
     cfg = cfg or IvimFitConfig()
-    if not _usable(sig.bvalues, sig.intensities[None], cfg)[0]:
+    b, s = sig.bvalues, sig.intensities
+    if not _usable(b, s[None], cfg)[0]:
         return None
-    return _adc_step(sig.intensities, sig.bvalues, cfg)
+    return _polish_adc(s, *_search_adc(b, s[None], cfg)[:, 0], b=b, cfg=cfg)
 
 
 def _profile(tau, b, adc, v, w, vv, vs, ss, cost0, s0_0, tie):
@@ -224,52 +328,22 @@ def _search_block(b: np.ndarray, s: np.ndarray, adc: np.ndarray) -> np.ndarray:
                   (s * s).sum(axis=1, keepdims=True))
     profile = partial(_profile, b=b, adc=adc, v=v[:, None], w=np.stack((v, s))[:, :, None],
                       vv=vv, vs=vs, ss=ss, cost0=ss - vs * (vs / vv), s0_0=vs / vv, tie=_TIE * ss)
-    rows = np.arange(len(s))[:, None]
-
-    top = np.log(D_STAR_MAX / adc)  # the upper end of tau = log(D*/ADC)
-    h = top / _COARSE
-    grid = h * np.arange(1, _COARSE + 1)
-    coarse = grid[rows, profile(grid)[0].argmin(axis=1)[:, None]]
-
-    # midpoints of _FINE equal steps across [coarse - h, coarse + h]: all above 0
-    step = 2.0 * h / _FINE
-    fine = coarse - h + step * (np.arange(_FINE) + 0.5)
-    cost = profile(np.minimum(fine, top))[0]
-    cost[fine > top] = np.inf
-    j = cost.argmin(axis=1)[:, None]
-    left, mid, right = (cost[rows, np.minimum(np.maximum(j + i, 0), _FINE - 1)]
-                        for i in (-1, 0, 1))
-    # the vertex of the parabola through the best fine point and its two neighbours
-    curvature = left - 2.0 * mid + right
-    convex = (j > 0) & (j < _FINE - 1) & np.isfinite(curvature) & (curvature > 0)
-    shift = np.divide(0.5 * step * (left - right), curvature,
-                      out=np.zeros_like(curvature), where=convex)
-
-    # the least of the three candidates, a tie going to the coarser
-    tau = np.hstack((coarse, fine[rows, j], fine[rows, j] + shift))
-    cost, s0, f = profile(tau)
-    pick = cost.argmin(axis=1)[:, None]
-    d_star = np.minimum(adc * np.exp(tau[rows, pick]), D_STAR_MAX)
-    return np.hstack((s0[rows, pick], f[rows, pick], d_star)).T
+    top = np.log(D_STAR_MAX / adc)  # tau = log(D*/ADC) runs over (0, top]
+    tau, s0, f = _grid_min(profile, np.zeros_like(top), top, first=1)
+    return np.hstack((s0, f, np.minimum(adc * np.exp(tau), D_STAR_MAX))).T
 
 
 def _search(b: np.ndarray, signals: np.ndarray, adc: np.ndarray) -> np.ndarray:
     """(S0, f, D*) of each voxel at its least profiled cost: shape (3, N).
 
-    ``signals`` is (N, n_b) and ``adc`` (N,). Voxels are searched in blocks of
-    at most ``_BLOCK`` (voxel, D*, b-value) elements; every voxel's arithmetic
-    is its own, so its result does not depend on the block it falls in.
+    ``signals`` is (N, n_b) and ``adc`` (N,).
     """
-    out = np.empty((3, len(signals)))
-    size = max(1, _BLOCK // (_COARSE * b.size))
-    for lo in range(0, len(signals), size):
-        out[:, lo:lo + size] = _search_block(b, signals[lo:lo + size], adc[lo:lo + size])
-    return out
+    return _blocked(_search_block, 3, b, signals, adc)
 
 
 def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
             b: np.ndarray) -> IvimFit:
-    """LM from the searched point (S0, f, D*); the cheaper of the two, a tie going to the start.
+    """LM from the searched point (S0, f, D*); the voxel keeps the cheaper point (``_polished``).
 
     LM starts strictly inside the box, so a point on its edge moves in by 0.1% of the box first.
     """
@@ -283,18 +357,13 @@ def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
         e = np.exp(-d_star * b)
         return np.array((f * e + (1.0 - f) * e_adc, s0 * (e - e_adc), -s0 * f * b * e))
 
-    theta = np.array([s0, f, d_star])
-    r = residual(theta)
-    ssr = float(r @ r)
     problem = lm.FitProblem(
         residual=residual,
         jacobian=jacobian,
         theta0=np.array([s0, _clamp_open(f, 0.0, 1.0), _clamp_open(d_star, adc, D_STAR_MAX)]),
         transforms=(_S0, _F, lm.logistic(adc, D_STAR_MAX)),
     )
-    result = lm.lm_fit(problem)
-    if result.ssr < ssr - _TIE * float(s @ s):
-        theta, ssr = result.params, result.ssr
+    theta, ssr = _polished(problem, np.array([s0, f, d_star]), s)
     s0, f, d_star = (float(v) for v in theta)
     return IvimFit(s0, f, d_star, math.sqrt(ssr / b.size) / s0)
 
@@ -302,8 +371,8 @@ def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
 def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> IvimFit | None:
     """Biexponential fit of (S0, f, D*) at a fixed adc; None where the voxel's data fail it.
 
-    The same two stages as ``fit_volume`` on a batch of one: the profiled
-    search over log D*, then the LM polish from its point.
+    The same two stages as ``fit_volume``'s IVIM step on a batch of one: the
+    profiled search over log D*, then the LM polish from its point.
     """
     if not 0 < adc < D_STAR_MAX:
         raise ValueError(f"adc must lie in (0, D_STAR_MAX = {D_STAR_MAX}), got {adc}")
@@ -315,7 +384,8 @@ def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> 
 
 def _fit_usable(signals: np.ndarray, b: np.ndarray, cfg: IvimFitConfig, mapper) -> np.ndarray:
     """(S0, f, D*, ADC, residual) rows of usable voxels; ``mapper`` is ``map`` or a pool's."""
-    adc = np.array([fit.adc for fit in mapper(partial(_adc_step, b=b, cfg=cfg), signals)])
+    adc_fits = mapper(partial(_polish_adc, b=b, cfg=cfg), signals, *_search_adc(b, signals, cfg))
+    adc = np.array([fit.adc for fit in adc_fits])
     start = _search(b, signals, adc)
     fits = mapper(partial(_polish, b=b), signals, adc, *start)
     return np.array([(fit.s0, fit.f, fit.d_star, a, fit.residual) for fit, a in zip(fits, adc)],
@@ -328,16 +398,18 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
 
     ``series`` is averaged by b-value first (``grid.average_by_bvalue``), and
     two of its b-values must lie above ``cfg.b_threshold``. The fit runs in
-    three stages over the (voxels, b-values) signal matrix, after the data
+    four stages over the (voxels, b-values) signal matrix, after the data
     rule has set the failed voxels aside:
 
-    1. the ADC step, per voxel;
-    2. one search over all voxels for each voxel's least profiled IVIM cost
+    1. one search over all voxels for each voxel's least profiled
+       mono-exponential cost in log ADC;
+    2. the LM polish of that point, per voxel, which fixes the ADC;
+    3. one search over all voxels for each voxel's least profiled IVIM cost
        in log D*;
-    3. the LM polish of that point, per voxel.
+    4. the LM polish of that point, per voxel.
 
     With ``workers`` above 1 the two per-voxel stages map through one process
-    pool, and the search runs in this process. The result is independent of
+    pool, and the searches run in this process. The result is independent of
     voxel visit order and of ``workers`` (at least 1): no voxel's arithmetic
     depends on another's, and ``map`` keeps index order.
     """

@@ -203,7 +203,8 @@ def lm_fit(problem: FitProblem) -> FitResult:
                 u_try = u + step
                 theta_try, dtheta_try = _to_external(u_try, transforms)
                 r_try = np.asarray(fn(theta_try), dtype=np.float64).ravel()
-                ssr_try = float(r_try @ r_try)
+                with np.errstate(over="ignore"):  # an overflowing cost reads as inf, quietly
+                    ssr_try = float(r_try @ r_try)
                 if ssr_try < ssr:  # False for a NaN or infinite cost
                     rel_drop = (ssr - ssr_try) / max(ssr, 1e-300)
                     u, theta, dtheta, r, ssr = u_try, theta_try, dtheta_try, r_try, ssr_try

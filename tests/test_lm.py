@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,22 @@ class TestLmFit:
         result = lm.lm_fit(problem)
         assert 1e-5 <= result.params[1] <= 1e-1
         assert result.params[1] < 1.1e-5  # driven to the lower bound
+
+    def test_overflowing_trial_cost_is_rejected_quietly(self):
+        # from theta = -6 the first step lands near theta = 397, where each residual
+        # (about 1e172) is finite but its square is not
+        x = np.ones(2)
+        problem = lm.FitProblem(
+            residual=lambda th: np.exp(th[0]) * x - 1.0,
+            jacobian=lambda th: np.exp(th[0]) * x[None],
+            theta0=np.array([-6.0]),
+            transforms=(lm.identity(),),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = lm.lm_fit(problem)
+        assert result.converged
+        assert result.params[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_dimension_error_when_underdetermined(self):
         problem = lm.FitProblem(
