@@ -5,10 +5,10 @@ b threshold), giving the apparent diffusion coefficient. Step two fixes the
 tissue diffusion coefficient to that value and fits amplitude, perfusion
 fraction and pseudo-diffusion coefficient to the full decay curve, which
 stabilizes the otherwise poorly conditioned biexponential problem. The
-parameter box is fixed: S0 > 0, f in [0, 1], ADC in [``ADC_MIN``,
-``ADC_MAX``] and D* in (ADC, ``D_STAR_MAX``], so a voxel whose perfusion
-term the data cannot resolve stops at the D* bound rather than running off
-to infinity.
+parameter box is fixed and closed: S0 >= 0, f in [0, 1], ADC in
+[``ADC_MIN``, ``ADC_MAX``] and D* in [ADC, ``D_STAR_MAX``], so a voxel whose
+perfusion term the data cannot resolve stops at the D* bound rather than
+running off to infinity.
 
 Both steps are separable least squares (Golub & Pereyra 1973): once its
 decay rate is fixed, each model is linear in its amplitudes, so the cost
@@ -23,9 +23,10 @@ the interior solution, or one of its faces f = 0 and f = 1.
 Each step runs one search over all voxels at once for each voxel's least
 profiled point in the log of its rate: a coarse grid over [``ADC_MIN``,
 ``ADC_MAX``] or (ADC, ``D_STAR_MAX``], a finer grid across the two coarse
-steps around its best point, then one parabolic step. The
-Levenberg-Marquardt solver (``lm``) polishes that start, and the voxel keeps
-whichever of the two points costs less.
+steps around its best point, then one parabolic step. The projected
+Levenberg-Marquardt solver (``lm``) polishes from that point exactly, over
+the same closed box, and the voxel keeps whichever of the two points costs
+less.
 
 Costs within a few ulps of the voxel's sum of squared samples (``_TIE``
 times it) are a tie, broken by rule: a face of the NNLS beats the interior
@@ -61,11 +62,6 @@ ADC_MIN = 1e-5
 ADC_MAX = 1e-1
 _BOUND_MARGIN = 1.01
 D_STAR_MAX = 1.0
-
-# the transforms that no voxel changes, built once
-_S0 = lm.log_positive()
-_ADC = lm.logistic(ADC_MIN, ADC_MAX)
-_F = lm.logistic(0.0, 1.0)
 
 # both searches: _COARSE steps evenly spaced in the log of the rate over its range, then
 # _FINE points across the two coarse steps around the best one, then a parabolic step
@@ -138,11 +134,6 @@ def _usable(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.ndarra
     distinct = (np.logical_or.reduceat(positive[:, high], shells, axis=1).sum(axis=1)
                 if shells.size else 0)
     return finite & (distinct >= 2) & positive[:, b == 0].any(axis=1)
-
-
-def _clamp_open(v: float, lo: float, hi: float) -> float:
-    span = hi - lo
-    return min(max(v, lo + 1e-3 * span), hi - 1e-3 * span)
 
 
 def _grid_min(profile, lo: np.ndarray, hi: np.ndarray, first: int) -> tuple[np.ndarray, ...]:
@@ -228,13 +219,13 @@ def _search_adc(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.nd
     return _blocked(_search_adc_block, 2, b, signals, w)
 
 
-def _polished(problem: lm.FitProblem, theta: np.ndarray,
-              s: np.ndarray) -> tuple[np.ndarray, float]:
-    """LM from ``problem``'s start; the cheaper of its result and ``theta``, a tie going to theta.
+def _polished(problem: lm.FitProblem, s: np.ndarray) -> tuple[np.ndarray, float]:
+    """LM from ``problem``'s start; the cheaper of its result and the start, a tie to the start.
 
     Returns the kept point and its cost. ``s`` holds the samples that the
     cost is over, and sets the tie.
     """
+    theta = problem.theta0
     r = problem.residual(theta)
     ssr = float(r @ r)
     result = lm.lm_fit(problem)
@@ -247,9 +238,9 @@ def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray,
                 cfg: IvimFitConfig) -> AdcFit:
     """LM from the searched point (S0, ADC) over the positive samples above the b threshold.
 
-    LM starts strictly inside the box, so an ADC within 0.1% of the box of an
-    end moves in first; the voxel keeps the cheaper point, as ``_polished``
-    decides.
+    LM starts at the searched point exactly, even on an end of the closed box
+    [0, inf) x [ADC_MIN, ADC_MAX]; the voxel keeps the cheaper point, as
+    ``_polished`` decides.
     """
     keep = (b > cfg.b_threshold) & (s > 0)
     bh, sh = b[keep], s[keep]
@@ -261,13 +252,9 @@ def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray,
         e = np.exp(-th[1] * bh)
         return np.array((e, -th[0] * bh * e))
 
-    problem = lm.FitProblem(
-        residual=residual,
-        jacobian=jacobian,
-        theta0=np.array([s0, _clamp_open(adc, ADC_MIN, ADC_MAX)]),
-        transforms=(_S0, _ADC),
-    )
-    s0, adc = (float(v) for v in _polished(problem, np.array([s0, adc]), sh)[0])
+    problem = lm.FitProblem(residual, jacobian, theta0=(s0, adc),
+                            lower=(0.0, ADC_MIN), upper=(math.inf, ADC_MAX))
+    s0, adc = (float(v) for v in _polished(problem, sh)[0])
     return AdcFit(s0, adc)
 
 
@@ -345,7 +332,8 @@ def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
             b: np.ndarray) -> IvimFit:
     """LM from the searched point (S0, f, D*); the voxel keeps the cheaper point (``_polished``).
 
-    LM starts strictly inside the box, so a point on its edge moves in by 0.1% of the box first.
+    LM starts at the searched point exactly, even on an edge of the closed box
+    [0, inf) x [0, 1] x [ADC, D_STAR_MAX].
     """
     e_adc = np.exp(-adc * b)
 
@@ -357,13 +345,9 @@ def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
         e = np.exp(-d_star * b)
         return np.array((f * e + (1.0 - f) * e_adc, s0 * (e - e_adc), -s0 * f * b * e))
 
-    problem = lm.FitProblem(
-        residual=residual,
-        jacobian=jacobian,
-        theta0=np.array([s0, _clamp_open(f, 0.0, 1.0), _clamp_open(d_star, adc, D_STAR_MAX)]),
-        transforms=(_S0, _F, lm.logistic(adc, D_STAR_MAX)),
-    )
-    theta, ssr = _polished(problem, np.array([s0, f, d_star]), s)
+    problem = lm.FitProblem(residual, jacobian, theta0=(s0, f, d_star),
+                            lower=(0.0, 0.0, adc), upper=(math.inf, 1.0, D_STAR_MAX))
+    theta, ssr = _polished(problem, s)
     s0, f, d_star = (float(v) for v in theta)
     return IvimFit(s0, f, d_star, math.sqrt(ssr / b.size) / s0)
 
@@ -465,8 +449,9 @@ def summarize(maps: IvimMaps) -> dict | None:
     Volume, the mean of every map, the CV of s0, f, D* and ADC, and the
     ``ENTROPY_BINS``-bin histogram entropy of f, D* and ADC, all over the
     fitted voxels. None where a CV is undefined: with fewer than two fitted
-    voxels, or when every fitted f is 0 (f's mean is then 0; S0, ADC and D*
-    are positive by the fit's box).
+    voxels, or when every fitted f is 0 (f's mean is then 0; ADC and D* are
+    positive by the fit's box, and S0 by the positive b=0 sample that the
+    data rule asks for).
     """
     m = maps.mask.data
     if maps.mask.voxel_count < 2 or not maps.f.data[m].any():

@@ -1,26 +1,24 @@
-"""Bounded Levenberg-Marquardt least squares on smoothly reparameterized variables.
+"""Projected Levenberg-Marquardt least squares on a closed box.
 
-Box and positivity constraints are enforced exactly by fitting in a
-transformed coordinate where every constraint surface is pushed to infinity:
-
-* ``identity``            unconstrained
-* ``log_positive``        theta > 0          (theta = exp(u))
-* ``logistic(lo, hi)``    lo < theta < hi    (theta = lo + (hi-lo)*sigmoid(u))
-
-Each problem supplies the exact Jacobian of its residual in the original
-parameter space. The solver carries it into the transformed space by the
-chain rule, dr/du_i = dr/dtheta_i * dtheta_i/du_i, with dtheta/du equal to 1,
-theta and (hi-lo)*s*(1-s) (s the sigmoid) for the three transforms. No
-finite differences: an iteration evaluates the Jacobian once and the
-residual once per trial step. The damped normal equations use
-Marquardt scaling (lambda times the diagonal of J^T J; Marquardt 1963).
+Each parameter lies in [lower, upper], either end possibly infinite, and the
+solver iterates in the parameters themselves. The damped normal equations
+use Marquardt scaling (lambda times diag, the diagonal of J^T J; Marquardt
+1963), and each trial point is clipped to the box, min(max(theta + step,
+lower), upper), so every evaluated point is feasible and a bound is reached
+exactly (Kanzow, Yamashita & Fukushima, J. Comput. Appl. Math. 2004). The
+step test is scaled the same way (Moré, Lecture Notes in Mathematics 630,
+1978): the fit stops once the clipped step d has sqrt(sum(diag d^2)) <=
+xtol (sqrt(sum(diag theta^2)) + xtol), where an unscaled norm would let a
+parameter near 100 stop one near 1e-3 early. Each problem supplies the exact
+Jacobian of its residual, so an iteration evaluates it once and the residual
+once per trial step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,95 +27,31 @@ _LAMBDA_MAX = 1e15
 
 
 @dataclass(frozen=True)
-class Transform:
-    kind: str  # "identity" | "log" | "logistic"
-    lo: float = 0.0
-    hi: float = 0.0
-
-
-def identity() -> Transform:
-    return Transform("identity")
-
-
-def log_positive() -> Transform:
-    return Transform("log")
-
-
-def logistic(lo: float, hi: float) -> Transform:
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"logistic bounds must satisfy lo < hi, got ({lo}, {hi})")
-    return Transform("logistic", lo, hi)
-
-
-def _to_internal(theta: np.ndarray, transforms: Sequence[Transform]) -> np.ndarray:
-    u = []
-    for i, (t, v) in enumerate(zip(transforms, theta.tolist())):
-        if t.kind == "identity":
-            u.append(v)
-        elif t.kind == "log":
-            if v <= 0:
-                raise ValueError(f"parameter {i} must be > 0 for a log transform, got {v}")
-            u.append(math.log(v))
-        elif t.kind == "logistic":
-            if not (t.lo < v < t.hi):
-                raise ValueError(
-                    f"parameter {i} must lie strictly inside ({t.lo}, {t.hi}), got {v}"
-                )
-            frac = (v - t.lo) / (t.hi - t.lo)
-            u.append(math.log(frac / (1.0 - frac)))
-        else:  # pragma: no cover
-            raise ValueError(f"unknown transform {t.kind!r}")
-    return np.array(u)
-
-
-def _exp(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:  # an overflowing trial step must read as inf, not raise
-        return math.inf
-
-
-def _to_external(u: np.ndarray, transforms: Sequence[Transform]) -> tuple[np.ndarray, np.ndarray]:
-    """theta(u) and the diagonal dtheta/du, in one pass over the transforms."""
-    theta, dtheta = [], []
-    for t, v in zip(transforms, u.tolist()):
-        kind = t.kind
-        if kind == "identity":
-            th, d = v, 1.0
-        elif kind == "logistic":
-            # numerically stable sigmoid s and its complement c = 1 - s
-            e = math.exp(-abs(v))
-            s, c = 1.0 / (1.0 + e), e / (1.0 + e)
-            if v < 0:
-                s, c = c, s
-            w = t.hi - t.lo
-            th, d = t.lo + w * s, w * s * c
-        else:  # log
-            th = d = _exp(v)
-        theta.append(th)
-        dtheta.append(d)
-    return np.array(theta), np.array(dtheta)
-
-
-@dataclass(frozen=True)
 class FitProblem:
-    """A residual map r(theta), its Jacobian, a start point and one transform per parameter.
+    """A residual map r(theta), its Jacobian, a start point and the closed box that holds it.
 
-    ``jacobian(theta)`` returns dr/dtheta in the original parameter space with
-    one row per parameter: shape ``(len(theta0), len(r))``.
+    ``jacobian(theta)`` returns dr/dtheta with one row per parameter: shape
+    ``(len(theta0), len(r))``. ``lower`` and ``upper`` hold one bound per
+    parameter; an end may be infinite.
     """
 
     residual: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     theta0: np.ndarray
-    transforms: tuple[Transform, ...]
+    lower: np.ndarray
+    upper: np.ndarray
 
     def __post_init__(self):
-        theta0 = np.asarray(self.theta0, dtype=np.float64).ravel()
-        if len(self.transforms) != theta0.size:
-            raise ValueError("one transform required per parameter")
+        theta0, lower, upper = (np.asarray(v, dtype=np.float64).ravel()
+                                for v in (self.theta0, self.lower, self.upper))
+        if not lower.size == upper.size == theta0.size:
+            raise ValueError(f"need one lower and one upper bound per parameter, got "
+                             f"{lower.size} and {upper.size} for {theta0.size}")
+        if not np.all((lower <= theta0) & (theta0 <= upper)):
+            raise ValueError(f"start {theta0} lies outside the box [{lower}, {upper}]")
         object.__setattr__(self, "theta0", theta0)
-        object.__setattr__(self, "transforms", tuple(self.transforms))
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 @dataclass(frozen=True)
@@ -141,18 +75,18 @@ class FitResult:
 
 
 def lm_fit(problem: FitProblem) -> FitResult:
-    """Minimize ||r(theta)||^2; returns parameters in the original space.
+    """Minimize ||r(theta)||^2 over the problem's box.
 
-    The accepted-step cost sequence is non-increasing and the result is
-    deterministic for fixed inputs. Trial steps with a non-finite cost are
-    rejected; the fit is declared diverged once damping overflows.
+    Every evaluated point lies in the box, the accepted-step cost sequence is
+    non-increasing and the result is deterministic for fixed inputs. Trial
+    steps with a non-finite cost are rejected; the fit is declared diverged
+    once damping overflows.
     """
     opts = FitOptions()
     fn, jac = problem.residual, problem.jacobian
-    transforms = problem.transforms
-    u = _to_internal(problem.theta0, transforms)
-    m = u.size
-    theta, dtheta = _to_external(u, transforms)
+    lower, upper = problem.lower, problem.upper
+    theta = problem.theta0
+    m = theta.size
 
     r = np.asarray(fn(theta), dtype=np.float64).ravel()
     if r.size < m:
@@ -173,7 +107,6 @@ def lm_fit(problem: FitProblem) -> FitResult:
         J = jac(theta)
         if J.shape != (m, r.size):
             raise ValueError(f"jacobian must have shape {(m, r.size)}, got {J.shape}")
-        J = J * dtheta[:, None]  # chain rule into the transformed space
         JtJ = J @ J.T
         diag = JtJ.diagonal()
         # a finite trace means every entry of J and of J^T J is finite
@@ -185,7 +118,7 @@ def lm_fit(problem: FitProblem) -> FitResult:
             break
         diag = np.maximum(diag, 1e-32)
         neg_g = -g
-        u_norm = math.sqrt(u @ u)
+        theta_norm = math.sqrt(diag @ (theta * theta))
 
         accepted = False
         while True:
@@ -194,20 +127,20 @@ def lm_fit(problem: FitProblem) -> FitResult:
             try:
                 step = np.linalg.solve(A, neg_g)
             except np.linalg.LinAlgError:
-                step = None
-            step_norm = math.nan if step is None else math.sqrt(step @ step)
+                step = np.full(m, math.nan)  # NaN survives the clip and fails the test below
+            theta_try = np.minimum(np.maximum(theta + step, lower), upper)
+            moved = theta_try - theta
+            step_norm = math.sqrt(diag @ (moved * moved))
             if math.isfinite(step_norm):
-                if step_norm <= opts.xtol * (u_norm + opts.xtol):
+                if step_norm <= opts.xtol * (theta_norm + opts.xtol):
                     converged, reason = True, "step below xtol"
                     break
-                u_try = u + step
-                theta_try, dtheta_try = _to_external(u_try, transforms)
                 r_try = np.asarray(fn(theta_try), dtype=np.float64).ravel()
                 with np.errstate(over="ignore"):  # an overflowing cost reads as inf, quietly
                     ssr_try = float(r_try @ r_try)
                 if ssr_try < ssr:  # False for a NaN or infinite cost
                     rel_drop = (ssr - ssr_try) / max(ssr, 1e-300)
-                    u, theta, dtheta, r, ssr = u_try, theta_try, dtheta_try, r_try, ssr_try
+                    theta, r, ssr = theta_try, r_try, ssr_try
                     lam = max(lam / opts.lambda_down, 1e-12)
                     accepted = True
                     if rel_drop <= opts.ftol:

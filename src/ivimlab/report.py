@@ -100,21 +100,33 @@ def paired_table(grouped: dict) -> list[dict]:
     return out
 
 
+def _cell_cv(cell: list[dict], metric: str, name: str) -> float:
+    """The sample CV of ``metric`` over ``cell``'s rows, NaN below two; errors name the cell."""
+    if len(cell) < 2:
+        return float("nan")
+    values = [float(r[metric]) for r in cell]
+    try:
+        return stats.cv(values, ddof=1)
+    except ValueError as err:
+        raise ValueError(f"{name} {metric}: {err}") from None
+
+
 def cv_cells(grouped: dict) -> dict[tuple[str, str, str], dict[str, float]]:
     """{(strategy, source, group): {metric: CV}}, the inter-subject CVs.
 
     A CV is the sample sd over the mean of a MEAN_METRICS column across the
-    cell's subjects, NaN where the cell holds fewer than two subjects.
+    cell's subjects, NaN where the cell holds fewer than two subjects. A CV
+    that is undefined (a zero mean) fails naming its cell and metric, as in
+    ``olp/manual/control residual_mean: ...``.
     """
     cells = {}
     for strategy, by_source in grouped.items():
         for source, by_subject in by_source.items():
             for group in GROUPS:
                 cell = [r for r in by_subject.values() if r["group"] == group]
+                name = f"{strategy}/{source}/{group}"
                 cells[strategy, source, group] = {
-                    metric: (stats.cv([float(r[metric]) for r in cell], ddof=1)
-                             if len(cell) >= 2 else float("nan"))
-                    for metric in MEAN_METRICS}
+                    metric: _cell_cv(cell, metric, name) for metric in MEAN_METRICS}
     return cells
 
 

@@ -766,6 +766,17 @@ class TestReport:
         assert_names_the_line(capsys.readouterr().err, edit, 5, report.SUMMARY_COLUMNS[-1])
         assert not (tmp_path / "out").exists()
 
+    def test_zero_mean_cv_exits_2_naming_the_cell(self, tmp_path, capsys):
+        rows = summaries_rows()
+        for row in rows:
+            if (row["source"], row["group"]) == ("manual", "control"):
+                row["residual_mean"] = 0.0
+        path = write_summaries(rows, tmp_path / "summaries.csv")
+        assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "olp/manual/control residual_mean:" in err and "zero-mean" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_table_exits_2(self, tmp_path):
         rows = summaries_rows()
         rows[0]["f_mean"] = "n/a"

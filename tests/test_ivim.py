@@ -362,6 +362,23 @@ class TestProfiledAdcSearch:
         assert len(iterations) == maps.mask.voxel_count > 0
         assert np.mean(iterations) <= 2.5
 
+    @pytest.mark.parametrize("adc", [2e-5, 5e-5])
+    def test_polish_starts_at_the_optimum_near_adc_min(self, monkeypatch, adc):
+        # an LM start moved in by 0.1% of the box (to about 1.1e-4) took 7 and 5 iterations here
+        b = np.asarray(DEFAULT_BVALUES, dtype=float)
+        s = 100.0 * np.exp(-adc * b) + np.random.default_rng(1).normal(0.0, 0.5, b.size)
+        solve, iterations = lm.lm_fit, []
+
+        def counted(problem):
+            result = solve(problem)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(lm, "lm_fit", counted)
+        fit = ivim.fit_adc(ivim.VoxelSignal(b, s), CFG)
+        assert fit.adc == pytest.approx(adc, rel=0.2)
+        assert len(iterations) == 1 and iterations[0] <= 2
+
 
 class TestAdcCramerRao:
     def test_adc_spread_is_within_10_percent_of_its_bound(self):

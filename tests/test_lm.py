@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,17 +7,22 @@ import pytest
 from ivimlab import lm
 
 
-def line_problem(x, y, theta0=(0.0, 0.0)):
+UNBOUNDED = ((-np.inf, -np.inf), (np.inf, np.inf))
+POSITIVE = ((0.0, 0.0), (np.inf, np.inf))
+
+
+def line_problem(x, y, theta0=(0.0, 0.0), bounds=UNBOUNDED):
     return lm.FitProblem(
         residual=lambda th: th[0] * x + th[1] - y,
         jacobian=lambda th: np.array((x, np.ones_like(x))),
         theta0=np.asarray(theta0, dtype=float),
-        transforms=(lm.identity(), lm.identity()),
+        lower=bounds[0],
+        upper=bounds[1],
     )
 
 
-def decay_problem(b, s, theta0, transforms):
-    """th[0] * exp(-th[1] * b) - s with its exact Jacobian."""
+def decay_problem(b, s, theta0, bounds):
+    """th[0] * exp(-th[1] * b) - s with its exact Jacobian, over ``bounds`` = (lower, upper)."""
     def jacobian(th):
         e = np.exp(-th[1] * b)
         return np.array((e, -th[0] * b * e))
@@ -25,37 +31,9 @@ def decay_problem(b, s, theta0, transforms):
         residual=lambda th: th[0] * np.exp(-th[1] * b) - s,
         jacobian=jacobian,
         theta0=np.asarray(theta0, dtype=float),
-        transforms=transforms,
+        lower=bounds[0],
+        upper=bounds[1],
     )
-
-
-class TestTransforms:
-    def test_round_trip(self):
-        transforms = (lm.identity(), lm.log_positive(), lm.logistic(0.0, 1.0),
-                      lm.logistic(0.002, 1.0))
-        theta = np.array([-3.5, 0.7, 0.25, 0.05])
-        u = lm._to_internal(theta, transforms)
-        back, _ = lm._to_external(u, transforms)
-        assert np.allclose(back, theta, rtol=1e-12)
-
-    def test_ranges_enforced(self):
-        with pytest.raises(ValueError):
-            lm._to_internal(np.array([-1.0]), (lm.log_positive(),))
-        with pytest.raises(ValueError):
-            lm._to_internal(np.array([1.5]), (lm.logistic(0.0, 1.0),))
-        with pytest.raises(ValueError):
-            lm._to_internal(np.array([0.001]), (lm.logistic(0.002, 1.0),))
-
-    def test_logistic_stays_inside_bounds(self):
-        t = (lm.logistic(0.0, 1.0),)
-        for u in (-800.0, -5.0, 0.0, 5.0, 800.0):
-            v, d = lm._to_external(np.array([u]), t)
-            assert 0.0 <= v[0] <= 1.0
-            assert 0.0 <= d[0] <= 0.25  # s * (1 - s) peaks at u = 0
-
-    def test_overflow_reads_as_infinite(self):
-        theta, dtheta = lm._to_external(np.array([800.0]), (lm.log_positive(),))
-        assert theta[0] == np.inf and dtheta[0] == np.inf
 
 
 class TestLmFit:
@@ -69,7 +47,7 @@ class TestLmFit:
     def test_mono_exponential_recovery(self):
         b = np.array([0, 100, 200, 300, 400, 500, 600.0])
         s = 100.0 * np.exp(-0.002 * b)
-        problem = decay_problem(b, s, (50.0, 0.01), (lm.log_positive(), lm.log_positive()))
+        problem = decay_problem(b, s, (50.0, 0.01), POSITIVE)
         result = lm.lm_fit(problem)
         assert result.converged
         assert result.params[0] == pytest.approx(100.0, rel=1e-8)
@@ -113,7 +91,7 @@ class TestLmFit:
             s = s + rng.normal(0, 1.0, b.size)
             s = np.maximum(s, 1.0)
             theta0 = np.array([rng.uniform(1, 300), rng.uniform(1e-5, 0.05)])
-            problem = decay_problem(b, s, theta0, (lm.log_positive(), lm.log_positive()))
+            problem = decay_problem(b, s, theta0, POSITIVE)
             r0 = problem.residual(theta0)
             result = lm.lm_fit(problem)
             assert result.ssr <= float(r0 @ r0) + 1e-9
@@ -122,10 +100,17 @@ class TestLmFit:
         # force the optimum against a bound: constant data, decaying model
         b = np.array([200, 400, 600.0])
         s = np.full(3, 50.0)
-        problem = decay_problem(b, s, (50.0, 0.01), (lm.log_positive(), lm.logistic(1e-5, 1e-1)))
-        result = lm.lm_fit(problem)
-        assert 1e-5 <= result.params[1] <= 1e-1
-        assert result.params[1] < 1.1e-5  # driven to the lower bound
+        problem = decay_problem(b, s, (50.0, 0.01), ((0.0, 1e-5), (np.inf, 1e-1)))
+        evaluated = []
+
+        def recorded(th):
+            evaluated.append(th.copy())
+            return problem.residual(th)
+
+        result = lm.lm_fit(dataclasses.replace(problem, residual=recorded))
+        assert result.params[1] == 1e-5  # the clipped step lands on the lower bound exactly
+        evaluated = np.array(evaluated)
+        assert np.all((evaluated >= problem.lower) & (evaluated <= problem.upper))
 
     def test_overflowing_trial_cost_is_rejected_quietly(self):
         # from theta = -6 the first step lands near theta = 397, where each residual
@@ -135,7 +120,8 @@ class TestLmFit:
             residual=lambda th: np.exp(th[0]) * x - 1.0,
             jacobian=lambda th: np.exp(th[0]) * x[None],
             theta0=np.array([-6.0]),
-            transforms=(lm.identity(),),
+            lower=(-np.inf,),
+            upper=(np.inf,),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -148,7 +134,8 @@ class TestLmFit:
             residual=lambda th: np.array([th[0] + th[1] - 1.0]),
             jacobian=lambda th: np.ones((2, 1)),
             theta0=np.array([0.0, 0.0]),
-            transforms=(lm.identity(), lm.identity()),
+            lower=UNBOUNDED[0],
+            upper=UNBOUNDED[1],
         )
         with pytest.raises(ValueError, match="need at least 2 residuals"):
             lm.lm_fit(problem)
@@ -158,7 +145,8 @@ class TestLmFit:
             residual=lambda th: np.array([np.nan, np.nan]),
             jacobian=lambda th: np.zeros((1, 2)),
             theta0=np.array([1.0]),
-            transforms=(lm.identity(),),
+            lower=(-np.inf,),
+            upper=(np.inf,),
         )
         with pytest.raises(ValueError):
             lm.lm_fit(problem)
@@ -175,12 +163,10 @@ class TestLmFit:
 
 class TestJacobian:
     def test_matches_central_difference_cost_gradient(self):
-        # one parameter per transform, every residual depending on all four
+        # every residual depending on all four parameters
         rng = np.random.default_rng(11)
         x = np.linspace(0.0, 1.0, 9)
         y = rng.normal(0.0, 1.0, x.size)
-        transforms = (lm.identity(), lm.log_positive(), lm.logistic(-1.0, 3.0),
-                      lm.logistic(0.5, 4.0))
 
         def resid(th):
             a, b, c, d = th
@@ -191,20 +177,17 @@ class TestJacobian:
             e = np.exp(-c * x)
             return np.array((x, e, -b * x * e, x * np.cos(d * x)))
 
-        def cost(uu):
-            rr = resid(lm._to_external(uu, transforms)[0])
+        def cost(th):
+            rr = resid(th)
             return float(rr @ rr)
 
-        problem = lm.FitProblem(resid, jac, (0.3, 1.7, 0.4, 2.2), transforms)
-        u = lm._to_internal(problem.theta0, transforms)
+        problem = lm.FitProblem(resid, jac, (0.3, 1.7, 0.4, 2.2), (-np.inf,) * 4, (np.inf,) * 4)
         for trial in range(5):
-            u_at = u + rng.normal(0.0, 0.5, u.size) * (trial > 0)
-            theta, dtheta = lm._to_external(u_at, transforms)
-            J = problem.jacobian(theta) * dtheta[:, None]  # the solver's chain rule
-            grad = 2.0 * J @ resid(theta)
-            for i in range(u.size):
-                h = 1e-6 * max(1.0, abs(u_at[i]))
-                up, um = u_at.copy(), u_at.copy()
+            theta = problem.theta0 + rng.normal(0.0, 0.5, 4) * (trial > 0)
+            grad = 2.0 * problem.jacobian(theta) @ resid(theta)
+            for i in range(theta.size):
+                h = 1e-6 * max(1.0, abs(theta[i]))
+                up, um = theta.copy(), theta.copy()
                 up[i] += h
                 um[i] -= h
                 central = (cost(up) - cost(um)) / (2 * h)
@@ -216,7 +199,20 @@ class TestJacobian:
             residual=lambda th: th[0] * x + th[1] - 2.0 * x,
             jacobian=lambda th: np.array((x, np.ones_like(x))).T,
             theta0=np.array([0.0, 0.0]),
-            transforms=(lm.identity(), lm.identity()),
+            lower=UNBOUNDED[0],
+            upper=UNBOUNDED[1],
         )
         with pytest.raises(ValueError, match="jacobian must have shape"):
             lm.lm_fit(problem)
+
+
+class TestFitProblem:
+    def test_start_outside_the_box_rejected(self):
+        x = np.arange(5.0)
+        with pytest.raises(ValueError, match="outside the box"):
+            line_problem(x, 2.0 * x, theta0=(-1.0, 0.5), bounds=POSITIVE)
+
+    def test_bound_count_must_match_the_parameters(self):
+        x = np.arange(5.0)
+        with pytest.raises(ValueError, match="one lower and one upper bound per parameter"):
+            line_problem(x, 2.0 * x, bounds=((0.0,), (np.inf,)))

@@ -16,10 +16,7 @@ PACKAGE = ROOT / "src" / "ivimlab"
 READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 # name -> why it stays although nothing in the package or benchmark reads it
-ALLOWED = {
-    "lm.identity": "tests/test_lm.py builds unconstrained transforms with it; "
-                   "it goes with lm.py when the batched solver replaces it",
-}
+ALLOWED: dict[str, str] = {}
 
 _DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 

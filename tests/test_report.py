@@ -108,6 +108,15 @@ class TestBadRows:
         with pytest.raises(ValueError, match="adc_cv"):
             report.build_report(rows)
 
+    def test_zero_mean_cv_names_its_cell_and_metric(self):
+        rows = table()
+        for r in rows:
+            if (r["strategy"], r["source"], r["group"]) == ("olp", "manual", "control"):
+                r["residual_mean"] = 0.0
+        with pytest.raises(ValueError, match=r"^olp/manual/control residual_mean: "
+                                             r"cv is undefined for zero-mean data$"):
+            report.build_report(rows)
+
     def test_unpaired_subject_rejected(self):
         rows = [r for r in table()
                 if (r["subject"], r["source"], r["strategy"]) != ("S4", "automatic", "lc")]
