@@ -25,13 +25,13 @@ profiled point in the log of its rate: a coarse grid over [``ADC_MIN``,
 ``ADC_MAX``] or (ADC, ``D_STAR_MAX``], a finer grid across the two coarse
 steps around its best point, then one parabolic step. The projected
 Levenberg-Marquardt solver (``lm``) polishes from that point exactly, over
-the same closed box, and the voxel keeps whichever of the two points costs
-less.
+the same closed box, and the voxel takes its result: LM accepts only a step
+that strictly lowers the cost, so it never ends above the searched point.
 
-Costs within a few ulps of the voxel's sum of squared samples (``_TIE``
-times it) are a tie, broken by rule: a face of the NNLS beats the interior
-point, and the searched point beats the polished one. So a voxel whose
-data hold no perfusion term gets f = 0 exactly, not a rounding residue.
+Profiled costs within a few ulps of the voxel's sum of squared samples
+(``_TIE`` times it) are a tie, and a face of the NNLS beats the interior
+point. So a voxel whose data hold no perfusion term gets f = 0 exactly, not
+a rounding residue.
 
 A voxel fails only for its data: a sum of squared samples that is not
 finite (a non-finite sample, or one whose square overflows), fewer than two
@@ -71,6 +71,9 @@ _FINE = 64
 _BLOCK = 1 << 15
 # two costs closer than this many times the voxel's sum of squared samples are a tie
 _TIE = 8 * np.finfo(np.float64).eps
+# usable voxels per worker below which fit_volume runs serially: on 2 CPUs, timed in fresh
+# processes, 2 workers broke even with one at about 700 voxels and won 17 of 23 pairs at 800
+_POOL_MIN_PER_WORKER = 400
 
 
 @dataclass(frozen=True)
@@ -219,28 +222,12 @@ def _search_adc(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.nd
     return _blocked(_search_adc_block, 2, b, signals, w)
 
 
-def _polished(problem: lm.FitProblem, s: np.ndarray) -> tuple[np.ndarray, float]:
-    """LM from ``problem``'s start; the cheaper of its result and the start, a tie to the start.
-
-    Returns the kept point and its cost. ``s`` holds the samples that the
-    cost is over, and sets the tie.
-    """
-    theta = problem.theta0
-    r = problem.residual(theta)
-    ssr = float(r @ r)
-    result = lm.lm_fit(problem)
-    if result.ssr < ssr - _TIE * float(s @ s):
-        return result.params, result.ssr
-    return theta, ssr
-
-
 def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray,
                 cfg: IvimFitConfig) -> AdcFit:
     """LM from the searched point (S0, ADC) over the positive samples above the b threshold.
 
     LM starts at the searched point exactly, even on an end of the closed box
-    [0, inf) x [ADC_MIN, ADC_MAX]; the voxel keeps the cheaper point, as
-    ``_polished`` decides.
+    [0, inf) x [ADC_MIN, ADC_MAX], and its result is the voxel's.
     """
     keep = (b > cfg.b_threshold) & (s > 0)
     bh, sh = b[keep], s[keep]
@@ -254,7 +241,7 @@ def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray,
 
     problem = lm.FitProblem(residual, jacobian, theta0=(s0, adc),
                             lower=(0.0, ADC_MIN), upper=(math.inf, ADC_MAX))
-    s0, adc = (float(v) for v in _polished(problem, sh)[0])
+    s0, adc = (float(v) for v in lm.lm_fit(problem).params)
     return AdcFit(s0, adc)
 
 
@@ -330,7 +317,7 @@ def _search(b: np.ndarray, signals: np.ndarray, adc: np.ndarray) -> np.ndarray:
 
 def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
             b: np.ndarray) -> IvimFit:
-    """LM from the searched point (S0, f, D*); the voxel keeps the cheaper point (``_polished``).
+    """LM from the searched point (S0, f, D*); its result is the voxel's.
 
     LM starts at the searched point exactly, even on an edge of the closed box
     [0, inf) x [0, 1] x [ADC, D_STAR_MAX].
@@ -347,9 +334,9 @@ def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
 
     problem = lm.FitProblem(residual, jacobian, theta0=(s0, f, d_star),
                             lower=(0.0, 0.0, adc), upper=(math.inf, 1.0, D_STAR_MAX))
-    theta, ssr = _polished(problem, s)
-    s0, f, d_star = (float(v) for v in theta)
-    return IvimFit(s0, f, d_star, math.sqrt(ssr / b.size) / s0)
+    result = lm.lm_fit(problem)
+    s0, f, d_star = (float(v) for v in result.params)
+    return IvimFit(s0, f, d_star, math.sqrt(result.ssr / b.size) / s0)
 
 
 def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> IvimFit | None:
@@ -392,8 +379,9 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
        in log D*;
     4. the LM polish of that point, per voxel.
 
-    With ``workers`` above 1 the two per-voxel stages map through one process
-    pool, and the searches run in this process. The result is independent of
+    With ``workers`` above 1 and at least ``_POOL_MIN_PER_WORKER`` usable
+    voxels per worker, the two per-voxel stages map through one process pool;
+    the searches run in this process. The result is independent of
     voxel visit order and of ``workers`` (at least 1): no voxel's arithmetic
     depends on another's, and ``map`` keeps index order.
     """
@@ -401,10 +389,11 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if not mask.same_grid(series):
-        raise ValueError(
-            f"mask grid {mask.dims}/{mask.spacing.as_tuple()} does not match "
-            f"series grid {series.dims}/{series.spacing.as_tuple()}"
-        )
+        # 6 significant digits: a spacing read from NIfTI is float32, so 7.2 reads 7.1999998...
+        mask_grid, series_grid = (
+            f"{g.dims}/({', '.join(f'{v:.6g}' for v in g.spacing.as_tuple())})"
+            for g in (mask, series))
+        raise ValueError(f"mask grid {mask_grid} does not match series grid {series_grid}")
     series = average_by_bvalue(series)
     if np.count_nonzero(series.bvalues > cfg.b_threshold) < 2:
         raise ValueError(f"need at least 2 distinct b-values above the threshold "
@@ -418,7 +407,7 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
     usable = _usable(b, signals, cfg)
     signals = signals[usable]
     results = np.full((flat_idx.size, 5), np.nan)
-    if workers == 1 or signals.shape[0] < 2 * workers:
+    if workers == 1 or signals.shape[0] < _POOL_MIN_PER_WORKER * workers:
         results[usable] = _fit_usable(signals, b, cfg, map)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import ivimlab
 from ivimlab import cli, fgr, ivim, masks, phantom, report
-from ivimlab.grid import BinaryMask
+from ivimlab.grid import BinaryMask, VoxelSpacing
 from ivimlab.nifti import read_mask, read_volume, write_mask
 
 PHANTOM_OUTPUTS = ["series.nii", "series.bval", "mask.nii", "truth_s0.nii",
@@ -456,6 +456,37 @@ class TestFit:
                          str(subject / "mask.nii"), str(tmp_path / "fit")])
         assert code == cli.EXIT_INPUT
         assert "absent.nii" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims, spacing, grid", [
+        ((3, 8, 9), (7.2, 2.07, 2.07), "(3, 8, 9)/(7.2, 2.07, 2.07)"),
+        ((3, 8, 8), (7.2, 2.07, 2.5), "(3, 8, 8)/(7.2, 2.07, 2.5)"),
+    ], ids=["dims", "spacing"])
+    def test_mask_on_another_grid_exits_2_naming_both_grids(self, subject, tmp_path, capsys,
+                                                            dims, spacing, grid):
+        write_mask(BinaryMask(np.ones(dims, dtype=bool), VoxelSpacing(*spacing)),
+                   tmp_path / "mask.nii")
+        code = cli.main(["fit", str(subject / "series.nii"), str(subject / "series.bval"),
+                         str(tmp_path / "mask.nii"), str(tmp_path / "fit")])
+        assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (f"error: mask grid {grid} does not match "
+                                           f"series grid (3, 8, 8)/(7.2, 2.07, 2.07)\n")
+        assert not (tmp_path / "fit").exists()
+
+    def test_spacing_one_float32_step_away_fits(self, subject, tmp_path):
+        mask = read_mask(subject / "mask.nii")
+        dz, dy, dx = mask.spacing.as_tuple()
+        nudged = float(np.nextafter(np.float32(dx), np.float32(np.inf)))
+        write_mask(BinaryMask(mask.data, VoxelSpacing(dz, dy, nudged)), tmp_path / "mask.nii")
+        assert read_mask(tmp_path / "mask.nii").spacing.dx == nudged != dx
+        inputs = [str(subject / "series.nii"), str(subject / "series.bval")]
+        assert cli.main(["fit", *inputs, str(subject / "mask.nii"),
+                         str(tmp_path / "plain")]) == cli.EXIT_OK
+        assert cli.main(["fit", *inputs, str(tmp_path / "mask.nii"),
+                         str(tmp_path / "nudged")]) == cli.EXIT_OK
+        for name in ("s0", "f", "d_star", "adc", "residual"):
+            plain = read_volume(tmp_path / "plain" / f"{name}.nii").data
+            assert np.array_equal(read_volume(tmp_path / "nudged" / f"{name}.nii").data, plain,
+                                  equal_nan=True), name
 
 
 class TestFuse:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -99,16 +100,40 @@ class TestVisitOrderInvariance:
             assert a.tobytes() == b.tobytes(), name
 
 
+def pools_started(monkeypatch) -> list[int]:
+    """The ``max_workers`` of each process pool that ``ivim`` starts from now on."""
+    started = []
+
+    class Recorded(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(ivim, "ProcessPoolExecutor", Recorded)
+    return started
+
+
 class TestWorkerInvariance:
-    def test_two_workers_match_one_bit_for_bit(self):
+    def test_two_workers_match_one_bit_for_bit(self, monkeypatch):
         bundle = phantom.make_phantom(phantom.PhantomConfig(
             dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        started = pools_started(monkeypatch)
+        # far below the measured floor, so lower it to put this small mask on the pool
+        monkeypatch.setattr(ivim, "_POOL_MIN_PER_WORKER", 2)
         one = ivim.fit_volume(bundle.series, bundle.mask, workers=1)
         two = ivim.fit_volume(bundle.series, bundle.mask, workers=2)
+        assert started == [2]
         assert np.array_equal(one.mask.data, two.mask.data)
         for name in ("s0", "f", "d_star", "adc", "residual"):
             a, b = getattr(one, name).data, getattr(two, name).data
             assert a.tobytes() == b.tobytes(), name
+
+    def test_mask_below_the_floor_fits_without_a_pool(self, monkeypatch):
+        bundle = phantom.make_phantom(phantom.PhantomConfig(dims=(3, 10, 10)))
+        assert bundle.mask.voxel_count < 2 * ivim._POOL_MIN_PER_WORKER
+        started = pools_started(monkeypatch)
+        ivim.fit_volume(bundle.series, bundle.mask, workers=2)
+        assert started == []
 
 
 class TestSeriesAveraging:
@@ -263,6 +288,9 @@ class TestProfiledSearch:
         ends_and_grid = adc * (ivim.D_STAR_MAX / adc) ** np.linspace(0.0, 1.0, 97)
         for point in ends_and_grid:
             assert cost <= profiled_cost(b, s, adc, point) + 1e-12 * ss, point
+        # LM starts at the searched point and takes only steps that lower the cost
+        start = ivim.IvimFit(*ivim._search(b, s[None], np.array([adc]))[:, 0], residual=0.0)
+        assert cost <= ivim_cost(b, s, adc, start) + 4 * np.finfo(float).eps * ss
 
     def test_mono_exponential_voxel_fits_f_zero_quietly(self):
         # the D* grid meets ADC here, where the two decay terms coincide
@@ -321,6 +349,9 @@ class TestProfiledAdcSearch:
         # both ends of the ADC box and a grid between
         for adc in ivim.ADC_MIN * (ivim.ADC_MAX / ivim.ADC_MIN) ** np.linspace(0.0, 1.0, 97):
             assert cost <= profiled_adc_cost(b, s, adc) + 1e-12 * ss, adc
+        # LM starts at the searched point and takes only steps that lower the cost
+        start = ivim.AdcFit(*ivim._search_adc(b, s[None], CFG)[:, 0])
+        assert cost <= adc_step_cost(b, s, start) + 4 * np.finfo(float).eps * ss
 
     def test_rising_tail_fits_at_the_lower_end_quietly(self):
         # LM's first trial step from the parent's log-linear start overflowed its cost here
