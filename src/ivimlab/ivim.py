@@ -71,8 +71,9 @@ _FINE = 64
 _BLOCK = 1 << 15
 # two costs closer than this many times the voxel's sum of squared samples are a tie
 _TIE = 8 * np.finfo(np.float64).eps
-# usable voxels per worker below which fit_volume runs serially: on 2 CPUs, timed in fresh
-# processes, 2 workers broke even with one at about 700 voxels and won 17 of 23 pairs at 800
+# the fewest usable voxels fit_volume gives each pool worker: on 2 CPUs, timed in fresh
+# processes, 2 workers broke even with one at about 700 voxels and won 17 of 23 pairs at 800;
+# no machine with more than 2 CPUs was timed
 _POOL_MIN_PER_WORKER = 400
 
 
@@ -379,11 +380,12 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
        in log D*;
     4. the LM polish of that point, per voxel.
 
-    With ``workers`` above 1 and at least ``_POOL_MIN_PER_WORKER`` usable
-    voxels per worker, the two per-voxel stages map through one process pool;
-    the searches run in this process. The result is independent of
-    voxel visit order and of ``workers`` (at least 1): no voxel's arithmetic
-    depends on another's, and ``map`` keeps index order.
+    The pool gets at most one of the ``workers`` per ``_POOL_MIN_PER_WORKER``
+    usable voxels. Where that leaves 2 or more, the two per-voxel stages map
+    through one process pool of them; the searches run in this process. The
+    result is independent of voxel visit order and of ``workers`` (at least
+    1): no voxel's arithmetic depends on another's, and ``map`` keeps index
+    order.
     """
     cfg = cfg or IvimFitConfig()
     if workers < 1:
@@ -407,7 +409,8 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
     usable = _usable(b, signals, cfg)
     signals = signals[usable]
     results = np.full((flat_idx.size, 5), np.nan)
-    if workers == 1 or signals.shape[0] < _POOL_MIN_PER_WORKER * workers:
+    workers = min(workers, signals.shape[0] // _POOL_MIN_PER_WORKER)
+    if workers < 2:
         results[usable] = _fit_usable(signals, b, cfg, map)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -135,6 +135,13 @@ class TestWorkerInvariance:
         ivim.fit_volume(bundle.series, bundle.mask, workers=2)
         assert started == []
 
+    def test_pool_gets_one_worker_per_floor_of_usable_voxels(self, monkeypatch):
+        bundle = phantom.make_phantom(phantom.PhantomConfig(dims=(3, 10, 10)))
+        started = pools_started(monkeypatch)
+        monkeypatch.setattr(ivim, "_POOL_MIN_PER_WORKER", bundle.mask.voxel_count // 3)
+        ivim.fit_volume(bundle.series, bundle.mask, workers=8)
+        assert started == [3]
+
 
 class TestSeriesAveraging:
     def test_repeated_b_values_fit_as_their_average(self):
@@ -310,6 +317,24 @@ class TestProfiledSearch:
         assert maps.mask.voxel_count == bundle.mask.voxel_count
         assert not maps.f.data[maps.mask.data].any()
         assert ivim.summarize(maps) is None
+
+    def test_zero_f_rician_phantom_keeps_f_zero_where_the_search_put_it(self, monkeypatch):
+        # LM starts on the NNLS face f = 0 and must not leave it by a rounding residue
+        bundle = phantom.make_phantom(phantom.PhantomConfig(
+            dims=(3, 8, 8), f=0.0, noise_model="rician", snr=30.0, seed=1))
+        searched, search = [], ivim._search
+
+        def recorded(*args):
+            searched.append(search(*args))
+            return searched[-1]
+
+        monkeypatch.setattr(ivim, "_search", recorded)
+        maps = ivim.fit_volume(bundle.series, bundle.mask)
+        assert maps.mask.voxel_count == bundle.mask.voxel_count
+        on_face = searched[0][1] == 0.0
+        f = maps.f.data[maps.mask.data]
+        assert on_face.sum() >= f.size // 4
+        assert np.array_equal(f == 0.0, on_face)
 
 
 def adc_step_cost(b, s, fit) -> float:
