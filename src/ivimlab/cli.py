@@ -6,9 +6,11 @@ for ``fit``. Lists stand for tuples, an absent key keeps the default, and a
 number is never JSON ``true``/``false`` or a string (``30``, not ``"30"``).
 A truth field is a number, the same in every voxel, or an object with a
 ``kind`` (``linear`` or ``two_region``) and that field-spec class's fields.
-A flag overrides its config key. The run output echoes the resolved config,
-which reads back as ``--config``. ``fit``'s config holds ``b_threshold``
-only, and ``fit`` runs one worker per CPU that it may run on.
+A flag overrides its config key. The file is strict JSON: a key repeated in
+any object, or a ``NaN``, ``Infinity`` or ``-Infinity``, exits 2. The run
+output echoes the resolved config, which reads back as ``--config``.
+``fit``'s config holds ``b_threshold`` only, and ``fit`` runs in one
+process.
 
 Every text input (a ``--config`` file, a table, a ``.bval`` sidecar) is
 UTF-8, and a leading byte-order mark is read past. The summaries table of
@@ -39,7 +41,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 import time
 import typing
@@ -138,10 +139,13 @@ def _load_config(path, cls, **overrides):
     """
     values = {}
     if path is not None:
+        text = _read_text(path)
         try:
-            values = json.loads(_read_text(path))
+            values = json.loads(text, object_pairs_hook=_unique_keys, parse_constant=_Constant)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc})") from None
+        except ValueError as exc:  # a repeated key
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(values, dict):
             raise ValueError(f"{path}: config must be a JSON object")
     values.update((k, v) for k, v in overrides.items() if v is not None)
@@ -151,8 +155,23 @@ def _load_config(path, cls, **overrides):
     return _build(cls, values)
 
 
+class _Constant(str):
+    """NaN, Infinity or -Infinity as read from a config; ``_cast`` rejects it, naming its key."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its (key, value) pairs; ValueError naming each key that repeats."""
+    keys = [k for k, _ in pairs]
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise ValueError(f"config repeats keys {repeated}")
+    return dict(pairs)
+
+
 def _cast(hint, value, key: str):
     """A JSON value as the annotated type ``hint`` of config key ``key``."""
+    if isinstance(value, _Constant):
+        raise ValueError(f"{key} holds {value}, which is not JSON")
     if hint == phantom.FieldSpec:
         if isinstance(value, dict):
             return _field_spec(value, key)
@@ -259,8 +278,7 @@ def _cmd_fit(args) -> int:
     mask = read_mask(args.mask)
 
     start = time.perf_counter()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    maps = ivim.fit_volume(series, mask, cfg, workers=cpus or 1)
+    maps = ivim.fit_volume(series, mask, cfg)
     wall = time.perf_counter() - start
 
     fitted = maps.mask.voxel_count

@@ -23,10 +23,11 @@ the interior solution, or one of its faces f = 0 and f = 1.
 Each step runs one search over all voxels at once for each voxel's least
 profiled point in the log of its rate: a coarse grid over [``ADC_MIN``,
 ``ADC_MAX``] or (ADC, ``D_STAR_MAX``], a finer grid across the two coarse
-steps around its best point, then one parabolic step. The projected
-Levenberg-Marquardt solver (``lm``) polishes from that point exactly, over
-the same closed box, and the voxel takes its result: LM accepts only a step
-that strictly lowers the cost, so it never ends above the searched point.
+steps around its best point, then one parabolic step; the ADC search adds
+one Newton step, kept where the cost falls. The projected Levenberg-Marquardt
+solver (``lm``) polishes from that point exactly, over the same closed box,
+and the voxel takes its result: LM accepts only a step that strictly lowers
+the cost, so it never ends above the searched point.
 
 Profiled costs within a few ulps of the voxel's sum of squared samples
 (``_TIE`` times it) are a tie, and a face of the NNLS beats the interior
@@ -44,7 +45,6 @@ the summaries and never abort a volume fit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -71,10 +71,6 @@ _FINE = 64
 _BLOCK = 1 << 15
 # two costs closer than this many times the voxel's sum of squared samples are a tie
 _TIE = 8 * np.finfo(np.float64).eps
-# the fewest usable voxels fit_volume gives each pool worker: on 2 CPUs, timed in fresh
-# processes, 2 workers broke even with one at about 700 voxels and won 17 of 23 pairs at 800;
-# no machine with more than 2 CPUs was timed
-_POOL_MIN_PER_WORKER = 400
 
 
 @dataclass(frozen=True)
@@ -203,13 +199,38 @@ def _profile_adc(x, b, w, ws, ss):
     return ss - es * s0, s0
 
 
+def _newton_adc(x, b, w, ws):
+    """The Newton step on the profiled cost g at each log ADC ``x``, (n, 1); 0 unless g'' > 0.
+
+    With k = ADC b, E_j = sum(w s k^j e), F_j = sum(w k^j e^2) and S0 = E0 / F0:
+    g' = 2 S0 (E1 - S0 F1), g'' = S0^2 (4 F2 - 2 F1) - 2 S0 (E2 - E1) - 2 (E1 - 2 S0 F1)^2 / F0.
+    """
+    k = np.exp(x)[..., None] * b
+    e = np.exp(-k)
+    (e0, e1, e2), (f0, f1, f2) = ([(v * k**j).sum(axis=2) for j in range(3)]
+                                  for v in (e * ws, e * e * w))
+    # where every weighted e^2 underflows there is no S0, and an overflow is no step
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s0 = np.divide(e0, f0, out=np.zeros_like(e0), where=f0 > 0)
+        g1 = 2.0 * s0 * (e1 - s0 * f1)
+        g2 = (s0 * s0 * (4.0 * f2 - 2.0 * f1) - 2.0 * s0 * (e2 - e1)
+              - 2.0 * (e1 - 2.0 * s0 * f1)**2 / f0)
+        descent = np.isfinite(g1) & np.isfinite(g2) & (g2 > 0)
+        return np.divide(-g1, g2, out=np.zeros_like(g1), where=descent)
+
+
 def _search_adc_block(b: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
     ws = w * s
     ss = (ws * s).sum(axis=1, keepdims=True)
-    profile = partial(_profile_adc, b=b, w=w[:, None], ws=ws[:, None], ss=ss)
+    w, ws = w[:, None], ws[:, None]
+    profile = partial(_profile_adc, b=b, w=w, ws=ws, ss=ss)
     lo, hi = np.full_like(ss, math.log(ADC_MIN)), np.full_like(ss, math.log(ADC_MAX))
-    x, s0 = _grid_min(profile, lo, hi, first=0)
-    return np.hstack((s0, np.clip(np.exp(x), ADC_MIN, ADC_MAX))).T
+    x = _grid_min(profile, lo, hi, first=0)[0]
+    # one Newton step, clipped to the box and kept only where the cost falls (a tie keeps x)
+    x = np.hstack((x, np.clip(x + _newton_adc(x, b, w, ws), lo, hi)))
+    cost, s0 = profile(x)
+    pick = (np.arange(len(x)), cost.argmin(axis=1))
+    return np.vstack((s0[pick], np.clip(np.exp(x[pick]), ADC_MIN, ADC_MAX)))
 
 
 def _search_adc(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.ndarray:
@@ -228,7 +249,9 @@ def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray,
     """LM from the searched point (S0, ADC) over the positive samples above the b threshold.
 
     LM starts at the searched point exactly, even on an end of the closed box
-    [0, inf) x [ADC_MIN, ADC_MAX], and its result is the voxel's.
+    [0, inf) x [ADC_MIN, ADC_MAX], and its result is the voxel's. From the Newton
+    point it returns its start at iteration 1, its step below xtol; it stays
+    while ``perfbench/test_tracing.py`` counts two LM calls a voxel.
     """
     keep = (b > cfg.b_threshold) & (s > 0)
     bh, sh = b[keep], s[keep]
@@ -250,7 +273,8 @@ def fit_adc(sig: VoxelSignal, cfg: IvimFitConfig | None = None) -> AdcFit | None
     """Mono-exponential fit over the high-b subset; None where the voxel's data fail it.
 
     The same two stages as ``fit_volume``'s ADC step on a batch of one: the
-    profiled search over log ADC, then the LM polish from its point.
+    profiled search over log ADC and its Newton step, then the LM polish from
+    that point. It stays, with ``fit_ivim``, while ``perfbench/child.py`` times both.
     """
     cfg = cfg or IvimFitConfig()
     b, s = sig.bvalues, sig.intensities
@@ -354,18 +378,7 @@ def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> 
     return _polish(s, adc, *_search(b, s[None], np.array([adc]))[:, 0], b=b)
 
 
-def _fit_usable(signals: np.ndarray, b: np.ndarray, cfg: IvimFitConfig, mapper) -> np.ndarray:
-    """(S0, f, D*, ADC, residual) rows of usable voxels; ``mapper`` is ``map`` or a pool's."""
-    adc_fits = mapper(partial(_polish_adc, b=b, cfg=cfg), signals, *_search_adc(b, signals, cfg))
-    adc = np.array([fit.adc for fit in adc_fits])
-    start = _search(b, signals, adc)
-    fits = mapper(partial(_polish, b=b), signals, adc, *start)
-    return np.array([(fit.s0, fit.f, fit.d_star, a, fit.residual) for fit, a in zip(fits, adc)],
-                    dtype=np.float64).reshape(len(signals), 5)
-
-
-def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = None,
-               workers: int = 1) -> IvimMaps:
+def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = None) -> IvimMaps:
     """Fit every masked voxel; NaN outside the mask and where a voxel's data fail it.
 
     ``series`` is averaged by b-value first (``grid.average_by_bvalue``), and
@@ -374,22 +387,17 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
     rule has set the failed voxels aside:
 
     1. one search over all voxels for each voxel's least profiled
-       mono-exponential cost in log ADC;
+       mono-exponential cost in log ADC, then one Newton step from it;
     2. the LM polish of that point, per voxel, which fixes the ADC;
     3. one search over all voxels for each voxel's least profiled IVIM cost
        in log D*;
     4. the LM polish of that point, per voxel.
 
-    The pool gets at most one of the ``workers`` per ``_POOL_MIN_PER_WORKER``
-    usable voxels. Where that leaves 2 or more, the two per-voxel stages map
-    through one process pool of them; the searches run in this process. The
-    result is independent of voxel visit order and of ``workers`` (at least
-    1): no voxel's arithmetic depends on another's, and ``map`` keeps index
-    order.
+    The result is independent of voxel visit order and of the block of
+    voxels that a search evaluates at once: no voxel's arithmetic depends on
+    another's.
     """
     cfg = cfg or IvimFitConfig()
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if not mask.same_grid(series):
         # 6 significant digits: a spacing read from NIfTI is float32, so 7.2 reads 7.1999998...
         mask_grid, series_grid = (
@@ -407,26 +415,17 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
     signals = series.data.reshape(series.n_frames, n_vox)[:, flat_idx].T
     signals = np.maximum(signals, 0.0)
     usable = _usable(b, signals, cfg)
-    signals = signals[usable]
-    results = np.full((flat_idx.size, 5), np.nan)
-    workers = min(workers, signals.shape[0] // _POOL_MIN_PER_WORKER)
-    if workers < 2:
-        results[usable] = _fit_usable(signals, b, cfg, map)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = math.ceil(signals.shape[0] / (4 * workers))
-            results[usable] = _fit_usable(signals, b, cfg, partial(pool.map, chunksize=chunk))
-
-    maps = []
-    for col in range(5):
-        full = np.full(n_vox, np.nan)
-        full[flat_idx] = results[:, col]
-        maps.append(Volume3D(full.reshape(series.dims), series.spacing))
+    signals, at = signals[usable], flat_idx[usable]
+    adc = np.array([fit.adc for fit in map(partial(_polish_adc, b=b, cfg=cfg), signals,
+                                           *_search_adc(b, signals, cfg))])
+    fits = map(partial(_polish, b=b), signals, adc, *_search(b, signals, adc))
+    maps = np.full((5, n_vox), np.nan)
+    maps[:, at] = np.array([(fit.s0, fit.f, fit.d_star, a, fit.residual)
+                            for fit, a in zip(fits, adc)]).reshape(-1, 5).T
     fitted = np.zeros(n_vox, dtype=bool)
-    fitted[flat_idx] = usable
-    fitted_mask = BinaryMask(fitted.reshape(series.dims), series.spacing)
-    return IvimMaps(s0=maps[0], f=maps[1], d_star=maps[2], adc=maps[3],
-                    residual=maps[4], mask=fitted_mask)
+    fitted[at] = True
+    return IvimMaps(*(Volume3D(m.reshape(series.dims), series.spacing) for m in maps),
+                    mask=BinaryMask(fitted.reshape(series.dims), series.spacing))
 
 
 def boundary_hits(maps: IvimMaps) -> int:

@@ -233,6 +233,27 @@ class TestPhantom:
         assert err.startswith("error:") and err.count("\n") == 1 and key in err
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"seed": 1, "seed": 2}', ["seed"]),
+        ('{"dims": [3, 8, 8], "f": {"kind": "linear", "lo": 0.1, "hi": 0.3, "hi": 0.4}}',
+         ["hi"]),
+        ('{"dims": [3, 8, 8], "s0": Infinity}', ["s0", "Infinity"]),
+        ('{"dims": [3, 8, 8], "s0": {"kind": "linear", "lo": 80, "hi": -Infinity}}',
+         ["s0.hi", "-Infinity"]),
+        ('{"dims": [3, 8, 8], "spacing": [7.2, NaN, 2.07]}', ["spacing", "NaN"]),
+    ], ids=["repeated key", "repeated key in a field spec", "Infinity",
+            "-Infinity in a field spec", "NaN in a list"])
+    def test_config_that_is_not_strict_json_exits_2_naming_it(self, tmp_path, capsys,
+                                                               text, named):
+        # a repeated key is not last-one-wins, and JSON has no NaN or Infinity
+        (tmp_path / "p.json").write_text(text)
+        code = cli.main(["phantom", str(tmp_path / "p"), "--config", str(tmp_path / "p.json")])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert all(name in err for name in named), err
+        assert not (tmp_path / "p").exists()
+
     def test_new_config_field_needs_no_cli_change(self, tmp_path, monkeypatch):
         @dataclasses.dataclass(frozen=True)
         class Extended(phantom.PhantomConfig):
@@ -261,7 +282,7 @@ class TestPhantom:
 
 @dataclasses.dataclass(frozen=True)
 class ExtendedFitConfig(ivim.IvimFitConfig):
-    """A fit config with one more field; at module level, so fit workers can unpickle it."""
+    """A fit config with one more field."""
 
     d_star_max: float = 1.0
 
@@ -344,6 +365,23 @@ class TestFit:
         assert err.startswith("error:") and err.count("\n") == 1 and key in err
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"b_threshold": 100, "b_threshold": 300}', ["b_threshold"]),
+        ('{"b_threshold": NaN}', ["b_threshold", "NaN"]),
+        ('{"b_threshold": Infinity}', ["b_threshold", "Infinity"]),
+    ], ids=["repeated key", "NaN", "Infinity"])
+    def test_config_that_is_not_strict_json_exits_2_naming_it(self, subject, tmp_path, capsys,
+                                                               text, named):
+        (tmp_path / "fit.json").write_text(text)
+        code = cli.main(["fit", *(str(subject / n) for n in
+                                  ("series.nii", "series.bval", "mask.nii")),
+                         str(tmp_path / "fit"), "--config", str(tmp_path / "fit.json")])
+        assert code == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert all(name in err for name in named), err
+        assert not (tmp_path / "fit").exists()
+
     def test_new_config_field_needs_no_cli_change(self, subject, tmp_path, monkeypatch):
         monkeypatch.setattr(ivim, "IvimFitConfig", ExtendedFitConfig)
         (tmp_path / "fit.json").write_text(json.dumps({"d_star_max": 2}))
@@ -365,27 +403,6 @@ class TestFit:
         for name in ("s0", "f", "d_star", "adc", "residual"):
             assert ((tmp_path / "first" / f"{name}.nii").read_bytes()
                     == (tmp_path / "second" / f"{name}.nii").read_bytes()), name
-
-    @pytest.mark.parametrize("affinity, cpu_count, workers", [
-        ({0}, 8, 1), ({0, 2, 5}, 8, 3), (None, 4, 4), (None, None, 1)])
-    def test_one_worker_per_cpu_it_may_run_on(self, subject, tmp_path, monkeypatch,
-                                              affinity, cpu_count, workers):
-        seen, fit_volume = [], ivim.fit_volume
-
-        def record(series, mask, cfg, workers):
-            seen.append(workers)
-            return fit_volume(series, mask, cfg)
-
-        monkeypatch.setattr(ivim, "fit_volume", record)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        if affinity is None:  # a platform without affinity sets
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
-        assert cli.main(["fit", *(str(subject / n) for n in
-                                  ("series.nii", "series.bval", "mask.nii")),
-                         str(tmp_path / "fit")]) == cli.EXIT_OK
-        assert seen == [workers]
 
     def test_one_fitted_voxel_has_no_summary(self, subject, tmp_path):
         mask = read_mask(subject / "mask.nii")

@@ -58,3 +58,16 @@ class TestAddNoise:
         bundle = phantom.make_phantom(config())
         with pytest.raises(ValueError, match="snr"):
             phantom.add_noise(bundle.series, bundle.mask, "gaussian", snr)
+
+
+class TestConfigChecks:
+    # a --config file can no longer carry these values (strict JSON), so the class checks them
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"semi_axes_frac": (float("nan"), 0.4, 0.4)}, "semi_axes_frac"),
+        ({"noise_model": "rician", "snr": float("inf")}, "snr"),
+        ({"snr": float("inf")}, "snr"),
+        ({"snr": float("nan")}, "snr"),
+    ])
+    def test_non_finite_values_rejected(self, kwargs, key):
+        with pytest.raises(ValueError, match=key):
+            config(**kwargs)
