@@ -180,12 +180,18 @@ def average_by_bvalue(series: DwiSeries) -> DwiSeries:
     """Collapse frames sharing a b-value to their voxel-wise mean.
 
     Frames acquired along several diffusion directions (or repeated b=0
-    baselines) are averaged along the frame axis of ``series.data`` into one
-    trace-weighted frame per shell: a new array with one frame per distinct
-    b-value, sorted ascending.
+    baselines) are averaged into one trace-weighted frame per shell: a new
+    array with one frame per distinct b-value, sorted ascending. Each shell's
+    first frame is copied into its slot, the shell's other frames are added to
+    it in frame order, and the slot is divided by the shell's frame count:
+    the arithmetic of ``np.mean(axis=0)`` over the shell, so the result is
+    bit-identical to it, without copying the shell's frames out first.
     """
-    shells, inverse = np.unique(series.bvalues, return_inverse=True)
-    means = np.empty((shells.size, *series.dims))
-    for g in range(shells.size):
-        series.data[inverse == g].mean(axis=0, out=means[g])
+    shells, first, inverse, counts = np.unique(series.bvalues, return_index=True,
+                                               return_inverse=True, return_counts=True)
+    means = series.data[first]
+    for t, g in enumerate(inverse):
+        if t != first[g]:
+            means[g] += series.data[t]
+    means /= counts[:, None, None, None]
     return DwiSeries(means, series.spacing, shells)

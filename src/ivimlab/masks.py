@@ -2,9 +2,12 @@
 
 The Hausdorff distance comes from one exact Euclidean distance transform per
 direction (scipy's ``ndimage.distance_transform_edt``, after Maurer et al.,
-IEEE TPAMI 2003). The transform finds the farthest voxels; their distance is
-then re-measured against the voxels of the other mask at that distance, so
-the result is bit-identical to an all-pairs scan of voxel centers.
+IEEE TPAMI 2003). From A to B, the transform runs on the bounding box of
+(A\\B) ∪ B only, which holds B's nearest voxel to every voxel of A\\B, and it
+returns nearest-voxel indices, not distances. Squared distances are taken at
+the voxels of A\\B alone, in absolute voxel coordinates. The farthest voxels
+are then re-measured against the voxels of B at that distance, so the result
+is bit-identical to an all-pairs scan of voxel centers.
 """
 
 from __future__ import annotations
@@ -83,17 +86,35 @@ def _offsets_at(radius: float, spacing: np.ndarray, shape) -> np.ndarray:
     return np.stack([ax[i] for ax, i in zip(axes, np.nonzero(ties))], axis=1)
 
 
+def _box(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) corners of the smallest box holding every voxel of a non-empty ``m``."""
+    lo, hi = [], []
+    for axis in range(3):
+        hit = np.flatnonzero(m.any(axis=tuple(i for i in range(3) if i != axis)))
+        lo.append(hit[0])
+        hi.append(hit[-1] + 1)
+    return np.array(lo), np.array(hi)
+
+
 def _directed_sq(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
     """max over A's voxels of the squared distance (mm^2) to the nearest voxel of B."""
-    dist = ndimage.distance_transform_edt(~b, sampling=spacing)
-    worst = float(dist[a].max())
-    if worst == 0.0:
+    rest = a & ~b  # A's voxels in B are at distance 0
+    if not rest.any():
         return 0.0
-    # Tied nearest voxels, such as (0,1,2) and (0,2,1) steps, round differently
-    # in the transform, so A's farthest voxels are measured again, with the
-    # arithmetic of a pairwise scan, against B's voxels at that distance only.
-    far = np.argwhere(a & (dist >= worst * (1.0 - _TIE_RTOL)))
-    near = far[:, None, :] + _offsets_at(worst, spacing, a.shape)[None, :, :]
+    lo, hi = _box(rest | b)  # holds B's nearest voxel to each voxel of A\B
+    box = tuple(slice(l, h) for l, h in zip(lo, hi))
+    nearest = ndimage.distance_transform_edt(~b[box], sampling=spacing,
+                                             return_distances=False, return_indices=True)
+    p = np.argwhere(rest[box])
+    q = nearest[:, p[:, 0], p[:, 1], p[:, 2]].T
+    sq = (((p + lo) * spacing - (q + lo) * spacing) ** 2).sum(axis=1)
+    worst_sq = float(sq.max())
+    # Among tied nearest voxels, such as (0,1,2) and (0,2,1) steps, the
+    # transform may pick one that a pairwise scan rounds farther, so A's
+    # farthest voxels are measured again, with the arithmetic of a pairwise
+    # scan, against B's voxels at that distance only.
+    far = p[sq >= worst_sq * (1.0 - 2.0 * _TIE_RTOL)] + lo
+    near = far[:, None, :] + _offsets_at(np.sqrt(worst_sq), spacing, a.shape)[None, :, :]
     inside = ((near >= 0) & (near < a.shape)).all(axis=2)
     near[~inside] = 0
     hit = inside & b[near[..., 0], near[..., 1], near[..., 2]]

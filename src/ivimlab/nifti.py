@@ -5,7 +5,8 @@ Scope is deliberately narrow: uncompressed little-endian ``.nii`` with the
 A ``.bval`` sidecar is UTF-8 text. Anything else is rejected loudly rather
 than guessed at. Masks are stored as uint8 {0,1}; scalar volumes as float32.
 On-disk voxel order is x-fastest, so a C-ordered (z, y, x) array maps straight
-onto the data section.
+onto the data section. A read fills the float64 array frame by frame from the
+file, holding no copy of the file's bytes.
 """
 
 from __future__ import annotations
@@ -70,21 +71,27 @@ def _read_header(raw: bytes, path) -> dict:
 
 
 def _read_array(path) -> tuple[np.ndarray, VoxelSpacing]:
-    """Load the raw image as a float64 array shaped (nz, ny, nx) or (nt, nz, ny, nx)."""
-    raw = Path(path).read_bytes()
-    hdr = _read_header(raw, path)
-    nx, ny, nz = hdr["shape"][:3]
-    nt = hdr["shape"][3] if len(hdr["shape"]) == 4 else None
-    dtype = _DTYPES[hdr["datatype"]]
-    count = nx * ny * nz * (nt or 1)
-    nbytes = count * dtype().itemsize
-    start = hdr["vox_offset"]
-    if len(raw) < start + nbytes:
-        raise ValueError(
-            f"{path}: data section truncated ({len(raw) - start} bytes, need {nbytes})"
-        )
-    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
-    data = flat.reshape((nt, nz, ny, nx) if nt else (nz, ny, nx)).astype(np.float64)
+    """Load the raw image as a float64 array shaped (nz, ny, nx) or (nt, nz, ny, nx).
+
+    The data section is read one frame at a time straight into the float64
+    array, so no copy of the file's bytes is held beside it.
+    """
+    with open(path, "rb") as fh:
+        hdr = _read_header(fh.read(HEADER_SIZE), path)
+        nx, ny, nz = hdr["shape"][:3]
+        nt = hdr["shape"][3] if len(hdr["shape"]) == 4 else None
+        dtype = _DTYPES[hdr["datatype"]]
+        nbytes = nx * ny * nz * (nt or 1) * dtype().itemsize
+        start = hdr["vox_offset"]
+        size = os.fstat(fh.fileno()).st_size
+        if size < start + nbytes:
+            raise ValueError(
+                f"{path}: data section truncated ({size - start} bytes, need {nbytes})"
+            )
+        data = np.empty((nt, nz, ny, nx) if nt else (nz, ny, nx))
+        fh.seek(start)
+        for frame in data.reshape(nt or 1, -1):
+            frame[:] = np.fromfile(fh, dtype=dtype, count=frame.size)
     # a zero or non-finite slope means unscaled; a non-finite intercept reads as 0
     if hdr["scl_slope"] != 0.0 and np.isfinite(hdr["scl_slope"]):
         data *= hdr["scl_slope"]
@@ -119,10 +126,17 @@ def read_volume(path, bval_path=None):
 
 
 def read_mask(path) -> BinaryMask:
-    """Read a 3D .nii mask; a 4D image is rejected before any b-value lookup."""
+    """Read a 3D .nii mask; a 4D image is rejected before any b-value lookup.
+
+    A voxel is in the mask when its value is above 0.5. A NaN or infinite
+    value fails the read rather than being dropped from the mask or kept in it.
+    """
     data, spacing = _read_array(path)
     if data.ndim != 3:
         raise ValueError(f"{path}: expected a 3D mask, found a 4D image")
+    bad = int(np.count_nonzero(~np.isfinite(data)))
+    if bad:
+        raise ValueError(f"{path}: {bad} non-finite mask values")
     return BinaryMask(data > 0.5, spacing)
 
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import ivimlab
 from ivimlab import cli, fgr, ivim, masks, phantom, report
-from ivimlab.grid import BinaryMask, VoxelSpacing
-from ivimlab.nifti import read_mask, read_volume, write_mask
+from ivimlab.grid import BinaryMask, VoxelSpacing, Volume3D
+from ivimlab.nifti import read_mask, read_volume, write_mask, write_volume
 
 PHANTOM_OUTPUTS = ["series.nii", "series.bval", "mask.nii", "truth_s0.nii",
                    "truth_f.nii", "truth_d_star.nii", "truth_adc.nii"]
@@ -297,6 +297,30 @@ def series_as_mask(subject, tmp_path, sidecar: bool) -> str:
 
 
 MASK_IS_4D = "expected a 3D mask, found a 4D image"
+
+
+def nan_mask(subject, tmp_path) -> str:
+    """The subject's mask as float32 with its first voxel NaN."""
+    mask = read_mask(subject / "mask.nii")
+    data = mask.data.astype(float)
+    data[0, 0, 0] = np.nan
+    path = tmp_path / "nan_mask.nii"
+    write_volume(Volume3D(data, mask.spacing), path)
+    return str(path)
+
+
+class TestNonFiniteMask:
+    @pytest.mark.parametrize("command", ["fit", "fuse", "metrics"])
+    def test_exits_2_naming_the_file_and_count(self, subject, tmp_path, capsys, command):
+        mask = nan_mask(subject, tmp_path)
+        args = {"fit": ["fit", str(subject / "series.nii"), str(subject / "series.bval"),
+                        mask, str(tmp_path / "out")],
+                "fuse": ["fuse", str(subject / "mask.nii"), mask, "--strategy", "lc",
+                         "-o", str(tmp_path / "out.nii")],
+                "metrics": ["metrics", str(subject / "mask.nii"), mask]}[command]
+        assert cli.main(args) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {mask}: 1 non-finite mask values\n"
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out.nii").exists()
 
 
 class TestFit:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivimlab.grid import (BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3D,
                           average_by_bvalue)
@@ -168,3 +170,19 @@ class TestAverageByBvalue:
         assert out.dims == s.dims
         assert out.spacing == s.spacing
         assert set(out.bvalues) == set(s.bvalues)
+
+    @settings(max_examples=60, deadline=None)
+    @given(bvals=st.lists(st.sampled_from([0.0, 10.0, 100.0, 600.0, 1000.0]), max_size=11)
+           .flatmap(lambda b: st.permutations(b + [0.0])),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_per_shell_numpy_mean(self, bvals, seed):
+        # interleaved, unsorted shells over values of very different magnitudes,
+        # where any other summation order rounds differently
+        rng = np.random.default_rng(seed)
+        n = len(bvals)
+        data = rng.normal(size=(n, 2, 3, 4)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1, 1, 1))
+        s = DwiSeries(data, SP, np.array(bvals))
+        out = average_by_bvalue(s)
+        assert list(out.bvalues) == sorted(set(bvals))
+        for frame, b in zip(out.data, out.bvalues):
+            assert frame.tobytes() == data[np.array(bvals) == b].mean(axis=0).tobytes()

@@ -9,6 +9,7 @@ from oracles import brute_dice, brute_hausdorff
 
 UNIT = VoxelSpacing(1.0, 1.0, 1.0)
 ANISO = VoxelSpacing(7.2, 2.07, 2.07)
+ISO = VoxelSpacing(1.1, 1.1, 1.1)
 
 
 def mk(data, spacing=UNIT):
@@ -156,6 +157,44 @@ class TestHausdorff:
                 continue
             got = hausdorff(mk(a, iso), mk(b, iso))
             assert got == brute_hausdorff(a, b, iso.as_tuple())
+
+    @pytest.mark.parametrize("spacing", [ISO, ANISO], ids=["1.1 iso", "paper"])
+    @pytest.mark.parametrize("layout", ["a in b", "b in a", "opposite corners", "overlapping"])
+    def test_off_origin_sub_boxes_match_brute_force_exactly(self, spacing, layout):
+        # masks confined to sub-boxes of a larger grid, away from its origin, so
+        # the distance transform runs on a box offset from the grid's corner
+        rng = np.random.default_rng(["a in b", "b in a", "opposite corners",
+                                     "overlapping"].index(layout))
+
+        def in_box(dims, lo, hi, density):
+            m = np.zeros(dims, dtype=bool)
+            box = tuple(slice(l, h) for l, h in zip(lo, hi))
+            m[box] = rng.random(m[box].shape) < density
+            return m
+
+        for trial in range(25):
+            dims = tuple(int(d) for d in rng.integers(6, 14, size=3))
+            density = 0.05 if trial % 2 else 0.4
+            lo = [int(rng.integers(1, d // 2)) for d in dims]
+            hi = [int(rng.integers(l + 1, d)) for l, d in zip(lo, dims)]
+            if layout == "opposite corners":
+                a = in_box(dims, [0, 0, 0], [d // 3 for d in dims], density)
+                b = in_box(dims, [d - d // 3 for d in dims], dims, density)
+            else:
+                a = in_box(dims, lo, hi, density)
+                b = in_box(dims, lo, hi, density)
+                if layout == "a in b":
+                    b |= a
+                elif layout == "b in a":
+                    a |= b
+                else:
+                    shift = [int(rng.integers(-2, 3)) for _ in dims]
+                    b = in_box(dims, [max(0, l + t) for l, t in zip(lo, shift)],
+                               [min(d, h + t) for h, t, d in zip(hi, shift, dims)], density)
+            if not a.any() or not b.any():
+                continue
+            got = hausdorff(mk(a, spacing), mk(b, spacing))
+            assert got == brute_hausdorff(a, b, spacing.as_tuple()), trial
 
     def test_symmetry_zero_iff_equal(self):
         rng = np.random.default_rng(5)

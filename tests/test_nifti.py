@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,60 @@ class TestHeaderValidation:
                           payload=payload)
             vol = nifti.read_volume(p)
             assert np.all(vol.data == 3.0), slope
+
+
+class TestFrameWiseRead:
+    @pytest.mark.parametrize("datatype, bitpix, dtype", [
+        (2, 8, np.uint8), (4, 16, np.int16), (16, 32, np.float32), (64, 64, np.float64),
+    ], ids=["uint8", "int16", "float32", "float64"])
+    def test_4d_read_equals_the_whole_data_section_scaled(self, tmp_path, datatype, bitpix,
+                                                          dtype):
+        rng = np.random.default_rng(datatype)
+        raw = (rng.random(5 * 3 * 4 * 2) * 100).astype(dtype)
+        p = tmp_path / "s.nii"
+        write_minimal(p, datatype=datatype, bitpix=bitpix, dim=(4, 2, 4, 3, 5, 1, 1, 1),
+                      scl_slope=0.5, scl_inter=-3.0, payload=raw.tobytes() + b"\x07" * 3)
+        (tmp_path / "s.bval").write_text("0 100 200 400 600")
+        want = raw.reshape(5, 3, 4, 2).astype(np.float64)
+        want *= np.float32(0.5)
+        want += np.float32(-3.0)
+        assert nifti.read_volume(p).data.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_the_array_plus_one_frame(self, tmp_path):
+        rng = np.random.default_rng(2)
+        series = DwiSeries(rand_f32(rng, (8, 8, 32, 32)), SP,
+                           np.array([0.0, 0.0, 10.0, 50.0, 100.0, 200.0, 400.0, 600.0]))
+        p = tmp_path / "s.nii"
+        nifti.write_series(series, p)
+        tracemalloc.start()
+        try:
+            back = nifti.read_volume(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, series.data)
+        assert peak <= back.data.nbytes + back.data[0].nbytes
+
+
+class TestReadMask:
+    def test_non_finite_values_rejected_with_file_and_count(self, tmp_path):
+        data = np.zeros((2, 2, 2))
+        data[1, 1, 1] = 1.0
+        data[0, 0, 0] = np.nan
+        p = tmp_path / "m.nii"
+        nifti.write_volume(Volume3D(data.copy(), SP), p)
+        with pytest.raises(ValueError, match=f"^{p}: 1 non-finite mask values$"):
+            nifti.read_mask(p)
+        data[0, 1, 0], data[1, 0, 1] = np.inf, -np.inf
+        nifti.write_volume(Volume3D(data.copy(), SP), p)
+        with pytest.raises(ValueError, match=f"^{p}: 3 non-finite mask values$"):
+            nifti.read_mask(p)
+
+    def test_float_mask_thresholds_at_one_half(self, tmp_path):
+        data = np.array([0.0, 0.5, 0.51, 2.0, -1.0, 1.0, 0.49, 1e-30]).reshape(2, 2, 2)
+        p = tmp_path / "m.nii"
+        nifti.write_volume(Volume3D(data, SP), p)
+        assert np.array_equal(nifti.read_mask(p).data, data > 0.5)
 
 
 class TestBvals:
