@@ -19,10 +19,11 @@ line that names each column once. Each must hold the required columns and
 at least one data line, with exactly one cell per header column on every
 line (blank lines are skipped); number cells must be finite, labels (group,
 source, strategy) are read in any case, ``ga`` is decimal weeks or ``w+d``
-with whole days 0-6, and no subject ``id`` is on two lines of a subjects
-table or in both tables of ``classify``. A table that breaks a rule exits 2,
-naming the file line where a line breaks it; ``report.build_report`` checks
-the summary-row rules and ``fgr.SubjectRecord`` the subject ranges.
+with whole weeks and whole days 0-6, and no subject ``id`` is on two lines
+of a subjects table or in both tables of ``classify``. A table that breaks a
+rule exits 2, naming the file line where a line breaks it;
+``report.build_report`` checks the summary-row rules and
+``fgr.SubjectRecord`` the subject ranges.
 
 Every subcommand is deterministic given identical inputs, flags and seeds,
 and writes its outputs atomically (temp file + rename). Exit codes: 0

@@ -48,16 +48,18 @@ class Polarity(Enum):
 def parse_ga_weeks(text: str) -> float:
     """Gestational age from decimal weeks or clinical 'w+d' notation.
 
-    Days are a whole number from 0 to 6. The notation is all this checks;
-    :class:`SubjectRecord` checks the range.
+    In 'w+d', weeks are a whole number and days a whole number from 0 to 6.
+    The notation is all this checks; :class:`SubjectRecord` checks the range.
     """
     token = text.strip()
     if "+" not in token:
         return float(token)
-    w, _, d = token.partition("+")
-    if not (d.strip().isdigit() and int(d) <= 6):
+    w, _, d = (part.strip() for part in token.partition("+"))
+    if not w.isdecimal():
+        raise ValueError(f"weeks in {token!r} must be a whole number")
+    if not (d.isdecimal() and int(d) <= 6):
         raise ValueError(f"days in {token!r} must be a whole number from 0 to 6")
-    return float(w) + int(d) / 7.0
+    return int(w) + int(d) / 7.0
 
 
 @dataclass(frozen=True)

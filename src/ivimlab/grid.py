@@ -3,8 +3,11 @@
 Axis order is (z, y, x) everywhere, with spacing stated in the same order so
 slice loops stay outermost. A 4D series puts the frame axis first, as one
 (n_frames, nz, ny, nx) array; a volume, a mask and a series all take
-``dims`` from the last three axes. All containers freeze their arrays after
-construction and are safe to share across concurrent readers.
+``dims`` from the last three axes. Every container holds a read-only view of
+its arrays and is safe to share across concurrent readers. It copies nothing
+that is already a C-contiguous float64 array (a volume's or series' data, a
+series' b-values): it shares memory with that array, which stays writeable by
+its owner, so a change made through it shows in the container.
 ``ivim.fit_volume`` averages every series it fits with ``average_by_bvalue``.
 """
 
@@ -41,7 +44,8 @@ class VoxelSpacing:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    # a read-only view: the caller's own array stays writeable, and nothing is copied
+    arr = np.ascontiguousarray(arr).view()
     arr.flags.writeable = False
     return arr
 

@@ -20,14 +20,16 @@ c*exp(-ADC b) is linear in a = S0 f and c = S0 (1 - f), and the best
 a, c >= 0 is a closed-form two-variable non-negative least squares (NNLS):
 the interior solution, or one of its faces f = 0 and f = 1.
 
-Each step runs one search over all voxels at once for each voxel's least
-profiled point in the log of its rate: a coarse grid over [``ADC_MIN``,
-``ADC_MAX``] or (ADC, ``D_STAR_MAX``], a finer grid across the two coarse
-steps around its best point, then one parabolic step; the ADC search adds
-one Newton step, kept where the cost falls. The projected Levenberg-Marquardt
-solver (``lm``) polishes from that point exactly, over the same closed box,
-and the voxel takes its result: LM accepts only a step that strictly lowers
-the cost, so it never ends above the searched point.
+The fit walks the usable voxels in blocks, and each block runs four stages:
+ADC search, ADC polish, IVIM search, IVIM polish. A search finds, for every
+voxel of the block at once, its least profiled point in the log of its
+rate: a coarse grid over [``ADC_MIN``, ``ADC_MAX``] or (ADC, ``D_STAR_MAX``],
+a finer grid across the two coarse steps around its best point, then one
+parabolic step; the ADC search adds one Newton step, kept where the cost
+falls. The projected Levenberg-Marquardt solver (``lm``) polishes from that
+point exactly, per voxel, over the same closed box, and the voxel takes its
+result: LM accepts only a step that strictly lowers the cost, so it never
+ends above the searched point.
 
 Profiled costs within a few ulps of the voxel's sum of squared samples
 (``_TIE`` times it) are a tie, and a face of the NNLS beats the interior
@@ -67,7 +69,7 @@ D_STAR_MAX = 1.0
 # _FINE points across the two coarse steps around the best one, then a parabolic step
 _COARSE = 64
 _FINE = 64
-# their memory budget: the (voxel, grid point, b-value) elements evaluated at once
+# the fit's block of voxels: at most this many (voxel, grid point, b-value) elements at once
 _BLOCK = 1 << 15
 # two costs closer than this many times the voxel's sum of squared samples are a tie
 _TIE = 8 * np.finfo(np.float64).eps
@@ -170,20 +172,6 @@ def _grid_min(profile, lo: np.ndarray, hi: np.ndarray, first: int) -> tuple[np.n
     return (x[rows, pick], *(v[rows, pick] for v in out[1:]))
 
 
-def _blocked(search, n_out: int, b: np.ndarray, *columns: np.ndarray) -> np.ndarray:
-    """``search(b, *rows)`` over blocks of voxels, stacked into shape (``n_out``, N).
-
-    Each column holds one row per voxel. A block holds at most ``_BLOCK``
-    (voxel, grid point, b-value) elements; every voxel's arithmetic is its
-    own, so its result does not depend on the block it falls in.
-    """
-    out = np.empty((n_out, len(columns[0])))
-    size = max(1, _BLOCK // ((_COARSE + 1) * b.size))
-    for lo in range(0, out.shape[1], size):
-        out[:, lo:lo + size] = search(b, *(c[lo:lo + size] for c in columns))
-    return out
-
-
 def _profile_adc(x, b, w, ws, ss):
     """The least mono-exponential cost over S0 at each log ADC ``x``, shape (n, k), of n voxels.
 
@@ -219,9 +207,16 @@ def _newton_adc(x, b, w, ws):
         return np.divide(-g1, g2, out=np.zeros_like(g1), where=descent)
 
 
-def _search_adc_block(b: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    ws = w * s
-    ss = (ws * s).sum(axis=1, keepdims=True)
+def _search_adc(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.ndarray:
+    """(S0, ADC) of each voxel at its least profiled mono-exponential cost: shape (2, n).
+
+    ``signals`` is (n, n_b). The cost is over each voxel's positive samples
+    above the b threshold, and ADC is searched over [ADC_MIN, ADC_MAX], both
+    ends included.
+    """
+    w = ((b > cfg.b_threshold) & (signals > 0)).astype(np.float64)
+    ws = w * signals
+    ss = (ws * signals).sum(axis=1, keepdims=True)
     w, ws = w[:, None], ws[:, None]
     profile = partial(_profile_adc, b=b, w=w, ws=ws, ss=ss)
     lo, hi = np.full_like(ss, math.log(ADC_MIN)), np.full_like(ss, math.log(ADC_MAX))
@@ -231,17 +226,6 @@ def _search_adc_block(b: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray
     cost, s0 = profile(x)
     pick = (np.arange(len(x)), cost.argmin(axis=1))
     return np.vstack((s0[pick], np.clip(np.exp(x[pick]), ADC_MIN, ADC_MAX)))
-
-
-def _search_adc(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.ndarray:
-    """(S0, ADC) of each voxel at its least profiled mono-exponential cost: shape (2, N).
-
-    ``signals`` is (N, n_b). The cost is over each voxel's positive samples
-    above the b threshold, and ADC is searched over [ADC_MIN, ADC_MAX], both
-    ends included.
-    """
-    w = ((b > cfg.b_threshold) & (signals > 0)).astype(np.float64)
-    return _blocked(_search_adc_block, 2, b, signals, w)
 
 
 def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray,
@@ -320,24 +304,20 @@ def _profile(tau, b, adc, v, w, vv, vs, ss, cost0, s0_0, tie):
     return out, s0_out, f
 
 
-def _search_block(b: np.ndarray, s: np.ndarray, adc: np.ndarray) -> np.ndarray:
+def _search(b: np.ndarray, signals: np.ndarray, adc: np.ndarray) -> np.ndarray:
+    """(S0, f, D*) of each voxel at its least profiled cost: shape (3, n).
+
+    ``signals`` is (n, n_b) and ``adc`` (n,).
+    """
     adc = adc[:, None]
     v = np.exp(-adc * b)
-    vv, vs, ss = ((v * v).sum(axis=1, keepdims=True), (v * s).sum(axis=1, keepdims=True),
-                  (s * s).sum(axis=1, keepdims=True))
-    profile = partial(_profile, b=b, adc=adc, v=v[:, None], w=np.stack((v, s))[:, :, None],
+    vv, vs, ss = ((v * v).sum(axis=1, keepdims=True), (v * signals).sum(axis=1, keepdims=True),
+                  (signals * signals).sum(axis=1, keepdims=True))
+    profile = partial(_profile, b=b, adc=adc, v=v[:, None], w=np.stack((v, signals))[:, :, None],
                       vv=vv, vs=vs, ss=ss, cost0=ss - vs * (vs / vv), s0_0=vs / vv, tie=_TIE * ss)
     top = np.log(D_STAR_MAX / adc)  # tau = log(D*/ADC) runs over (0, top]
     tau, s0, f = _grid_min(profile, np.zeros_like(top), top, first=1)
     return np.hstack((s0, f, np.minimum(adc * np.exp(tau), D_STAR_MAX))).T
-
-
-def _search(b: np.ndarray, signals: np.ndarray, adc: np.ndarray) -> np.ndarray:
-    """(S0, f, D*) of each voxel at its least profiled cost: shape (3, N).
-
-    ``signals`` is (N, n_b) and ``adc`` (N,).
-    """
-    return _blocked(_search_block, 3, b, signals, adc)
 
 
 def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
@@ -378,24 +358,44 @@ def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> 
     return _polish(s, adc, *_search(b, s[None], np.array([adc]))[:, 0], b=b)
 
 
+def _fit_signals(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.ndarray:
+    """(S0, f, D*, ADC, residual) of each row of an (N, n_b) sample matrix: shape (N, 5).
+
+    ``b`` is ascending and the samples are non-negative; a row the data rule
+    fails is NaN. The usable rows run ``fit_volume``'s four stages in blocks
+    of at most ``_BLOCK`` (voxel, grid point, b-value) elements.
+    """
+    out = np.full((len(signals), 5), np.nan)
+    rows = np.flatnonzero(_usable(b, signals, cfg))
+    size = max(1, _BLOCK // ((_COARSE + 1) * b.size))
+    for lo in range(0, rows.size, size):
+        at = rows[lo:lo + size]
+        block = signals[at]
+        adc = np.array([fit.adc for fit in map(partial(_polish_adc, b=b, cfg=cfg), block,
+                                               *_search_adc(b, block, cfg))])
+        fits = map(partial(_polish, b=b), block, adc, *_search(b, block, adc))
+        out[at] = [(fit.s0, fit.f, fit.d_star, a, fit.residual) for fit, a in zip(fits, adc)]
+    return out
+
+
 def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = None) -> IvimMaps:
     """Fit every masked voxel; NaN outside the mask and where a voxel's data fail it.
 
     ``series`` is averaged by b-value first (``grid.average_by_bvalue``), and
-    two of its b-values must lie above ``cfg.b_threshold``. The fit runs in
-    four stages over the (voxels, b-values) signal matrix, after the data
-    rule has set the failed voxels aside:
+    two of its b-values must lie above ``cfg.b_threshold``. The masked
+    samples, clamped at 0, form a (voxels, b-values) signal matrix. After the
+    data rule has set the failed voxels aside, the usable voxels run in
+    blocks, and each block runs four stages:
 
-    1. one search over all voxels for each voxel's least profiled
+    1. one search over the block for each voxel's least profiled
        mono-exponential cost in log ADC, then one Newton step from it;
     2. the LM polish of that point, per voxel, which fixes the ADC;
-    3. one search over all voxels for each voxel's least profiled IVIM cost
+    3. one search over the block for each voxel's least profiled IVIM cost
        in log D*;
     4. the LM polish of that point, per voxel.
 
-    The result is independent of voxel visit order and of the block of
-    voxels that a search evaluates at once: no voxel's arithmetic depends on
-    another's.
+    The result is independent of voxel visit order and of the block a voxel
+    falls in: no voxel's arithmetic depends on another's.
     """
     cfg = cfg or IvimFitConfig()
     if not mask.same_grid(series):
@@ -411,20 +411,11 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
 
     flat_idx = np.flatnonzero(mask.data.ravel())
     n_vox = int(np.prod(series.dims))
-    b = np.asarray(series.bvalues)
     signals = series.data.reshape(series.n_frames, n_vox)[:, flat_idx].T
-    signals = np.maximum(signals, 0.0)
-    usable = _usable(b, signals, cfg)
-    signals, at = signals[usable], flat_idx[usable]
-    adc = np.array([fit.adc for fit in map(partial(_polish_adc, b=b, cfg=cfg), signals,
-                                           *_search_adc(b, signals, cfg))])
-    fits = map(partial(_polish, b=b), signals, adc, *_search(b, signals, adc))
-    maps = np.full((5, n_vox), np.nan)
-    maps[:, at] = np.array([(fit.s0, fit.f, fit.d_star, a, fit.residual)
-                            for fit, a in zip(fits, adc)]).reshape(-1, 5).T
-    fitted = np.zeros(n_vox, dtype=bool)
-    fitted[at] = True
-    return IvimMaps(*(Volume3D(m.reshape(series.dims), series.spacing) for m in maps),
+    maps = np.full((n_vox, 5), np.nan)
+    maps[flat_idx] = _fit_signals(np.asarray(series.bvalues), np.maximum(signals, 0.0), cfg)
+    fitted = ~np.isnan(maps[:, 3])  # a usable voxel's ADC lies in the box
+    return IvimMaps(*(Volume3D(m.reshape(series.dims), series.spacing) for m in maps.T),
                     mask=BinaryMask(fitted.reshape(series.dims), series.spacing))
 
 

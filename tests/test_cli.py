@@ -613,7 +613,7 @@ class TestClassify:
         assert (out["n_train"], out["n_test"]) == (30, 15)
 
     @pytest.mark.parametrize("bad", ["no tlv_ml", "14", "45+1", "46", "32+-1", "32+9",
-                                     "32+3.5", "32+7"])
+                                     "32+3.5", "32+7", "32.5+3", "3e1+3"])
     def test_bad_subjects_file_exits_2(self, tmp_path, capsys, bad):
         path = write_subjects(subjects(6, 2), tmp_path / "test.csv")
         lines = path.read_text().splitlines()

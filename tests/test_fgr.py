@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -56,6 +57,15 @@ class TestGrowthModel:
         assert fgr.parse_ga_weeks("32+3") == 32 + 3 / 7
         assert fgr.parse_ga_weeks(" 32 + 0 ") == 32.0
         assert fgr.parse_ga_weeks("32+6") == 32 + 6 / 7
+
+    # float() would read these weeks as 32.5 and 30, a fraction of a week on top of the days
+    @pytest.mark.parametrize("text, part", [
+        ("32.5+3", "weeks"), ("3e1+3", "weeks"), ("+3", "weeks"), ("-32+3", "weeks"),
+        ("32+3.5", "days"), ("32+7", "days"), ("32+", "days"),
+    ])
+    def test_clinical_notation_takes_whole_weeks_and_days(self, text, part):
+        with pytest.raises(ValueError, match=f"{part} in '{re.escape(text)}' must be a whole"):
+            fgr.parse_ga_weeks(text)
 
     def test_subject_record_owns_the_range(self):
         assert fgr.parse_ga_weeks("46") == 46.0

@@ -38,6 +38,28 @@ class TestVolume3D:
             vol.data[0, 0, 0] = 1.0
 
 
+class TestFrozenViews:
+    """A container's data are read-only; the caller's own arrays stay writeable."""
+
+    @pytest.mark.parametrize("kind", ["volume", "mask", "series"])
+    def test_caller_array_stays_writeable(self, kind):
+        data = np.zeros((2, 2, 2, 2) if kind == "series" else (2, 2, 2),
+                        dtype=bool if kind == "mask" else float)
+        bvals = np.array([0.0, 400.0])
+        made = {"volume": lambda: Volume3D(data, UNIT),
+                "mask": lambda: BinaryMask(data, UNIT),
+                "series": lambda: DwiSeries(data, UNIT, bvals)}[kind]()
+        held = [made.data] + ([made.bvalues] if kind == "series" else [])
+        for arr in held:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+        for arr in (data, bvals):
+            assert arr.flags.writeable
+        data.flat[0] = 1
+        bvals[1] = 600.0
+
+
 class TestIvimMaps:
     VALID = {"s0": 100.0, "f": 0.3, "d_star": 0.05, "adc": 0.002, "residual": 0.01}
 

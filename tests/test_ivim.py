@@ -115,6 +115,33 @@ class TestBlockInvariance:
                 assert a.tobytes() == b.tobytes(), (voxels, name)
 
 
+class TestSignalMatrix:
+    def test_failing_rows_are_nan_and_the_rest_are_the_volume_fit(self):
+        bundle = phantom.make_phantom(phantom.PhantomConfig(
+            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        data, b = bundle.series.data.copy(), bundle.series.bvalues
+        voxels = [tuple(at) for at in np.argwhere(bundle.mask.data)]
+        data[(b == 0, *voxels[0])] = 0.0  # no positive b=0 sample
+        data[(b > CFG.b_threshold, *voxels[40])] = 0.0  # no positive sample above the threshold
+        data[(0, *voxels[41])] = np.nan
+        data[(-1, *voxels[-1])] = 1e160  # its square overflows
+        series = DwiSeries(data, bundle.series.spacing, b)
+
+        averaged = average_by_bvalue(series)
+        signals = np.maximum(averaged.data[:, bundle.mask.data].T, 0.0)
+        usable = ivim._usable(averaged.bvalues, signals, CFG)
+        assert np.flatnonzero(~usable).tolist() == [0, 40, 41, len(voxels) - 1]
+        out = ivim._fit_signals(averaged.bvalues, signals, CFG)
+        assert out.shape == (len(voxels), 5)
+        assert np.isnan(out[~usable]).all() and np.isfinite(out[usable]).all()
+
+        maps = ivim.fit_volume(series, bundle.mask)
+        assert np.array_equal(maps.mask.data[bundle.mask.data], usable)
+        for column, name in enumerate(("s0", "f", "d_star", "adc", "residual")):
+            want = getattr(maps, name).data[bundle.mask.data]
+            assert out[:, column].tobytes() == want.tobytes(), name
+
+
 class TestSeriesAveraging:
     def test_repeated_b_values_fit_as_their_average(self):
         # twelve frames: two b=0 baselines, two at b=400 and three directions at b=600
@@ -295,9 +322,13 @@ class TestProfiledSearch:
             return searched[-1]
 
         monkeypatch.setattr(ivim, "_search", recorded)
+        # blocks of 7 voxels, so the mask spans several searches
+        per_voxel = (ivim._COARSE + 1) * np.unique(bundle.series.bvalues).size
+        monkeypatch.setattr(ivim, "_BLOCK", 7 * per_voxel)
         maps = ivim.fit_volume(bundle.series, bundle.mask)
         assert maps.mask.voxel_count == bundle.mask.voxel_count
-        on_face = searched[0][1] == 0.0
+        assert len(searched) == -(-bundle.mask.voxel_count // 7)
+        on_face = np.hstack(searched)[1] == 0.0
         f = maps.f.data[maps.mask.data]
         assert on_face.sum() >= f.size // 4
         assert np.array_equal(f == 0.0, on_face)
