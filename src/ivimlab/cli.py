@@ -62,7 +62,7 @@ EXIT_INPUT = 2
 # ---------------------------------------------------------------------------
 
 def _write_json(payload: dict, path) -> None:
-    _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _write_csv(rows: list[dict], path) -> None:
@@ -81,7 +81,7 @@ def _write_csv(rows: list[dict], path) -> None:
     if path is None:
         sys.stdout.write(buf.getvalue())
     else:
-        _atomic_write(path, buf.getvalue().encode("utf-8"))
+        _atomic_write(path, [buf.getvalue().encode("utf-8")])
 
 
 def _read_table(path, columns, parse) -> list:

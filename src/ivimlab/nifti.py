@@ -6,11 +6,13 @@ A ``.bval`` sidecar is UTF-8 text. Anything else is rejected loudly rather
 than guessed at. Masks are stored as uint8 {0,1}; scalar volumes as float32.
 On-disk voxel order is x-fastest, so a C-ordered (z, y, x) array maps straight
 onto the data section. A read fills the float64 array frame by frame from the
-file, holding no copy of the file's bytes.
+file, holding no copy of the file's bytes. A write casts one frame at a time
+to the file; a finite value that the cast makes infinite fails it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from pathlib import Path
@@ -157,15 +159,18 @@ def _pack_header(shape_xyz: tuple[int, ...], pixdim_xyz: tuple[float, ...],
     return hdr
 
 
-def _atomic_write(path, payload: bytes) -> None:
+def _atomic_write(path, parts) -> None:
+    """Write the bytes-like ``parts`` in order; on any exception no file is left."""
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
-        tmp.write_bytes(payload)
+        with open(tmp, "wb") as fh:
+            fh.writelines(parts)
         os.replace(tmp, path)
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
         raise OSError(f"failed writing {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)  # already gone after the rename
 
 
 def _read_text(path) -> str:
@@ -177,16 +182,21 @@ def _read_text(path) -> str:
                          f"at offset {exc.start})") from None
 
 
+def _cast(frame: np.ndarray, dtype, path) -> np.ndarray:
+    with np.errstate(over="ignore"):  # counted below, with the file named
+        cast = frame.astype(dtype)
+    inf = np.count_nonzero(np.isinf(cast))
+    if inf and inf > np.count_nonzero(np.isinf(frame)):
+        raise ValueError(f"{path}: finite values lie beyond the {cast.dtype} range")
+    return cast
+
+
 def _write_array(arr: np.ndarray, spacing: VoxelSpacing, path, dtype_code: int) -> None:
-    if arr.ndim == 3:
-        nz, ny, nx = arr.shape
-        shape_xyz: tuple[int, ...] = (nx, ny, nz)
-    else:
-        nt, nz, ny, nx = arr.shape
-        shape_xyz = (nx, ny, nz, nt)
-    hdr = _pack_header(shape_xyz, (spacing.dx, spacing.dy, spacing.dz), dtype_code)
-    body = np.ascontiguousarray(arr.astype(_DTYPES[dtype_code])).tobytes()
-    _atomic_write(path, bytes(hdr) + b"\x00" * (MIN_VOX_OFFSET - HEADER_SIZE) + body)
+    hdr = _pack_header(arr.shape[::-1], (spacing.dx, spacing.dy, spacing.dz), dtype_code)
+    # a generator of frames: each cast is written and dropped before the next is made
+    frames = (_cast(frame, _DTYPES[dtype_code], path)
+              for frame in arr.reshape(-1, *arr.shape[-3:]))
+    _atomic_write(path, itertools.chain([hdr, bytes(MIN_VOX_OFFSET - HEADER_SIZE)], frames))
 
 
 def write_volume(volume: Volume3D, path) -> None:
@@ -196,7 +206,7 @@ def write_volume(volume: Volume3D, path) -> None:
 
 def write_mask(mask: BinaryMask, path) -> None:
     """Store a mask as uint8 {0,1}."""
-    _write_array(mask.data.astype(np.uint8), mask.spacing, path, 2)
+    _write_array(mask.data, mask.spacing, path, 2)
 
 
 def write_series(series: DwiSeries, path) -> None:
@@ -226,4 +236,4 @@ def write_bvals(bvalues, path) -> None:
     """Each b-value as the shortest text that reads back to the same float."""
     line = " ".join(np.format_float_positional(float(b), trim="-")
                     for b in np.asarray(bvalues).ravel())
-    _atomic_write(path, (line + "\n").encode())
+    _atomic_write(path, [(line + "\n").encode()])

@@ -3,8 +3,13 @@
 Signals are generated voxel-wise from the biexponential perfusion-diffusion
 decay model, inside an ellipsoidal "lung" mask on an otherwise empty grid.
 A truth parameter field is a number (the same value in every voxel), a
-``LinearGradient`` or a ``TwoRegion`` split, and optional Gaussian/Rician
-noise is reproducible per seed.
+``LinearGradient`` or a ``TwoRegion`` split.
+
+Optional noise has sd = (mean masked b=0 intensity) / snr, and
+``default_rng(seed)`` draws n1, then (Rician only) n2, in the series' shape.
+Gaussian noise is additive, s + n1; Rician noise is the magnitude of a complex
+Gaussian perturbation, sqrt((s + n1)**2 + n2**2), as in magnitude MR images.
+It is added in place: a phantom holds one float64 series plus one draw.
 ``boundary_flip`` toggles voxels along a mask's boundary, a stand-in for an
 automatic segmentation's errors.
 """
@@ -141,38 +146,19 @@ def make_phantom(cfg: PhantomConfig | None = None) -> PhantomBundle:
     signal = np.zeros((len(cfg.bvalues), *cfg.dims))
     for t, b in enumerate(cfg.bvalues):
         signal[t][m] = s0 * (f * np.exp(-b * d_star) + (1.0 - f) * np.exp(-b * d))
-    del s0, f, d_star, d  # freed before the noise step, where memory peaks
+    # checks the b-values, the b=0 frame included, and shares ``signal``
     series = DwiSeries(signal, spacing, np.asarray(cfg.bvalues, dtype=np.float64))
 
     if cfg.noise_model != "none":
-        series = add_noise(series, mask, cfg.noise_model, cfg.snr, cfg.seed)
+        sd = float(signal[series.bvalues == 0][:, m].mean()) / cfg.snr
+        rng = np.random.default_rng(cfg.seed)
+        signal += rng.normal(0.0, sd, signal.shape)
+        if cfg.noise_model == "rician":
+            signal *= signal
+            n2 = rng.normal(0.0, sd, signal.shape)
+            signal += np.square(n2, out=n2)
+            np.sqrt(signal, out=signal)
     return PhantomBundle(series=series, mask=mask, truth=truth)
-
-
-def add_noise(series: DwiSeries, mask: BinaryMask, model: str, snr: float,
-              seed: int = 0) -> DwiSeries:
-    """Add reproducible noise with sd = (mean masked b=0 intensity) / snr.
-
-    Gaussian noise is additive; Rician noise is the magnitude of the signal
-    plus a complex Gaussian perturbation, matching magnitude MR images.
-    """
-    if not snr > 0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    if model not in ("gaussian", "rician"):
-        raise ValueError(f"unknown noise model {model!r}")
-    if not mask.data.any():
-        raise ValueError("noise needs a non-empty mask: its sd scales with the masked signal")
-    data = series.data
-    b0 = series.bvalues == 0
-    sd = float(data[b0][:, mask.data].mean()) / snr
-    rng = np.random.default_rng(seed)
-    if model == "gaussian":
-        noisy = data + rng.normal(0.0, sd, data.shape)
-    else:
-        n1 = rng.normal(0.0, sd, data.shape)
-        n2 = rng.normal(0.0, sd, data.shape)
-        noisy = np.sqrt((data + n1) ** 2 + n2**2)
-    return DwiSeries(noisy, series.spacing, series.bvalues)
 
 
 def boundary_band(mask: BinaryMask) -> np.ndarray:

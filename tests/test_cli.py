@@ -254,6 +254,14 @@ class TestPhantom:
         assert all(name in err for name in named), err
         assert not (tmp_path / "p").exists()
 
+    def test_series_beyond_float32_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "p.json").write_text(json.dumps({"dims": [3, 8, 8], "s0": 1e39}))
+        code = cli.main(["phantom", str(tmp_path / "p"), "--config", str(tmp_path / "p.json")])
+        assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'p' / 'series.nii'}: finite "
+                                           "values lie beyond the float32 range\n")
+        assert list((tmp_path / "p").iterdir()) == []
+
     def test_new_config_field_needs_no_cli_change(self, tmp_path, monkeypatch):
         @dataclasses.dataclass(frozen=True)
         class Extended(phantom.PhantomConfig):

@@ -189,6 +189,68 @@ class TestFrameWiseRead:
         assert peak <= back.data.nbytes + back.data[0].nbytes
 
 
+class TestFrameWiseWrite:
+    def test_data_section_is_the_array_cast_whole(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = rng.normal(0.0, 1e3, (3, 2, 4, 5))
+        data[0, 1, 2, 3], data[2, 0, 0, 0] = np.nan, -np.inf
+        mask = BinaryMask(data[0] > 0, SP)
+        pad = bytes(nifti.MIN_VOX_OFFSET - nifti.HEADER_SIZE)
+        pixdim = (SP.dx, SP.dy, SP.dz)
+        cases = [
+            (nifti.write_series, DwiSeries(data, SP, np.array([0.0, 100.0, 600.0])),
+             (5, 4, 2, 3), 16, data.astype(np.float32)),
+            (nifti.write_volume, Volume3D(data[1], SP), (5, 4, 2), 16,
+             data[1].astype(np.float32)),
+            (nifti.write_mask, mask, (5, 4, 2), 2, mask.data.astype(np.uint8)),
+        ]
+        for write, image, shape_xyz, code, body in cases:
+            p = tmp_path / f"{write.__name__}.nii"
+            write(image, p)
+            assert p.read_bytes() == (bytes(nifti._pack_header(shape_xyz, pixdim, code))
+                                      + pad + body.tobytes()), write.__name__
+
+    def test_peak_memory_is_at_most_two_float32_frames(self, tmp_path):
+        rng = np.random.default_rng(4)
+        series = DwiSeries(rng.random((6, 8, 32, 32)), SP,
+                           np.array([0.0, 0.0, 10.0, 100.0, 200.0, 600.0]))
+        tracemalloc.start()
+        try:
+            nifti.write_series(series, tmp_path / "s.nii")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        frame = series.data[0].astype(np.float32).nbytes
+        assert peak <= 2 * frame, peak / frame
+
+    @pytest.mark.parametrize("write, image", [
+        (nifti.write_volume, Volume3D(np.array([1e39, 1.0, np.nan, np.inf]).reshape(1, 2, 2), SP)),
+        (nifti.write_series, DwiSeries(np.array([1.0, 2.0, -1e39, 3.0, np.nan, -np.inf])
+                                       .reshape(3, 1, 1, 2), SP, np.array([0.0, 10.0, 600.0]))),
+    ], ids=["volume", "series"])
+    def test_finite_value_beyond_float32_fails_and_leaves_no_file(self, tmp_path, write,
+                                                                   image):
+        p = tmp_path / "out" / "x.nii"
+        p.parent.mkdir()
+        with pytest.raises(ValueError, match=f"^{p}: finite values lie beyond the float32 "
+                                             "range$"):
+            write(image, p)
+        assert list(p.parent.iterdir()) == []
+
+    def test_os_error_names_the_file(self, tmp_path):
+        p = tmp_path / "absent" / "v.nii"
+        with pytest.raises(OSError, match=f"^failed writing {p}: "):
+            nifti.write_volume(Volume3D(np.zeros((1, 1, 1)), SP), p)
+
+    def test_largest_float32_and_non_finite_values_are_written(self, tmp_path):
+        big = float(np.finfo(np.float32).max)
+        data = np.array([big, -big, np.nan, np.inf, -np.inf, 0.0, 1e-50, 1.0]).reshape(2, 2, 2)
+        p = tmp_path / "v.nii"
+        nifti.write_volume(Volume3D(data, SP), p)
+        assert nifti.read_volume(p).data.tobytes() == data.astype(np.float32).astype(
+            np.float64).tobytes()
+
+
 class TestReadMask:
     def test_non_finite_values_rejected_with_file_and_count(self, tmp_path):
         data = np.zeros((2, 2, 2))

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,12 +55,42 @@ class TestLayout:
                            rtol=1e-15, atol=0.0)
 
 
-class TestAddNoise:
-    @pytest.mark.parametrize("snr", [0.0, -5.0, float("nan")])
-    def test_rejects_snr_that_is_not_positive(self, snr):
-        bundle = phantom.make_phantom(config())
-        with pytest.raises(ValueError, match="snr"):
-            phantom.add_noise(bundle.series, bundle.mask, "gaussian", snr)
+class TestNoiseOracle:
+    @pytest.mark.parametrize("model, snr, seed", [
+        ("gaussian", 20.0, 3), ("rician", 30.0, 1), ("rician", 2.0, 5),
+    ])
+    def test_series_is_the_clean_series_with_the_seeded_draws(self, model, snr, seed):
+        # two b=0 frames and a varying s0, so the sd is a mean over both frames
+        cfg = config(bvalues=(0.0, 10.0, 0.0, 200.0, 600.0),
+                     s0=phantom.LinearGradient(60.0, 140.0, axis=2),
+                     noise_model=model, snr=snr, seed=seed)
+        bundle = phantom.make_phantom(cfg)
+        clean = phantom.make_phantom(dataclasses.replace(cfg, noise_model="none")).series
+        sd = float(clean.data[clean.bvalues == 0][:, bundle.mask.data].mean()) / snr
+        rng = np.random.default_rng(seed)
+        n1 = rng.normal(0.0, sd, clean.data.shape)
+        n2 = rng.normal(0.0, sd, clean.data.shape)
+        if model == "gaussian":
+            want = clean.data + n1
+        else:
+            want = np.sqrt((clean.data + n1) ** 2 + n2**2)
+        assert bundle.series.data.tobytes() == want.tobytes()
+
+
+class TestOneCopy:
+    def test_rician_peak_memory_is_the_series_plus_one_draw(self):
+        # the segmentation-paper b-values: two b=0 frames, three directions per shell
+        bvalues = (0.0, 0.0) + tuple(b for b in phantom.DEFAULT_BVALUES[1:] for _ in range(3))
+        cfg = phantom.PhantomConfig(dims=(8, 64, 64), bvalues=bvalues,
+                                    noise_model="rician", snr=30.0)
+        tracemalloc.start()
+        try:
+            bundle = phantom.make_phantom(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bundle.series.bvalues) == 23
+        assert peak <= 2.5 * bundle.series.data.nbytes, peak / bundle.series.data.nbytes
 
 
 class TestConfigChecks:
@@ -71,3 +104,8 @@ class TestConfigChecks:
     def test_non_finite_values_rejected(self, kwargs, key):
         with pytest.raises(ValueError, match=key):
             config(**kwargs)
+
+    @pytest.mark.parametrize("snr", [0.0, -5.0, float("nan")])
+    def test_rejects_snr_that_is_not_positive(self, snr):
+        with pytest.raises(ValueError, match="snr"):
+            config(noise_model="gaussian", snr=snr)
