@@ -12,18 +12,18 @@ output echoes the resolved config, which reads back as ``--config``.
 ``fit``'s config holds ``b_threshold`` only, and ``fit`` runs in one
 process.
 
-Every text input (a ``--config`` file, a table, a ``.bval`` sidecar) is
-UTF-8, and a leading byte-order mark is read past. The summaries table of
+The reader that opens an input file reports it, by its path, when it is
+missing. Every text input (a ``--config`` file, a table, a ``.bval`` sidecar)
+is UTF-8, and a leading byte-order mark is read past. The summaries table of
 ``report`` and the subjects tables of ``classify`` are CSV files with a header
-line that names each column once. Each must hold the required columns and
-at least one data line, with exactly one cell per header column on every
-line (blank lines are skipped); number cells must be finite, labels (group,
-source, strategy) are read in any case, ``ga`` is decimal weeks or ``w+d``
-with whole weeks and whole days 0-6, and no subject ``id`` is on two lines
-of a subjects table or in both tables of ``classify``. A table that breaks a
-rule exits 2, naming the file line where a line breaks it;
-``report.build_report`` checks the summary-row rules and
-``fgr.SubjectRecord`` the subject ranges.
+line that names each column once. Each must hold the required columns and at
+least one data line, with exactly one cell per header column on every line
+(blank lines are skipped); number cells must be finite, labels (group, source,
+strategy) are read in any case, ``ga`` is decimal weeks or ``w+d`` with whole
+weeks and whole days 0-6, and no subject ``id`` is on two lines of a subjects
+table or in both tables of ``classify``. A table that breaks a rule exits 2,
+naming the file line where a line breaks it; ``report.build_report`` checks
+the summary-row rules and ``fgr.SubjectRecord`` the subject ranges.
 
 Every subcommand is deterministic given identical inputs, flags and seeds,
 and writes its outputs atomically (temp file + rename). Exit codes: 0
@@ -48,7 +48,6 @@ import typing
 from pathlib import Path
 
 from . import fgr, ivim, masks, phantom, report
-from .grid import DwiSeries
 from .nifti import (_atomic_write, _read_text, read_mask, read_volume,
                     write_mask, write_series, write_volume)
 
@@ -135,8 +134,7 @@ _FIELD_SPEC_KINDS = {cls: kind for kind, cls in _FIELD_SPECS.items()}
 def _load_config(path, cls, **overrides):
     """The config class ``cls`` from a JSON file and flag ``overrides``.
 
-    Every key must name a field of ``cls``; an unset (None) flag leaves the
-    file's value.
+    An unset (None) flag leaves the file's value.
     """
     values = {}
     if path is not None:
@@ -150,9 +148,6 @@ def _load_config(path, cls, **overrides):
         if not isinstance(values, dict):
             raise ValueError(f"{path}: config must be a JSON object")
     values.update((k, v) for k, v in overrides.items() if v is not None)
-    unknown = sorted(set(values).difference(_field_names(cls)))
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys {unknown}")
     return _build(cls, values)
 
 
@@ -198,12 +193,17 @@ def _cast(hint, value, key: str):
 def _build(cls, values: dict, prefix: str = ""):
     """A config dataclass from the JSON ``values`` of its fields.
 
-    Each value is cast to its field's annotated type before the class
-    validates itself; ``prefix`` (say ``"f."``) leads every key in messages.
+    Every key must name a field of ``cls``. Each value is cast to its field's
+    annotated type before the class validates itself; ``prefix`` (say
+    ``"f."``) leads every key in messages.
     """
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(values).difference(f.name for f in fields))
+    if unknown:
+        raise ValueError(f"unknown config keys {[prefix + k for k in unknown]}")
     hints = typing.get_type_hints(cls)
     kwargs = {}
-    for f in dataclasses.fields(cls):
+    for f in fields:
         if f.name in values:
             kwargs[f.name] = _cast(hints[f.name], values[f.name], prefix + f.name)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
@@ -214,19 +214,12 @@ def _build(cls, values: dict, prefix: str = ""):
         raise ValueError(f"{prefix}{exc}") from None
 
 
-def _field_names(cls) -> list[str]:
-    return [f.name for f in dataclasses.fields(cls)]
-
-
 def _field_spec(value: dict, key: str):
-    kind = value.get("kind")
+    fields = dict(value)
+    kind = fields.pop("kind", None)
     if kind not in _FIELD_SPECS:
         raise ValueError(f"{key}.kind must be one of {sorted(_FIELD_SPECS)}, got {kind!r}")
-    cls = _FIELD_SPECS[kind]
-    unknown = sorted(set(value).difference(["kind"], _field_names(cls)))
-    if unknown:
-        raise ValueError(f"unknown config keys {[f'{key}.{k}' for k in unknown]}")
-    return _build(cls, value, key + ".")
+    return _build(_FIELD_SPECS[kind], fields, key + ".")
 
 
 def _to_json(value):
@@ -269,13 +262,7 @@ def _cmd_phantom(args) -> int:
 
 def _cmd_fit(args) -> int:
     cfg = _load_config(args.config, ivim.IvimFitConfig, b_threshold=args.b_threshold)
-
-    for path in (args.series, args.bvals, args.mask):
-        if not Path(path).exists():
-            raise FileNotFoundError(f"input not found: {path}")
     series = read_volume(args.series, bval_path=args.bvals)
-    if not isinstance(series, DwiSeries):
-        raise ValueError(f"{args.series}: expected a 4D series")
     mask = read_mask(args.mask)
 
     start = time.perf_counter()

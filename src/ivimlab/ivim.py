@@ -411,11 +411,11 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
 
     flat_idx = np.flatnonzero(mask.data.ravel())
     n_vox = int(np.prod(series.dims))
-    signals = series.data.reshape(series.n_frames, n_vox)[:, flat_idx].T
-    maps = np.full((n_vox, 5), np.nan)
-    maps[flat_idx] = _fit_signals(np.asarray(series.bvalues), np.maximum(signals, 0.0), cfg)
-    fitted = ~np.isnan(maps[:, 3])  # a usable voxel's ADC lies in the box
-    return IvimMaps(*(Volume3D(m.reshape(series.dims), series.spacing) for m in maps.T),
+    signals = np.maximum(series.data.reshape(series.n_frames, n_vox)[:, flat_idx].T, 0.0)
+    maps = np.full((5, n_vox), np.nan)  # one row per map: each Volume3D is a view of it
+    maps[:, flat_idx] = _fit_signals(np.asarray(series.bvalues), signals, cfg).T
+    fitted = ~np.isnan(maps[3])  # a usable voxel's ADC lies in the box
+    return IvimMaps(*(Volume3D(m.reshape(series.dims), series.spacing) for m in maps),
                     mask=BinaryMask(fitted.reshape(series.dims), series.spacing))
 
 

@@ -3,11 +3,13 @@
 Scope is deliberately narrow: uncompressed little-endian ``.nii`` with the
 "n+1" magic, datatypes uint8 / int16 / float32 / float64, spacing via pixdim.
 A ``.bval`` sidecar is UTF-8 text. Anything else is rejected loudly rather
-than guessed at. Masks are stored as uint8 {0,1}; scalar volumes as float32.
-On-disk voxel order is x-fastest, so a C-ordered (z, y, x) array maps straight
-onto the data section. A read fills the float64 array frame by frame from the
-file, holding no copy of the file's bytes. A write casts one frame at a time
-to the file; a finite value that the cast makes infinite fails it.
+than guessed at. A 4D image is read only with the ``.bval`` path it is given,
+and a 3D one only without. Masks are stored as uint8 {0,1}; scalar volumes as
+float32. On-disk voxel order is x-fastest, so a C-ordered (z, y, x) array
+maps straight onto the data section. A read fills the float64 array frame by
+frame from the file, holding no copy of the file's bytes. A write casts one
+frame at a time to the file; a finite value that the cast makes infinite
+fails it.
 """
 
 from __future__ import annotations
@@ -103,24 +105,20 @@ def _read_array(path) -> tuple[np.ndarray, VoxelSpacing]:
 
 
 def read_volume(path, bval_path=None):
-    """Read a .nii image; 3D gives a Volume3D, 4D gives a DwiSeries.
+    """Read a .nii image: 3D gives a Volume3D, 4D with ``bval_path`` a DwiSeries.
 
-    A 4D image is wrapped as read, one (n_frames, nz, ny, nx) float64 array.
-    It needs its b-values: pass ``bval_path`` or place an FSL-style sidecar
-    next to the image (same basename, ``.bval`` extension).
+    A 4D image is wrapped as read, one (n_frames, nz, ny, nx) float64 array,
+    with the b-values of ``bval_path``, one per frame. A 4D image without
+    ``bval_path``, or a 3D one with it, fails the read, naming the image.
     """
     data, spacing = _read_array(path)
     if data.ndim == 3:
+        if bval_path is not None:
+            raise ValueError(f"{path}: expected a 4D series")
         return Volume3D(data, spacing)
     if bval_path is None:
-        bval_path = Path(path).with_suffix(".bval")
-    if not Path(bval_path).exists():
-        raise ValueError(f"{path}: 4D image needs a b-value sidecar, none at {bval_path}")
+        raise ValueError(f"{path}: a 4D image needs a bval_path")
     bvals = read_bvals(bval_path)
-    if len(bvals) != data.shape[0]:
-        raise ValueError(
-            f"{bval_path}: {len(bvals)} b-values for {data.shape[0]} frames"
-        )
     try:
         return DwiSeries(data, spacing, np.asarray(bvals))
     except ValueError as exc:
@@ -128,7 +126,7 @@ def read_volume(path, bval_path=None):
 
 
 def read_mask(path) -> BinaryMask:
-    """Read a 3D .nii mask; a 4D image is rejected before any b-value lookup.
+    """Read a 3D .nii mask; a 4D image fails the read, naming it.
 
     A voxel is in the mask when its value is above 0.5. A NaN or infinite
     value fails the read rather than being dropped from the mask or kept in it.

@@ -233,6 +233,19 @@ class TestPhantom:
         assert err.startswith("error:") and err.count("\n") == 1 and key in err
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("config, keys", [
+        ({"seed": 1, "bins": 32, "axis": 0}, "['axis', 'bins']"),
+        ({"f": {"kind": "linear", "lo": 0.1, "hi": 0.3, "value": 1}}, "['f.value']"),
+        ({"s0": {"kind": "two_region", "value_a": 80, "value_b": 90, "lo": 1, "x": 2}},
+         "['s0.lo', 's0.x']"),
+    ], ids=["top level", "field spec", "two in a field spec"])
+    def test_unknown_keys_exit_2_naming_each(self, tmp_path, capsys, config, keys):
+        (tmp_path / "p.json").write_text(json.dumps(config))
+        code = cli.main(["phantom", str(tmp_path / "p"), "--config", str(tmp_path / "p.json")])
+        assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: unknown config keys {keys}\n"
+        assert not (tmp_path / "p").exists()
+
     @pytest.mark.parametrize("text, named", [
         ('{"seed": 1, "seed": 2}', ["seed"]),
         ('{"dims": [3, 8, 8], "f": {"kind": "linear", "lo": 0.1, "hi": 0.3, "hi": 0.4}}',
@@ -501,10 +514,33 @@ class TestFit:
         assert capsys.readouterr().err == f"error: {mask}: {MASK_IS_4D}\n"
 
     def test_missing_input_exits_2(self, subject, tmp_path, capsys):
-        code = cli.main(["fit", str(tmp_path / "absent.nii"), str(subject / "series.bval"),
+        inputs = [str(subject / n) for n in ("series.nii", "series.bval", "mask.nii")]
+        for i, absent in enumerate(["absent.nii", "absent.bval", "absent_mask.nii"]):
+            args = inputs[:i] + [str(tmp_path / absent)] + inputs[i + 1:]
+            assert cli.main(["fit", *args, str(tmp_path / "fit")]) == cli.EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1 and args[i] in err, err
+            assert not (tmp_path / "fit").exists()
+
+    def test_3d_series_exits_2_naming_it(self, subject, tmp_path, capsys):
+        image = str(subject / "truth_f.nii")
+        code = cli.main(["fit", image, str(subject / "series.bval"), str(subject / "mask.nii"),
+                         str(tmp_path / "fit")])
+        assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {image}: expected a 4D series\n"
+        assert not (tmp_path / "fit").exists()
+
+    def test_bvals_one_short_exit_2_naming_the_sidecar(self, subject, tmp_path, capsys):
+        values = (subject / "series.bval").read_text().split()
+        bvals = tmp_path / "series.bval"
+        bvals.write_text(" ".join(values[:-1]) + "\n")
+        code = cli.main(["fit", str(subject / "series.nii"), str(bvals),
                          str(subject / "mask.nii"), str(tmp_path / "fit")])
         assert code == cli.EXIT_INPUT
-        assert "absent.nii" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {bvals}: data of shape ({len(values)}, 3, 8, 8) is not (n_frames, nz, "
+            f"ny, nx) with one frame per b-value ({len(values) - 1})\n")
+        assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("dims, spacing, grid", [
         ((3, 8, 9), (7.2, 2.07, 2.07), "(3, 8, 9)/(7.2, 2.07, 2.07)"),

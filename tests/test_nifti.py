@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -47,7 +48,7 @@ class TestRoundTrip:
         series = DwiSeries(rand_f32(rng, (3, 2, 3, 4)), SP, np.array([0.0, 100.0, 600.0]))
         path = tmp_path / "s.nii"
         nifti.write_series(series, path)
-        back = nifti.read_volume(path)
+        back = nifti.read_volume(path, tmp_path / "s.bval")
         assert isinstance(back, DwiSeries)
         assert list(back.bvalues) == [0.0, 100.0, 600.0]
         assert np.array_equal(back.data, series.data)
@@ -58,15 +59,24 @@ class TestRoundTrip:
         nifti.write_series(series, tmp_path / "s.nii")
         # whole b-values keep their text; the rest read back to the same float
         assert (tmp_path / "s.bval").read_text().startswith("0 10 600 0.1 1000.123 123456.7 0.3")
-        assert list(nifti.read_volume(tmp_path / "s.nii").bvalues) == bvals
+        assert list(nifti.read_volume(tmp_path / "s.nii", tmp_path / "s.bval").bvalues) == bvals
 
     def test_4d_without_sidecar_fails(self, tmp_path):
+        # the .bval that write_series leaves beside the image is not looked for
         series = DwiSeries(np.zeros((2, 2, 2, 2)), SP, np.array([0.0, 100.0]))
         path = tmp_path / "s.nii"
         nifti.write_series(series, path)
-        (tmp_path / "s.bval").unlink()
-        with pytest.raises(ValueError, match="sidecar"):
+        assert (tmp_path / "s.bval").exists()
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: a 4D image needs a "
+                                             "bval_path$"):
             nifti.read_volume(path)
+
+    def test_3d_image_with_bval_path_fails(self, tmp_path):
+        path = tmp_path / "v.nii"
+        nifti.write_volume(Volume3D(np.zeros((2, 2, 2)), SP), path)
+        (tmp_path / "v.bval").write_text("0 100\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: expected a 4D series$"):
+            nifti.read_volume(path, tmp_path / "v.bval")
 
 
 def write_minimal(path, *, sizeof_hdr=348, magic=b"n+1\x00", datatype=16, bitpix=32,
@@ -90,37 +100,39 @@ class TestHeaderValidation:
     def test_wrong_size_field(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, sizeof_hdr=349)
-        with pytest.raises(ValueError, match="sizeof_hdr"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: sizeof_hdr is 349, "):
             nifti.read_volume(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, magic=b"ni1\x00")
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: magic is "):
             nifti.read_volume(p)
 
     def test_unsupported_datatype(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, datatype=8, bitpix=32)  # int32 is outside the subset
-        with pytest.raises(ValueError, match="datatype"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: unsupported datatype "
+                                             "code 8$"):
             nifti.read_volume(p)
 
     def test_inconsistent_bitpix(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, datatype=16, bitpix=64)
-        with pytest.raises(ValueError, match="bitpix"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: bitpix 64 inconsistent "
+                                             "with datatype 16$"):
             nifti.read_volume(p)
 
     def test_truncated_data_section(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, payload=np.zeros(7, dtype=np.float32).tobytes())
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: data section truncated "):
             nifti.read_volume(p)
 
     def test_bad_vox_offset(self, tmp_path):
         p = tmp_path / "bad.nii"
         write_minimal(p, vox_offset=100.0)
-        with pytest.raises(ValueError, match="vox_offset"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: vox_offset 100.0 is not "):
             nifti.read_volume(p)
 
     @pytest.mark.parametrize("vox_offset", [352.5, 353.5, float("inf"), float("nan")])
@@ -128,7 +140,8 @@ class TestHeaderValidation:
         # a truncated 353.5 would read the float32 payload one byte off
         p = tmp_path / "bad.nii"
         write_minimal(p, vox_offset=vox_offset, payload=np.ones(9, dtype=np.float32).tobytes())
-        with pytest.raises(ValueError, match="vox_offset"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: vox_offset {vox_offset} "
+                                             "is not "):
             nifti.read_volume(p)
 
     def test_scl_slope_applied(self, tmp_path):
@@ -171,7 +184,7 @@ class TestFrameWiseRead:
         want = raw.reshape(5, 3, 4, 2).astype(np.float64)
         want *= np.float32(0.5)
         want += np.float32(-3.0)
-        assert nifti.read_volume(p).data.tobytes() == want.tobytes()
+        assert nifti.read_volume(p, tmp_path / "s.bval").data.tobytes() == want.tobytes()
 
     def test_peak_memory_is_the_array_plus_one_frame(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -181,7 +194,7 @@ class TestFrameWiseRead:
         nifti.write_series(series, p)
         tracemalloc.start()
         try:
-            back = nifti.read_volume(p)
+            back = nifti.read_volume(p, tmp_path / "s.bval")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -291,13 +304,13 @@ class TestBvals:
     def test_negative_rejected_with_position(self, tmp_path):
         p = tmp_path / "b.bval"
         p.write_text("0 100 -50")
-        with pytest.raises(ValueError, match="token 3"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: token 3 \('-50'\) "):
             nifti.read_bvals(p)
 
     def test_non_numeric_rejected(self, tmp_path):
         p = tmp_path / "b.bval"
         p.write_text("0 abc 100")
-        with pytest.raises(ValueError, match="token 2"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: token 2 \('abc'\) "):
             nifti.read_bvals(p)
 
 
