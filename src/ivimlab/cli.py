@@ -1,16 +1,15 @@
 """Command-line pipeline: phantom, fit, fuse, metrics, report, classify.
 
-A ``--config`` JSON file holds the fields of the subcommand's one config
-dataclass: ``phantom.PhantomConfig`` for ``phantom``, ``ivim.IvimFitConfig``
-for ``fit``. Lists stand for tuples, an absent key keeps the default, and a
-number is never JSON ``true``/``false`` or a string (``30``, not ``"30"``).
-A truth field is a number, the same in every voxel, or an object with a
-``kind`` (``linear`` or ``two_region``) and that field-spec class's fields.
-A flag overrides its config key. The file is strict JSON: a key repeated in
-any object, or a ``NaN``, ``Infinity`` or ``-Infinity``, exits 2. The run
-output echoes the resolved config, which reads back as ``--config``.
-``fit``'s config holds ``b_threshold`` only, and ``fit`` runs in one
-process.
+``--config`` belongs to ``phantom`` alone: its JSON file holds the fields of
+``phantom.PhantomConfig``. Lists stand for tuples, an absent key keeps the
+default, and a number is never JSON ``true``/``false`` or a string (``30``,
+not ``"30"``). A truth field is a number, the same in every voxel, or an
+object with a ``kind`` (``linear`` or ``two_region``) and that field-spec
+class's fields. A flag overrides its config key. The file is strict JSON: a
+key repeated in any object, or a ``NaN``, ``Infinity`` or ``-Infinity``,
+exits 2. The manifest echoes the resolved config, which reads back as
+``--config``. ``fit`` takes no settings (its b threshold is
+``ivim.B_THRESHOLD``) and runs in one process.
 
 The reader that opens an input file reports it, by its path, when it is
 missing. Every text input (a ``--config`` file, a table, a ``.bval`` sidecar)
@@ -261,17 +260,15 @@ def _cmd_phantom(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    cfg = _load_config(args.config, ivim.IvimFitConfig, b_threshold=args.b_threshold)
     series = read_volume(args.series, bval_path=args.bvals)
     mask = read_mask(args.mask)
 
     start = time.perf_counter()
-    maps = ivim.fit_volume(series, mask, cfg)
+    maps = ivim.fit_volume(series, mask)
     wall = time.perf_counter() - start
 
     fitted = maps.mask.voxel_count
     log = {
-        "config": _to_json(cfg),
         "voxels_fitted": fitted,
         "voxels_failed": mask.voxel_count - fitted,
         "boundary_hits": ivim.boundary_hits(maps),
@@ -297,9 +294,8 @@ def _cmd_fuse(args) -> int:
 def _cmd_metrics(args) -> int:
     a = read_mask(args.mask_a)
     b = read_mask(args.mask_b)
-    case = args.case or f"{Path(args.mask_a).stem}_vs_{Path(args.mask_b).stem}"
     row = {
-        "case": case,
+        "case": f"{Path(args.mask_a).stem}_vs_{Path(args.mask_b).stem}",
         "dice": masks.dice(a, b),
         "hd_mm": masks.hausdorff(a, b),
         "vol_a_ml": a.volume_ml,
@@ -414,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bvals", help=".bval sidecar")
     p.add_argument("mask", help="3D binary mask .nii")
     p.add_argument("outdir")
-    p.add_argument("--config", help="JSON fit configuration")
-    p.add_argument("--b-threshold", type=float, dest="b_threshold")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("fuse", help="fuse several masks into one")
@@ -428,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mask_a")
     p.add_argument("mask_b")
     p.add_argument("-o", "--output", help="CSV path (default: stdout)")
-    p.add_argument("--case", help="label for the CSV row")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("report", help="manual-vs-automatic cohort comparison tables")

@@ -1,7 +1,7 @@
 """Two-step voxel-wise IVIM fitting over a masked 4D series, averaged by b-value first.
 
-Step one fits a mono-exponential decay to the high-b tail (strictly above the
-b threshold), giving the apparent diffusion coefficient. Step two fixes the
+Step one fits a mono-exponential decay to the high-b tail (b strictly above
+``B_THRESHOLD``), giving the apparent diffusion coefficient. Step two fixes the
 tissue diffusion coefficient to that value and fits amplitude, perfusion
 fraction and pseudo-diffusion coefficient to the full decay curve, which
 stabilizes the otherwise poorly conditioned biexponential problem. The
@@ -14,8 +14,8 @@ Both steps are separable least squares (Golub & Pereyra 1973): once its
 decay rate is fixed, each model is linear in its amplitudes, so the cost
 profiled over the amplitudes is a function of one rate. In step one, at a
 fixed ADC the best S0 is closed form, sum(w e s) / sum(w e^2) with
-e = exp(-ADC b), where the 0/1 weight w keeps the positive samples above the
-b threshold. In step two, at a fixed D* the model a*exp(-D* b) +
+e = exp(-ADC b), where the 0/1 weight w keeps the positive samples above
+``B_THRESHOLD``. In step two, at a fixed D* the model a*exp(-D* b) +
 c*exp(-ADC b) is linear in a = S0 f and c = S0 (1 - f), and the best
 a, c >= 0 is a closed-form two-variable non-negative least squares (NNLS):
 the interior solution, or one of its faces f = 0 and f = 1.
@@ -38,7 +38,7 @@ a rounding residue.
 
 A voxel fails only for its data: a sum of squared samples that is not
 finite (a non-finite sample, or one whose square overflows), fewer than two
-distinct b-values above the threshold with a positive sample, or no
+distinct b-values above ``B_THRESHOLD`` with a positive sample, or no
 positive b=0 sample. Elsewhere each step keeps a point in the box that costs
 no more than its start. Failed voxels carry the NaN sentinel, are skipped by
 the summaries and never abort a volume fit.
@@ -58,6 +58,9 @@ from .grid import BinaryMask, DwiSeries, IvimMaps, Volume3D, average_by_bvalue
 # histogram bins of the summary entropies; one value keeps every summary comparable
 ENTROPY_BINS = 64
 
+# s/mm^2: only b > B_THRESHOLD enters the ADC fit and the data rule's count of b-values
+B_THRESHOLD = 100.0
+
 # mm^2/s: the ADC box (a fitted ADC within 1% of an end is a boundary hit) and
 # the upper end of the D* box, whose lower end is the voxel's ADC
 ADC_MIN = 1e-5
@@ -73,17 +76,6 @@ _FINE = 64
 _BLOCK = 1 << 15
 # two costs closer than this many times the voxel's sum of squared samples are a tie
 _TIE = 8 * np.finfo(np.float64).eps
-
-
-@dataclass(frozen=True)
-class IvimFitConfig:
-    """The one fit setting; the fixed box is f in [0, 1] and ADC in [ADC_MIN, ADC_MAX]."""
-
-    b_threshold: float = 100.0  # strict: only b > threshold enters the ADC fit
-
-    def __post_init__(self):
-        if not self.b_threshold >= 0:
-            raise ValueError("b_threshold must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -120,18 +112,18 @@ class IvimFit:
     residual: float
 
 
-def _usable(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.ndarray:
+def _usable(b: np.ndarray, signals: np.ndarray) -> np.ndarray:
     """The data rule over an (N, n_b) matrix of non-negative samples: True where a voxel fits.
 
     A voxel fails when its sum of squared samples is not finite, when fewer
-    than two distinct b-values above the threshold hold a positive sample, or
+    than two distinct b-values above ``B_THRESHOLD`` hold a positive sample, or
     when no b=0 sample is positive (so its b=0 mean is not positive). ``b``
     is ascending.
     """
     with np.errstate(over="ignore"):  # an overflowing square fails its voxel, quietly
         finite = np.isfinite(np.square(signals).sum(axis=1))
     positive = signals > 0
-    high = b > cfg.b_threshold
+    high = b > B_THRESHOLD
     shells = np.flatnonzero(np.diff(b[high], prepend=-1.0))  # the first column of each b-value
     distinct = (np.logical_or.reduceat(positive[:, high], shells, axis=1).sum(axis=1)
                 if shells.size else 0)
@@ -207,14 +199,14 @@ def _newton_adc(x, b, w, ws):
         return np.divide(-g1, g2, out=np.zeros_like(g1), where=descent)
 
 
-def _search_adc(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.ndarray:
+def _search_adc(b: np.ndarray, signals: np.ndarray) -> np.ndarray:
     """(S0, ADC) of each voxel at its least profiled mono-exponential cost: shape (2, n).
 
     ``signals`` is (n, n_b). The cost is over each voxel's positive samples
-    above the b threshold, and ADC is searched over [ADC_MIN, ADC_MAX], both
+    at b > ``B_THRESHOLD``, and ADC is searched over [ADC_MIN, ADC_MAX], both
     ends included.
     """
-    w = ((b > cfg.b_threshold) & (signals > 0)).astype(np.float64)
+    w = ((b > B_THRESHOLD) & (signals > 0)).astype(np.float64)
     ws = w * signals
     ss = (ws * signals).sum(axis=1, keepdims=True)
     w, ws = w[:, None], ws[:, None]
@@ -228,16 +220,15 @@ def _search_adc(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.nd
     return np.vstack((s0[pick], np.clip(np.exp(x[pick]), ADC_MIN, ADC_MAX)))
 
 
-def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray,
-                cfg: IvimFitConfig) -> AdcFit:
-    """LM from the searched point (S0, ADC) over the positive samples above the b threshold.
+def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray) -> AdcFit:
+    """LM from the searched point (S0, ADC) over the positive samples at b > ``B_THRESHOLD``.
 
     LM starts at the searched point exactly, even on an end of the closed box
     [0, inf) x [ADC_MIN, ADC_MAX], and its result is the voxel's. From the Newton
     point it returns its start at iteration 1, its step below xtol; it stays
     while ``perfbench/test_tracing.py`` counts two LM calls a voxel.
     """
-    keep = (b > cfg.b_threshold) & (s > 0)
+    keep = (b > B_THRESHOLD) & (s > 0)
     bh, sh = b[keep], s[keep]
 
     def residual(th):
@@ -253,18 +244,17 @@ def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray,
     return AdcFit(s0, adc)
 
 
-def fit_adc(sig: VoxelSignal, cfg: IvimFitConfig | None = None) -> AdcFit | None:
+def fit_adc(sig: VoxelSignal) -> AdcFit | None:
     """Mono-exponential fit over the high-b subset; None where the voxel's data fail it.
 
     The same two stages as ``fit_volume``'s ADC step on a batch of one: the
     profiled search over log ADC and its Newton step, then the LM polish from
     that point. It stays, with ``fit_ivim``, while ``perfbench/child.py`` times both.
     """
-    cfg = cfg or IvimFitConfig()
     b, s = sig.bvalues, sig.intensities
-    if not _usable(b, s[None], cfg)[0]:
+    if not _usable(b, s[None])[0]:
         return None
-    return _polish_adc(s, *_search_adc(b, s[None], cfg)[:, 0], b=b, cfg=cfg)
+    return _polish_adc(s, *_search_adc(b, s[None])[:, 0], b=b)
 
 
 def _profile(tau, b, adc, v, w, vv, vs, ss, cost0, s0_0, tie):
@@ -344,7 +334,7 @@ def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
     return IvimFit(s0, f, d_star, math.sqrt(result.ssr / b.size) / s0)
 
 
-def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> IvimFit | None:
+def fit_ivim(sig: VoxelSignal, adc: float) -> IvimFit | None:
     """Biexponential fit of (S0, f, D*) at a fixed adc; None where the voxel's data fail it.
 
     The same two stages as ``fit_volume``'s IVIM step on a batch of one: the
@@ -353,12 +343,12 @@ def fit_ivim(sig: VoxelSignal, adc: float, cfg: IvimFitConfig | None = None) -> 
     if not 0 < adc < D_STAR_MAX:
         raise ValueError(f"adc must lie in (0, D_STAR_MAX = {D_STAR_MAX}), got {adc}")
     b, s = sig.bvalues, sig.intensities
-    if not _usable(b, s[None], cfg or IvimFitConfig())[0]:
+    if not _usable(b, s[None])[0]:
         return None
     return _polish(s, adc, *_search(b, s[None], np.array([adc]))[:, 0], b=b)
 
 
-def _fit_signals(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.ndarray:
+def _fit_signals(b: np.ndarray, signals: np.ndarray) -> np.ndarray:
     """(S0, f, D*, ADC, residual) of each row of an (N, n_b) sample matrix: shape (N, 5).
 
     ``b`` is ascending and the samples are non-negative; a row the data rule
@@ -366,23 +356,23 @@ def _fit_signals(b: np.ndarray, signals: np.ndarray, cfg: IvimFitConfig) -> np.n
     of at most ``_BLOCK`` (voxel, grid point, b-value) elements.
     """
     out = np.full((len(signals), 5), np.nan)
-    rows = np.flatnonzero(_usable(b, signals, cfg))
+    rows = np.flatnonzero(_usable(b, signals))
     size = max(1, _BLOCK // ((_COARSE + 1) * b.size))
     for lo in range(0, rows.size, size):
         at = rows[lo:lo + size]
         block = signals[at]
-        adc = np.array([fit.adc for fit in map(partial(_polish_adc, b=b, cfg=cfg), block,
-                                               *_search_adc(b, block, cfg))])
+        adc = np.array([fit.adc for fit in map(partial(_polish_adc, b=b), block,
+                                               *_search_adc(b, block))])
         fits = map(partial(_polish, b=b), block, adc, *_search(b, block, adc))
         out[at] = [(fit.s0, fit.f, fit.d_star, a, fit.residual) for fit, a in zip(fits, adc)]
     return out
 
 
-def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = None) -> IvimMaps:
+def fit_volume(series: DwiSeries, mask: BinaryMask) -> IvimMaps:
     """Fit every masked voxel; NaN outside the mask and where a voxel's data fail it.
 
     ``series`` is averaged by b-value first (``grid.average_by_bvalue``), and
-    two of its b-values must lie above ``cfg.b_threshold``. The masked
+    two of its b-values must lie above ``B_THRESHOLD``. The masked
     samples, clamped at 0, form a (voxels, b-values) signal matrix. After the
     data rule has set the failed voxels aside, the usable voxels run in
     blocks, and each block runs four stages:
@@ -397,7 +387,6 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
     The result is independent of voxel visit order and of the block a voxel
     falls in: no voxel's arithmetic depends on another's.
     """
-    cfg = cfg or IvimFitConfig()
     if not mask.same_grid(series):
         # 6 significant digits: a spacing read from NIfTI is float32, so 7.2 reads 7.1999998...
         mask_grid, series_grid = (
@@ -405,15 +394,14 @@ def fit_volume(series: DwiSeries, mask: BinaryMask, cfg: IvimFitConfig | None = 
             for g in (mask, series))
         raise ValueError(f"mask grid {mask_grid} does not match series grid {series_grid}")
     series = average_by_bvalue(series)
-    if np.count_nonzero(series.bvalues > cfg.b_threshold) < 2:
-        raise ValueError(f"need at least 2 distinct b-values above the threshold "
-                         f"{cfg.b_threshold}")
+    if np.count_nonzero(series.bvalues > B_THRESHOLD) < 2:
+        raise ValueError(f"need at least 2 distinct b-values above the threshold {B_THRESHOLD}")
 
     flat_idx = np.flatnonzero(mask.data.ravel())
     n_vox = int(np.prod(series.dims))
     signals = np.maximum(series.data.reshape(series.n_frames, n_vox)[:, flat_idx].T, 0.0)
     maps = np.full((5, n_vox), np.nan)  # one row per map: each Volume3D is a view of it
-    maps[:, flat_idx] = _fit_signals(np.asarray(series.bvalues), signals, cfg).T
+    maps[:, flat_idx] = _fit_signals(np.asarray(series.bvalues), signals).T
     fitted = ~np.isnan(maps[3])  # a usable voxel's ADC lies in the box
     return IvimMaps(*(Volume3D(m.reshape(series.dims), series.spacing) for m in maps),
                     mask=BinaryMask(fitted.reshape(series.dims), series.spacing))

@@ -113,7 +113,7 @@ class PhantomBundle:
 
 
 def ellipsoid_mask(dims: tuple[int, int, int], spacing: VoxelSpacing,
-                   semi_axes_frac=(0.4, 0.4, 0.4)) -> BinaryMask:
+                   semi_axes_frac: tuple[float, float, float]) -> BinaryMask:
     """Centered ellipsoid; semi-axes are fractions of each grid extent."""
     axes = [np.arange(n) - (n - 1) / 2.0 for n in dims]
     semi = [max(frac * n, 0.5) for frac, n in zip(semi_axes_frac, dims)]

@@ -29,7 +29,7 @@ def t_cdf(t: float, df: float) -> float:
 # heterogeneity measures
 # ---------------------------------------------------------------------------
 
-def shannon_entropy(values, bins: int = 64) -> float:
+def shannon_entropy(values, bins: int) -> float:
     """Entropy in bits of the equal-width histogram over the data's [min, max].
 
     0*log(0) counts as 0; single-valued data puts all mass in one bin.

@@ -13,9 +13,6 @@ from ivimlab.grid import (BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3
                           average_by_bvalue)
 from ivimlab.phantom import DEFAULT_BVALUES
 
-CFG = ivim.IvimFitConfig()
-
-
 def captured_problems(monkeypatch, fit) -> list[lm.FitProblem]:
     """Every FitProblem that ``fit()`` hands to the solver, which reports no fit."""
     problems = []
@@ -122,16 +119,16 @@ class TestSignalMatrix:
         data, b = bundle.series.data.copy(), bundle.series.bvalues
         voxels = [tuple(at) for at in np.argwhere(bundle.mask.data)]
         data[(b == 0, *voxels[0])] = 0.0  # no positive b=0 sample
-        data[(b > CFG.b_threshold, *voxels[40])] = 0.0  # no positive sample above the threshold
+        data[(b > ivim.B_THRESHOLD, *voxels[40])] = 0.0  # no positive sample above the threshold
         data[(0, *voxels[41])] = np.nan
         data[(-1, *voxels[-1])] = 1e160  # its square overflows
         series = DwiSeries(data, bundle.series.spacing, b)
 
         averaged = average_by_bvalue(series)
         signals = np.maximum(averaged.data[:, bundle.mask.data].T, 0.0)
-        usable = ivim._usable(averaged.bvalues, signals, CFG)
+        usable = ivim._usable(averaged.bvalues, signals)
         assert np.flatnonzero(~usable).tolist() == [0, 40, 41, len(voxels) - 1]
-        out = ivim._fit_signals(averaged.bvalues, signals, CFG)
+        out = ivim._fit_signals(averaged.bvalues, signals)
         assert out.shape == (len(voxels), 5)
         assert np.isnan(out[~usable]).all() and np.isfinite(out[usable]).all()
 
@@ -189,15 +186,15 @@ class TestOutcomeRule:
         data = bundle.series.data.copy()
         nan_at, zero_tail_at, zero_b0_at = (tuple(v) for v in np.argwhere(bundle.mask.data)[:3])
         data[(2, *nan_at)] = np.nan
-        data[(b > CFG.b_threshold, *zero_tail_at)] = 0.0
+        data[(b > ivim.B_THRESHOLD, *zero_tail_at)] = 0.0
         data[(b == 0, *zero_b0_at)] = 0.0
         series = DwiSeries(data, bundle.series.spacing, b)
 
-        maps = ivim.fit_volume(series, bundle.mask, CFG)
+        maps = ivim.fit_volume(series, bundle.mask)
 
         # the three failure reasons, read straight off each voxel's samples
         s = data[:, bundle.mask.data]
-        high = b > CFG.b_threshold
+        high = b > ivim.B_THRESHOLD
         failed = (~np.isfinite(s).all(axis=0)
                   | np.array([np.unique(b[high & (col > 0)]).size < 2 for col in s.T])
                   | ~(s[b == 0].mean(axis=0) > 0))
@@ -233,8 +230,8 @@ class TestDStarBound:
         sd = 100.0 / 30.0
         real, imag = truth + rng.normal(0, sd, b.size), rng.normal(0, sd, b.size)
         sig = ivim.VoxelSignal(b, np.sqrt(real**2 + imag**2))
-        adc = ivim.fit_adc(sig, CFG).adc
-        fit = ivim.fit_ivim(sig, adc, CFG)
+        adc = ivim.fit_adc(sig).adc
+        fit = ivim.fit_ivim(sig, adc)
         assert fit is not None
         assert adc < fit.d_star <= ivim.D_STAR_MAX
 
@@ -243,7 +240,7 @@ class TestDStarBound:
         b = np.asarray(DEFAULT_BVALUES, dtype=float)
         sig = ivim.VoxelSignal(b, 100.0 * np.exp(-0.002 * b))
         with pytest.raises(ValueError, match="adc must lie in"):
-            ivim.fit_ivim(sig, adc, CFG)
+            ivim.fit_ivim(sig, adc)
 
 
 def ivim_cost(b, s, adc, fit) -> float:
@@ -256,10 +253,10 @@ def profiled_cost(b, s, adc, d_star) -> float:
     return nnls(np.column_stack((np.exp(-d_star * b), np.exp(-adc * b))), s)[1] ** 2
 
 
-def usable_by_loop(b, s, cfg) -> bool:
-    """The data rule for one voxel, sample by sample."""
+def usable_by_loop(b, s, threshold) -> bool:
+    """The data rule for one voxel at b threshold ``threshold``, sample by sample."""
     s = [float(sv) for sv in s]  # a Python float's square overflows to inf, quietly
-    high = {bv for bv, sv in zip(b, s) if bv > cfg.b_threshold and sv > 0}
+    high = {bv for bv, sv in zip(b, s) if bv > threshold and sv > 0}
     finite = all(math.isfinite(sv) for sv in s) and math.isfinite(sum(sv * sv for sv in s))
     return finite and len(high) >= 2 and any(sv > 0 for bv, sv in zip(b, s) if bv == 0)
 
@@ -278,7 +275,7 @@ class TestProfiledSearch:
         sd = 0.0 if np.isinf(snr) else s0 / snr
         rng = np.random.default_rng(seed)
         s = np.hypot(truth + rng.normal(0, sd, b.size), rng.normal(0, sd, b.size))
-        fit = ivim.fit_ivim(ivim.VoxelSignal(b, s), adc, CFG)
+        fit = ivim.fit_ivim(ivim.VoxelSignal(b, s), adc)
         assert fit is not None
         assert 0 <= fit.f <= 1 and adc < fit.d_star <= ivim.D_STAR_MAX and fit.s0 > 0
 
@@ -298,8 +295,8 @@ class TestProfiledSearch:
         sig = ivim.VoxelSignal(b, 100.0 * np.exp(-0.002 * b))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            adc = ivim.fit_adc(sig, CFG).adc
-            fit = ivim.fit_ivim(sig, adc, CFG)
+            adc = ivim.fit_adc(sig).adc
+            fit = ivim.fit_ivim(sig, adc)
         assert fit.f == 0.0 and adc < fit.d_star <= ivim.D_STAR_MAX
         assert fit.s0 == pytest.approx(100.0, rel=1e-9)
 
@@ -336,14 +333,14 @@ class TestProfiledSearch:
 
 def adc_step_cost(b, s, fit) -> float:
     """The mono-exponential cost of ``fit`` over the positive samples above the b threshold."""
-    keep = (b > CFG.b_threshold) & (s > 0)
+    keep = (b > ivim.B_THRESHOLD) & (s > 0)
     r = fit.s0_high * np.exp(-fit.adc * b[keep]) - s[keep]
     return float(r @ r)
 
 
 def profiled_adc_cost(b, s, adc) -> float:
     """The least cost over S0 of S0*exp(-ADC b) on the positive samples above the threshold."""
-    keep = (b > CFG.b_threshold) & (s > 0)
+    keep = (b > ivim.B_THRESHOLD) & (s > 0)
     e, sk = np.exp(-adc * b[keep]), s[keep]
     r = (e @ sk) / (e @ e) * e - sk
     return float(r @ r)
@@ -362,17 +359,17 @@ class TestProfiledAdcSearch:
         sd = 0.0 if np.isinf(snr) else s0 / snr
         rng = np.random.default_rng(seed)
         s = np.hypot(truth + rng.normal(0, sd, b.size), rng.normal(0, sd, b.size))
-        fit = ivim.fit_adc(ivim.VoxelSignal(b, s), CFG)
+        fit = ivim.fit_adc(ivim.VoxelSignal(b, s))
         assert fit is not None
         assert ivim.ADC_MIN <= fit.adc <= ivim.ADC_MAX and fit.s0_high > 0
 
-        high = s[(b > CFG.b_threshold) & (s > 0)]
+        high = s[(b > ivim.B_THRESHOLD) & (s > 0)]
         cost, ss = adc_step_cost(b, s, fit), float(high @ high)
         # both ends of the ADC box and a grid between
         for adc in ivim.ADC_MIN * (ivim.ADC_MAX / ivim.ADC_MIN) ** np.linspace(0.0, 1.0, 97):
             assert cost <= profiled_adc_cost(b, s, adc) + 1e-12 * ss, adc
         # LM starts at the searched point and takes only steps that lower the cost
-        start = ivim.AdcFit(*ivim._search_adc(b, s[None], CFG)[:, 0])
+        start = ivim.AdcFit(*ivim._search_adc(b, s[None])[:, 0])
         assert cost <= adc_step_cost(b, s, start) + 4 * np.finfo(float).eps * ss
 
     def test_rising_tail_fits_at_the_lower_end_quietly(self):
@@ -394,7 +391,7 @@ class TestProfiledAdcSearch:
         sig = ivim.VoxelSignal([0.0, 4000.0, 5000.0], [100.0, 1.0, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = ivim.fit_adc(sig, CFG)
+            fit = ivim.fit_adc(sig)
         assert fit.adc == pytest.approx(math.log(2.0) / 1000.0, rel=1e-6)
 
     def test_polish_starts_at_the_optimum(self, monkeypatch):
@@ -424,11 +421,11 @@ class TestProfiledAdcSearch:
             dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
         b = bundle.series.bvalues
         signals = np.maximum(bundle.series.data[:, bundle.mask.data].T, 0.0)
-        signals = signals[ivim._usable(b, signals, CFG)]
+        signals = signals[ivim._usable(b, signals)]
         assert len(signals) > 0
-        for s, (s0, adc) in zip(signals, ivim._search_adc(b, signals, CFG).T):
-            high = s[(b > CFG.b_threshold) & (s > 0)]
-            polished = ivim._polish_adc(s, s0, adc, b, CFG)
+        for s, (s0, adc) in zip(signals, ivim._search_adc(b, signals).T):
+            high = s[(b > ivim.B_THRESHOLD) & (s > 0)]
+            polished = ivim._polish_adc(s, s0, adc, b)
             searched = adc_step_cost(b, s, ivim.AdcFit(s0, adc))
             assert searched <= adc_step_cost(b, s, polished) + 1e-15 * (high @ high)
 
@@ -445,7 +442,7 @@ class TestProfiledAdcSearch:
             return result
 
         monkeypatch.setattr(lm, "lm_fit", counted)
-        fit = ivim.fit_adc(ivim.VoxelSignal(b, s), CFG)
+        fit = ivim.fit_adc(ivim.VoxelSignal(b, s))
         assert fit.adc == pytest.approx(adc, rel=0.2)
         assert len(iterations) == 1 and iterations[0] <= 2
 
@@ -462,7 +459,7 @@ class TestAdcCramerRao:
         assert fitted.size == bundle.mask.voxel_count
 
         b = bundle.series.bvalues
-        bh = b[b > CFG.b_threshold]
+        bh = b[b > ivim.B_THRESHOLD]
         e = np.exp(-adc * bh)
         jacobian = np.column_stack((e, -s0 * (1 - f) * bh * e))  # d/dA, d/dADC
         sigma = s0 / snr
@@ -495,13 +492,13 @@ class TestBatchInvariance:
     def test_adc_map_is_fit_adc_per_voxel(self, fitted):
         forward, backward, voxels = fitted
         for at, sig in voxels:
-            adc = ivim.fit_adc(sig, CFG).adc
+            adc = ivim.fit_adc(sig).adc
             assert adc == forward.adc.data[at] == backward["adc"][at], at
 
     def test_ivim_maps_are_fit_ivim_per_voxel(self, fitted):
         forward, backward, voxels = fitted
         for at, sig in voxels:
-            fit = ivim.fit_ivim(sig, forward.adc.data[at], CFG)
+            fit = ivim.fit_ivim(sig, forward.adc.data[at])
             for name in ("s0", "f", "d_star", "residual"):
                 assert getattr(fit, name) == getattr(forward, name).data[at] \
                     == backward[name][at], (at, name)
@@ -511,15 +508,18 @@ class TestDataRule:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), threshold=st.sampled_from([0.0, 100.0, 300.0]))
     def test_matrix_rule_matches_the_voxel_loop(self, data, threshold):
-        # repeated b-values, zero and non-finite samples, and samples whose squares overflow
-        cfg = ivim.IvimFitConfig(threshold)
+        # repeated b-values, zero and non-finite samples, and samples whose squares overflow;
+        # the rule reads B_THRESHOLD when called, so one that admits b=50 and one that
+        # excludes b=200 are checked too
         b = np.sort(data.draw(st.lists(st.sampled_from([0.0, 50.0, 200.0, 400.0, 800.0]),
                                        min_size=3, max_size=9)))
         values = st.sampled_from([0.0, 1.0, 80.0, 1e100, 1e160, np.inf, np.nan])
         signals = np.array(data.draw(st.lists(st.lists(values, min_size=b.size, max_size=b.size),
                                               min_size=1, max_size=6)))
-        expected = [usable_by_loop(b, s, cfg) for s in signals]
-        assert ivim._usable(b, signals, cfg).tolist() == expected
+        expected = [usable_by_loop(b, s, threshold) for s in signals]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ivim, "B_THRESHOLD", threshold)
+            assert ivim._usable(b, signals).tolist() == expected
 
     def test_per_voxel_api_fails_the_voxels_the_rule_fails(self):
         b = np.array([0.0, 0.0, 200.0, 200.0, 400.0])
@@ -527,16 +527,10 @@ class TestDataRule:
                   [0.0, 0.0, 80.0, 80.0, 40.0],  # no positive b=0 sample
                   [1e160, 1.0, 80.0, 80.0, 40.0]):  # squares that overflow
             sig = ivim.VoxelSignal(b, s)
-            assert ivim.fit_adc(sig, CFG) is None and ivim.fit_ivim(sig, 2e-3, CFG) is None, s
+            assert ivim.fit_adc(sig) is None and ivim.fit_ivim(sig, 2e-3) is None, s
 
 
 class TestFixedBox:
-    def test_the_b_threshold_is_the_one_setting(self):
-        assert [f.name for f in dataclasses.fields(ivim.IvimFitConfig)] == ["b_threshold"]
-        for bad in (-1.0, np.nan):
-            with pytest.raises(ValueError, match="b_threshold"):
-                ivim.IvimFitConfig(bad)
-
     @pytest.mark.parametrize("adc, hit", [
         (ivim.ADC_MIN, True), (ivim.ADC_MIN * 1.005, True), (ivim.ADC_MIN * 1.01, True),
         (np.nextafter(ivim.ADC_MIN * 1.01, 1.0), False), (2e-3, False),
@@ -566,8 +560,8 @@ class TestModelJacobians:
         b = np.asarray(DEFAULT_BVALUES, dtype=float)
         sig = ivim.VoxelSignal(b, s0 * (f * np.exp(-d_star * b) + (1 - f) * np.exp(-adc * b)))
         with pytest.MonkeyPatch.context() as mp:
-            adc_problem, = captured_problems(mp, lambda: ivim.fit_adc(sig, CFG))
-            ivim_problem, = captured_problems(mp, lambda: ivim.fit_ivim(sig, adc, CFG))
+            adc_problem, = captured_problems(mp, lambda: ivim.fit_adc(sig))
+            ivim_problem, = captured_problems(mp, lambda: ivim.fit_ivim(sig, adc))
         assert_jacobian_matches_central_differences(adc_problem, (s0, adc))
         assert_jacobian_matches_central_differences(ivim_problem, (s0, f, d_star))
 
