@@ -77,6 +77,13 @@ _BLOCK = 1 << 15
 # two costs closer than this many times the voxel's sum of squared samples are a tie
 _TIE = 8 * np.finfo(np.float64).eps
 
+# the polishes' fixed bounds: (S0, ADC) in [0, inf) x [ADC_MIN, ADC_MAX], and the upper
+# end of (S0, f, D*); the lower end of D* is the voxel's ADC
+_ADC_LOWER, _ADC_UPPER, _IVIM_UPPER = (
+    np.array(v) for v in ((0.0, ADC_MIN), (math.inf, ADC_MAX), (math.inf, 1.0, D_STAR_MAX)))
+for _bound in (_ADC_LOWER, _ADC_UPPER, _IVIM_UPPER):
+    _bound.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class VoxelSignal:
@@ -220,15 +227,15 @@ def _search_adc(b: np.ndarray, signals: np.ndarray) -> np.ndarray:
     return np.vstack((s0[pick], np.clip(np.exp(x[pick]), ADC_MIN, ADC_MAX)))
 
 
-def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray) -> AdcFit:
-    """LM from the searched point (S0, ADC) over the positive samples at b > ``B_THRESHOLD``.
+def _polish_adc(s: np.ndarray, keep: np.ndarray, start: np.ndarray, b: np.ndarray) -> AdcFit:
+    """LM from the searched point ``start`` = (S0, ADC) over the samples that ``keep`` selects.
 
-    LM starts at the searched point exactly, even on an end of the closed box
-    [0, inf) x [ADC_MIN, ADC_MAX], and its result is the voxel's. From the Newton
-    point it returns its start at iteration 1, its step below xtol; it stays
-    while ``perfbench/test_tracing.py`` counts two LM calls a voxel.
+    ``keep`` is b > ``B_THRESHOLD`` & s > 0. LM starts at the searched point
+    exactly, even on an end of the closed box [0, inf) x [ADC_MIN, ADC_MAX],
+    and its result is the voxel's. From the Newton point it returns its start
+    at iteration 1, its step below xtol; it stays while
+    ``perfbench/test_tracing.py`` counts two LM calls a voxel.
     """
-    keep = (b > B_THRESHOLD) & (s > 0)
     bh, sh = b[keep], s[keep]
 
     def residual(th):
@@ -238,9 +245,8 @@ def _polish_adc(s: np.ndarray, s0: float, adc: float, b: np.ndarray) -> AdcFit:
         e = np.exp(-th[1] * bh)
         return np.array((e, -th[0] * bh * e))
 
-    problem = lm.FitProblem(residual, jacobian, theta0=(s0, adc),
-                            lower=(0.0, ADC_MIN), upper=(math.inf, ADC_MAX))
-    s0, adc = (float(v) for v in lm.lm_fit(problem).params)
+    problem = lm.FitProblem(residual, jacobian, start, _ADC_LOWER, _ADC_UPPER)
+    s0, adc = lm.lm_fit(problem).params.tolist()
     return AdcFit(s0, adc)
 
 
@@ -254,7 +260,7 @@ def fit_adc(sig: VoxelSignal) -> AdcFit | None:
     b, s = sig.bvalues, sig.intensities
     if not _usable(b, s[None])[0]:
         return None
-    return _polish_adc(s, *_search_adc(b, s[None])[:, 0], b=b)
+    return _polish_adc(s, (b > B_THRESHOLD) & (s > 0), _search_adc(b, s[None])[:, 0], b)
 
 
 def _profile(tau, b, adc, v, w, vv, vs, ss, cost0, s0_0, tie):
@@ -310,15 +316,14 @@ def _search(b: np.ndarray, signals: np.ndarray, adc: np.ndarray) -> np.ndarray:
     return np.hstack((s0, f, np.minimum(adc * np.exp(tau), D_STAR_MAX))).T
 
 
-def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
+def _polish(s: np.ndarray, e_adc: np.ndarray, start: np.ndarray, lower: np.ndarray,
             b: np.ndarray) -> IvimFit:
-    """LM from the searched point (S0, f, D*); its result is the voxel's.
+    """LM from the searched point ``start`` = (S0, f, D*); its result is the voxel's.
 
-    LM starts at the searched point exactly, even on an edge of the closed box
+    ``e_adc`` is exp(-ADC b) and ``lower`` is (0, 0, ADC). LM starts at the
+    searched point exactly, even on an edge of the closed box
     [0, inf) x [0, 1] x [ADC, D_STAR_MAX].
     """
-    e_adc = np.exp(-adc * b)
-
     def residual(th):
         return th[0] * (th[1] * np.exp(-th[2] * b) + (1.0 - th[1]) * e_adc) - s
 
@@ -327,10 +332,8 @@ def _polish(s: np.ndarray, adc: float, s0: float, f: float, d_star: float,
         e = np.exp(-d_star * b)
         return np.array((f * e + (1.0 - f) * e_adc, s0 * (e - e_adc), -s0 * f * b * e))
 
-    problem = lm.FitProblem(residual, jacobian, theta0=(s0, f, d_star),
-                            lower=(0.0, 0.0, adc), upper=(math.inf, 1.0, D_STAR_MAX))
-    result = lm.lm_fit(problem)
-    s0, f, d_star = (float(v) for v in result.params)
+    result = lm.lm_fit(lm.FitProblem(residual, jacobian, start, lower, _IVIM_UPPER))
+    s0, f, d_star = result.params.tolist()
     return IvimFit(s0, f, d_star, math.sqrt(result.ssr / b.size) / s0)
 
 
@@ -345,7 +348,8 @@ def fit_ivim(sig: VoxelSignal, adc: float) -> IvimFit | None:
     b, s = sig.bvalues, sig.intensities
     if not _usable(b, s[None])[0]:
         return None
-    return _polish(s, adc, *_search(b, s[None], np.array([adc]))[:, 0], b=b)
+    return _polish(s, np.exp(-adc * b), _search(b, s[None], np.array([adc]))[:, 0],
+                   np.array((0.0, 0.0, adc)), b)
 
 
 def _fit_signals(b: np.ndarray, signals: np.ndarray) -> np.ndarray:
@@ -353,7 +357,10 @@ def _fit_signals(b: np.ndarray, signals: np.ndarray) -> np.ndarray:
 
     ``b`` is ascending and the samples are non-negative; a row the data rule
     fails is NaN. The usable rows run ``fit_volume``'s four stages in blocks
-    of at most ``_BLOCK`` (voxel, grid point, b-value) elements.
+    of at most ``_BLOCK`` (voxel, grid point, b-value) elements. Each polish
+    takes its start, its bounds and its samples' mask or exp(-ADC b) as rows
+    of arrays built once per block, so a call repeats no numpy work that the
+    block has done.
     """
     out = np.full((len(signals), 5), np.nan)
     rows = np.flatnonzero(_usable(b, signals))
@@ -361,9 +368,13 @@ def _fit_signals(b: np.ndarray, signals: np.ndarray) -> np.ndarray:
     for lo in range(0, rows.size, size):
         at = rows[lo:lo + size]
         block = signals[at]
-        adc = np.array([fit.adc for fit in map(partial(_polish_adc, b=b), block,
-                                               *_search_adc(b, block))])
-        fits = map(partial(_polish, b=b), block, adc, *_search(b, block, adc))
+        keep = (b > B_THRESHOLD) & (block > 0)
+        adc = np.array([_polish_adc(s, k, start, b).adc
+                        for s, k, start in zip(block, keep, _search_adc(b, block).T)])
+        lower = np.zeros((len(at), 3))
+        lower[:, 2] = adc
+        fits = map(partial(_polish, b=b), block, np.exp(-adc[:, None] * b),
+                   _search(b, block, adc).T, lower)
         out[at] = [(fit.s0, fit.f, fit.d_star, a, fit.residual) for fit, a in zip(fits, adc)]
     return out
 

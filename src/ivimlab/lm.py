@@ -12,6 +12,14 @@ xtol (sqrt(sum(diag theta^2)) + xtol), where an unscaled norm would let a
 parameter near 100 stop one near 1e-3 early. Each problem supplies the exact
 Jacobian of its residual, so an iteration evaluates it once and the residual
 once per trial step.
+
+A call fits two or three parameters, so much of its cost is per-call
+overhead. The checks that only compare a few numbers (the start against the
+box, the trace of J^T J against infinity, the gradient against gtol) run on
+Python floats, where a numpy call costs more than the test. Everything that
+decides a step stays in numpy: the solve, the clip, both scaled norms and
+every cost. A comparison rounds nothing, so the results are bit-identical to
+those of the same checks made in numpy.
 """
 
 from __future__ import annotations
@@ -47,7 +55,9 @@ class FitProblem:
         if not lower.size == upper.size == theta0.size:
             raise ValueError(f"need one lower and one upper bound per parameter, got "
                              f"{lower.size} and {upper.size} for {theta0.size}")
-        if not np.all((lower <= theta0) & (theta0 <= upper)):
+        # a NaN start fails the test
+        if not all(lo <= x <= hi for lo, x, hi in zip(lower.tolist(), theta0.tolist(),
+                                                      upper.tolist())):
             raise ValueError(f"start {theta0} lies outside the box [{lower}, {upper}]")
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "lower", lower)
@@ -63,6 +73,9 @@ class FitOptions:
     lambda0: float = 1e-3
     lambda_up: float = 2.0
     lambda_down: float = 3.0
+
+
+_OPTIONS = FitOptions()  # no caller sets an option
 
 
 @dataclass
@@ -82,7 +95,7 @@ def lm_fit(problem: FitProblem) -> FitResult:
     steps with a non-finite cost are rejected; the fit is declared diverged
     once damping overflows.
     """
-    opts = FitOptions()
+    opts = _OPTIONS
     fn, jac = problem.residual, problem.jacobian
     lower, upper = problem.lower, problem.upper
     theta = problem.theta0
@@ -108,24 +121,24 @@ def lm_fit(problem: FitProblem) -> FitResult:
         if J.shape != (m, r.size):
             raise ValueError(f"jacobian must have shape {(m, r.size)}, got {J.shape}")
         JtJ = J @ J.T
-        diag = JtJ.diagonal()
+        jtj_diag = JtJ.diagonal().copy()
         # a finite trace means every entry of J and of J^T J is finite
-        if not math.isfinite(float(diag.sum())):
+        if not math.isfinite(sum(jtj_diag.tolist())):
             return FitResult(theta, ssr, iterations, False, "non-finite Jacobian")
         g = J @ r
-        if np.abs(g).max() <= opts.gtol:
+        if all(abs(v) <= opts.gtol for v in g.tolist()):  # False for a NaN
             converged, reason = True, "gradient below gtol"
             break
-        diag = np.maximum(diag, 1e-32)
+        diag = np.maximum(jtj_diag, 1e-32)
         neg_g = -g
         theta_norm = math.sqrt(diag @ (theta * theta))
+        damped = JtJ.reshape(-1)[:: m + 1]  # a view of the diagonal
 
         accepted = False
         while True:
-            A = JtJ.copy()
-            A.reshape(-1)[:: m + 1] += lam * diag  # the diagonal, in place
+            np.add(jtj_diag, lam * diag, out=damped)  # J^T J + lam diag, in place
             try:
-                step = np.linalg.solve(A, neg_g)
+                step = np.linalg.solve(JtJ, neg_g)
             except np.linalg.LinAlgError:
                 step = np.full(m, math.nan)  # NaN survives the clip and fails the test below
             theta_try = np.minimum(np.maximum(theta + step, lower), upper)

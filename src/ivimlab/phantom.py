@@ -6,10 +6,12 @@ A truth parameter field is a number (the same value in every voxel), a
 ``LinearGradient`` or a ``TwoRegion`` split.
 
 Optional noise has sd = (mean masked b=0 intensity) / snr, and
-``default_rng(seed)`` draws n1, then (Rician only) n2, in the series' shape.
-Gaussian noise is additive, s + n1; Rician noise is the magnitude of a complex
-Gaussian perturbation, sqrt((s + n1)**2 + n2**2), as in magnitude MR images.
-It is added in place: a phantom holds one float64 series plus one draw.
+``default_rng(seed)`` draws n1, then (Rician only) n2, each one frame at a time
+in frame order: the same stream as one draw in the series' shape. Gaussian
+noise is additive, s + n1; Rician noise is the magnitude of a complex Gaussian
+perturbation, sqrt((s + n1)**2 + n2**2), as in magnitude MR images. It is
+added in place, frame by frame: a phantom holds one float64 series plus one
+frame's draw.
 ``boundary_flip`` toggles voxels along a mask's boundary, a stand-in for an
 automatic segmentation's errors.
 """
@@ -152,12 +154,14 @@ def make_phantom(cfg: PhantomConfig | None = None) -> PhantomBundle:
     if cfg.noise_model != "none":
         sd = float(signal[series.bvalues == 0][:, m].mean()) / cfg.snr
         rng = np.random.default_rng(cfg.seed)
-        signal += rng.normal(0.0, sd, signal.shape)
+        for frame in signal:
+            frame += rng.normal(0.0, sd, cfg.dims)
         if cfg.noise_model == "rician":
-            signal *= signal
-            n2 = rng.normal(0.0, sd, signal.shape)
-            signal += np.square(n2, out=n2)
-            np.sqrt(signal, out=signal)
+            for frame in signal:
+                frame *= frame
+                n2 = rng.normal(0.0, sd, cfg.dims)
+                frame += np.square(n2, out=n2)
+                np.sqrt(frame, out=frame)
     return PhantomBundle(series=series, mask=mask, truth=truth)
 
 

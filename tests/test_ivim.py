@@ -112,6 +112,39 @@ class TestBlockInvariance:
                 assert a.tobytes() == b.tobytes(), (voxels, name)
 
 
+class TestPolishProblems:
+    def test_volume_fit_hands_the_solver_each_voxels_problem(self, monkeypatch):
+        # the block's rows of starts and bounds are the bytes a voxel fitted alone builds
+        bundle = phantom.make_phantom(phantom.PhantomConfig(
+            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        solve, in_volume = lm.lm_fit, []
+
+        def recorded(problem):
+            in_volume.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(lm, "lm_fit", recorded)
+        maps = ivim.fit_volume(bundle.series, bundle.mask)
+        adc_problems = [p for p in in_volume if p.theta0.size == 2]
+        ivim_problems = [p for p in in_volume if p.theta0.size == 3]
+        voxels = np.argwhere(bundle.mask.data)
+        assert len(adc_problems) == len(ivim_problems) == len(voxels) == maps.mask.voxel_count
+        for at, adc_problem, ivim_problem in zip(voxels, adc_problems, ivim_problems):
+            at = tuple(at)
+            sig = ivim.VoxelSignal(bundle.series.bvalues,
+                                   np.maximum(bundle.series.data[(slice(None), *at)], 0.0))
+            alone, = captured_problems(monkeypatch, lambda: ivim.fit_adc(sig))
+            alone_ivim, = captured_problems(monkeypatch,
+                                            lambda: ivim.fit_ivim(sig, maps.adc.data[at]))
+            for got, want in ((adc_problem, alone), (ivim_problem, alone_ivim)):
+                for field in ("theta0", "lower", "upper"):
+                    a, w = getattr(got, field), getattr(want, field)
+                    assert a.dtype == w.dtype and a.tobytes() == w.tobytes(), (at, field)
+                # the residual at the start checks the samples and exp(-ADC b) of the polish
+                theta = want.theta0
+                assert got.residual(theta).tobytes() == want.residual(theta).tobytes(), at
+
+
 class TestSignalMatrix:
     def test_failing_rows_are_nan_and_the_rest_are_the_volume_fit(self):
         bundle = phantom.make_phantom(phantom.PhantomConfig(
@@ -423,9 +456,11 @@ class TestProfiledAdcSearch:
         signals = np.maximum(bundle.series.data[:, bundle.mask.data].T, 0.0)
         signals = signals[ivim._usable(b, signals)]
         assert len(signals) > 0
-        for s, (s0, adc) in zip(signals, ivim._search_adc(b, signals).T):
+        keep = (b > ivim.B_THRESHOLD) & (signals > 0)
+        for s, k, start in zip(signals, keep, ivim._search_adc(b, signals).T):
+            s0, adc = start
             high = s[(b > ivim.B_THRESHOLD) & (s > 0)]
-            polished = ivim._polish_adc(s, s0, adc, b)
+            polished = ivim._polish_adc(s, k, start, b)
             searched = adc_step_cost(b, s, ivim.AdcFit(s0, adc))
             assert searched <= adc_step_cost(b, s, polished) + 1e-15 * (high @ high)
 

@@ -212,6 +212,31 @@ class TestFitProblem:
         with pytest.raises(ValueError, match="outside the box"):
             line_problem(x, 2.0 * x, theta0=(-1.0, 0.5), bounds=POSITIVE)
 
+    def test_nan_start_rejected(self):
+        x = np.arange(5.0)
+        with pytest.raises(ValueError, match="outside the box"):
+            line_problem(x, 2.0 * x, theta0=(np.nan, 0.5), bounds=UNBOUNDED)
+
+    @pytest.mark.parametrize("theta0", [(0.0, 0.0), (0.0, np.inf), (np.inf, 3.0)])
+    def test_start_on_a_bound_accepted(self, theta0):
+        x = np.arange(5.0)
+        problem = line_problem(x, 2.0 * x, theta0=theta0, bounds=POSITIVE)
+        assert problem.theta0.tolist() == list(theta0)
+
+    def test_fit_leaves_its_start_and_box_unchanged(self):
+        # the volume fit hands the solver rows of a block's arrays, which it must not write
+        b = np.asarray((0.0, 100.0, 200.0, 400.0, 600.0))
+        s = 100.0 * np.exp(-2e-3 * b) + np.array((0.5, -0.3, 0.2, -0.1, 0.4))
+        theta0, lower, upper = np.array((50.0, 1e-2)), np.array((0.0, 1e-5)), np.array((1e3, 1e-1))
+        copies = [v.copy() for v in (theta0, lower, upper)]
+        problem = decay_problem(b, s, theta0, (lower, upper))
+        assert all(np.shares_memory(field, given) for field, given in
+                   zip((problem.theta0, problem.lower, problem.upper), (theta0, lower, upper)))
+        result = lm.lm_fit(problem)
+        assert result.iterations > 1 and not np.array_equal(result.params, theta0)
+        for given, kept in zip((theta0, lower, upper), copies):
+            assert given.tobytes() == kept.tobytes()
+
     def test_bound_count_must_match_the_parameters(self):
         x = np.arange(5.0)
         with pytest.raises(ValueError, match="one lower and one upper bound per parameter"):

@@ -79,7 +79,8 @@ class TestNoiseOracle:
 
 class TestOneCopy:
     def test_rician_peak_memory_is_the_series_plus_one_draw(self):
-        # the segmentation-paper b-values: two b=0 frames, three directions per shell
+        # the segmentation-paper b-values: two b=0 frames, three directions per shell; the
+        # noise is drawn one frame at a time, so no draw in the series' shape is held
         bvalues = (0.0, 0.0) + tuple(b for b in phantom.DEFAULT_BVALUES[1:] for _ in range(3))
         cfg = phantom.PhantomConfig(dims=(8, 64, 64), bvalues=bvalues,
                                     noise_model="rician", snr=30.0)
@@ -90,7 +91,7 @@ class TestOneCopy:
         finally:
             tracemalloc.stop()
         assert len(bundle.series.bvalues) == 23
-        assert peak <= 2.5 * bundle.series.data.nbytes, peak / bundle.series.data.nbytes
+        assert peak <= 1.6 * bundle.series.data.nbytes, peak / bundle.series.data.nbytes
 
 
 class TestConfigChecks:
