@@ -25,12 +25,13 @@ naming the file line where a line breaks it; ``report.build_report`` checks
 the summary-row rules and ``fgr.SubjectRecord`` the subject ranges.
 
 Every subcommand is deterministic given identical inputs, flags and seeds,
-and writes its outputs atomically (temp file + rename). Exit codes: 0
-success; 2 input/usage problem, reported in one line on stderr before any
-output is written; 1 internal failure. Every input check raises a plain
-``ValueError`` (a malformed config value, a file that is not UTF-8, grids
-that differ, a metric undefined for the data) or ``OSError`` (a missing or
-unreadable file), and those two exit 2; any other exception exits 1.
+except for the ``wall_time`` of ``fit_log.json``, which is a clock reading.
+Every subcommand writes its outputs atomically (temp file + rename). Exit
+codes: 0 success; 2 input/usage problem, reported in one line on stderr
+before any output is written; 1 internal failure. Every input check raises a
+plain ``ValueError`` (a malformed config value, a file that is not UTF-8,
+grids that differ, a metric undefined for the data) or ``OSError`` (a missing
+or unreadable file), and those two exit 2; any other exception exits 1.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def _read_table(path, columns, parse) -> list:
     ``parse`` raises is reported with the line.
     """
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    header = next(reader, [])
+    lines = _records(reader, path)
+    header = next(lines, [])
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
         raise ValueError(f"{path}: header names columns {repeated} more than once")
@@ -100,7 +102,7 @@ def _read_table(path, columns, parse) -> list:
     if missing:
         raise ValueError(f"{path}: missing columns {missing}")
     records = []
-    for cells in reader:
+    for cells in lines:
         if not cells:
             continue
         try:
@@ -112,6 +114,21 @@ def _read_table(path, columns, parse) -> list:
     if not records:
         raise ValueError(f"{path}: no data lines")
     return records
+
+
+def _records(reader, path):
+    """Each record of a ``csv.reader``. A ``csv.Error``, such as a cell past the csv
+    module's field limit, becomes a ValueError naming the file line where its record
+    starts."""
+    while True:
+        start = reader.line_num + 1
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {start}: {exc}") from None
+        yield cells
 
 
 def _finite(row: dict, column: str) -> float:

@@ -66,8 +66,14 @@ class _OnGrid:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape[-3:]  # type: ignore[return-value]
 
-    def same_grid(self, other: "_OnGrid") -> bool:
-        return self.dims == other.dims and self.spacing.close_to(other.spacing)
+    def require_same_grid(self, other: "_OnGrid", name: str, other_name: str) -> None:
+        """ValueError naming both grids, by ``name`` and ``other_name``, unless they are one:
+        equal dims and spacings equal to a relative 1e-5."""
+        if not (self.dims == other.dims and self.spacing.close_to(other.spacing)):
+            # 6 significant digits: a spacing read from NIfTI is float32, so 7.2 reads 7.1999998...
+            grid, other_grid = (f"{g.dims}/({', '.join(f'{v:.6g}' for v in g.spacing.as_tuple())})"
+                                for g in (self, other))
+            raise ValueError(f"{name} grid {grid} does not match {other_name} grid {other_grid}")
 
 
 @dataclass(frozen=True)
@@ -154,12 +160,8 @@ class IvimMaps:
     mask: BinaryMask  # voxels that carry values
 
     def __post_init__(self):
-        vols = (self.s0, self.f, self.d_star, self.adc, self.residual)
-        for v in vols[1:]:
-            if not v.same_grid(vols[0]):
-                raise ValueError("all parameter maps must share one grid")
-        if not self.mask.same_grid(vols[0]):
-            raise ValueError("mask grid differs from the parameter maps")
+        for name in ("f", "d_star", "adc", "residual", "mask"):
+            getattr(self, name).require_same_grid(self.s0, name, "s0")
         m = self.mask.data
         if not m.any():
             return

@@ -398,12 +398,7 @@ def fit_volume(series: DwiSeries, mask: BinaryMask) -> IvimMaps:
     The result is independent of voxel visit order and of the block a voxel
     falls in: no voxel's arithmetic depends on another's.
     """
-    if not mask.same_grid(series):
-        # 6 significant digits: a spacing read from NIfTI is float32, so 7.2 reads 7.1999998...
-        mask_grid, series_grid = (
-            f"{g.dims}/({', '.join(f'{v:.6g}' for v in g.spacing.as_tuple())})"
-            for g in (mask, series))
-        raise ValueError(f"mask grid {mask_grid} does not match series grid {series_grid}")
+    mask.require_same_grid(series, "mask", "series")
     series = average_by_bvalue(series)
     if np.count_nonzero(series.bvalues > B_THRESHOLD) < 2:
         raise ValueError(f"need at least 2 distinct b-values above the threshold {B_THRESHOLD}")

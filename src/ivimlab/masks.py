@@ -39,13 +39,6 @@ class FusionStrategy(Enum):
             ) from None
 
 
-def _require_same_grid(masks) -> None:
-    first = masks[0]
-    for m in masks[1:]:
-        if not m.same_grid(first):
-            raise ValueError("masks must share dims and spacing")
-
-
 def fuse(masks: list[BinaryMask], strategy: FusionStrategy) -> BinaryMask:
     """Fuse per-timeframe segmentations into one representative mask.
 
@@ -55,7 +48,8 @@ def fuse(masks: list[BinaryMask], strategy: FusionStrategy) -> BinaryMask:
     """
     if not masks:
         raise ValueError("fuse needs at least one mask")
-    _require_same_grid(masks)
+    for i, m in enumerate(masks[1:], start=2):
+        m.require_same_grid(masks[0], f"mask {i}", "mask 1")
     stack = np.stack([m.data for m in masks], axis=0)
     if strategy is FusionStrategy.OLP:
         fused = stack.all(axis=0)
@@ -68,7 +62,7 @@ def fuse(masks: list[BinaryMask], strategy: FusionStrategy) -> BinaryMask:
 
 def dice(a: BinaryMask, b: BinaryMask) -> float:
     """Dice similarity 2|A∩B| / (|A|+|B|); two empty masks agree perfectly (1.0)."""
-    _require_same_grid([a, b])
+    a.require_same_grid(b, "mask a", "mask b")
     na, nb = a.voxel_count, b.voxel_count
     if na + nb == 0:
         return 1.0
@@ -124,7 +118,7 @@ def _directed_sq(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
 
 def hausdorff(a: BinaryMask, b: BinaryMask) -> float:
     """Symmetric max-Hausdorff distance between voxel centers, in millimetres."""
-    _require_same_grid([a, b])
+    a.require_same_grid(b, "mask a", "mask b")
     if a.voxel_count == 0 or b.voxel_count == 0:
         raise ValueError("Hausdorff distance is undefined for an empty mask")
     spacing = np.array(a.spacing.as_tuple())

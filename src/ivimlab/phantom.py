@@ -11,7 +11,8 @@ in frame order: the same stream as one draw in the series' shape. Gaussian
 noise is additive, s + n1; Rician noise is the magnitude of a complex Gaussian
 perturbation, sqrt((s + n1)**2 + n2**2), as in magnitude MR images. It is
 added in place, frame by frame: a phantom holds one float64 series plus one
-frame's draw.
+frame's draw. Noise whose sd, sum or square lies beyond float64 (a huge s0 or
+a tiny snr) raises ValueError.
 ``boundary_flip`` toggles voxels along a mask's boundary, a stand-in for an
 automatic segmentation's errors.
 """
@@ -152,16 +153,21 @@ def make_phantom(cfg: PhantomConfig | None = None) -> PhantomBundle:
     series = DwiSeries(signal, spacing, np.asarray(cfg.bvalues, dtype=np.float64))
 
     if cfg.noise_model != "none":
-        sd = float(signal[series.bvalues == 0][:, m].mean()) / cfg.snr
-        rng = np.random.default_rng(cfg.seed)
-        for frame in signal:
-            frame += rng.normal(0.0, sd, cfg.dims)
-        if cfg.noise_model == "rician":
-            for frame in signal:
-                frame *= frame
-                n2 = rng.normal(0.0, sd, cfg.dims)
-                frame += np.square(n2, out=n2)
-                np.sqrt(frame, out=frame)
+        try:
+            with np.errstate(over="raise"):  # no sample beyond float64 reaches a file
+                sd = signal[series.bvalues == 0][:, m].mean() / cfg.snr
+                rng = np.random.default_rng(cfg.seed)
+                for frame in signal:
+                    frame += rng.normal(0.0, sd, cfg.dims)
+                if cfg.noise_model == "rician":
+                    for frame in signal:
+                        frame *= frame
+                        n2 = rng.normal(0.0, sd, cfg.dims)
+                        frame += np.square(n2, out=n2)
+                        np.sqrt(frame, out=frame)
+        except FloatingPointError:
+            raise ValueError(f"{cfg.noise_model} noise of snr {cfg.snr:g} on s0 up to "
+                             f"{s0.max():g} overflows float64") from None
     return PhantomBundle(series=series, mask=mask, truth=truth)
 
 

@@ -92,8 +92,3 @@ def brute_youden(scores, positive, positive_high: bool) -> tuple[float, float]:
 def expected_volume_power_form(ga: float) -> float:
     """The lung-growth cubic written out in plain powers."""
     return -0.0132 * ga**3 + 1.14 * ga**2 - 27.38 * ga + 207.50
-
-
-def biexp_signal(b, s0, f, d_star, d):
-    b = np.asarray(b, float)
-    return s0 * (f * np.exp(-d_star * b) + (1 - f) * np.exp(-d * b))

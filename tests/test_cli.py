@@ -63,6 +63,9 @@ LINE_EDITS = {
     "last cell inf": lambda cells: [cells[:-1] + ["inf"]],
     "last cell -inf": lambda cells: [cells[:-1] + ["-inf"]],
     "last cell nan": lambda cells: [cells[:-1] + ["nan"]],
+    # the quote runs on, as one cell, past the csv module's field limit
+    "unbalanced quote": lambda cells: [['"' + cells[0]] + cells[1:]] + [cells] * (
+        csv.field_size_limit() // len(",".join(cells)) + 1),
 }
 
 
@@ -275,6 +278,20 @@ class TestPhantom:
                                            "values lie beyond the float32 range\n")
         assert list((tmp_path / "p").iterdir()) == []
 
+    @pytest.mark.parametrize("noise, s0, snr", [
+        ("rician", 1e160, 30.0), ("rician", 100.0, 1e-160),
+        ("gaussian", 1e307, 30.0), ("gaussian", 100.0, 1e-310),
+    ])
+    def test_noise_beyond_float64_exits_2_naming_s0_and_snr(self, tmp_path, capsys,
+                                                            noise, s0, snr):
+        (tmp_path / "p.json").write_text(json.dumps({"dims": [3, 8, 8], "s0": s0}))
+        code = cli.main(["phantom", str(tmp_path / "p"), "--config", str(tmp_path / "p.json"),
+                         "--noise", noise, "--snr", repr(snr)])
+        assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (f"error: {noise} noise of snr {snr:g} on s0 up to "
+                                           f"{s0:g} overflows float64\n")
+        assert not (tmp_path / "p").exists()
+
     def test_new_config_field_needs_no_cli_change(self, tmp_path, monkeypatch):
         @dataclasses.dataclass(frozen=True)
         class Extended(phantom.PhantomConfig):
@@ -410,8 +427,11 @@ class TestFit:
             return subprocess.run([sys.executable, "-m", "ivimlab", *args], env=env,
                                   capture_output=True, text=True, timeout=300)
 
-        def no_constant(name):
-            raise ValueError(f"fit_log.json holds {name}, which is not JSON")
+        def strict_json(path):
+            def no_constant(name):
+                raise ValueError(f"{path.name} holds {name}, which is not JSON")
+
+            return json.loads(path.read_text(), parse_constant=no_constant)
 
         subject, out = tmp_path / "subject", tmp_path / "fit"
         made = run("phantom", str(subject), "--noise", "rician", "--snr", "30", "--seed", "1")
@@ -420,8 +440,9 @@ class TestFit:
                   str(out))
         assert fit.returncode == cli.EXIT_OK
         assert fit.stderr == ""
-        log = json.loads((out / "fit_log.json").read_text(), parse_constant=no_constant)
-        assert log["voxels_fitted"] > 0
+        manifest = strict_json(subject / "manifest.json")
+        log = strict_json(out / "fit_log.json")
+        assert manifest["mask_voxels"] == log["voxels_fitted"] == 2200  # every voxel fitted
         d_star = read_volume(out / "d_star.nii").data
         fitted = ~np.isnan(d_star)
         assert fitted.sum() == log["voxels_fitted"]
@@ -553,6 +574,15 @@ class TestMetrics:
         assert cli.main(args) == cli.EXIT_OK
         assert capsys.readouterr().out.encode() == (tmp_path / "m.csv").read_bytes()
         assert exit_code(args + ["--case", "c1"]) == cli.EXIT_INPUT
+
+    def test_masks_on_two_grids_exit_2_naming_both_grids(self, subject, tmp_path, capsys):
+        write_mask(BinaryMask(np.ones((3, 8, 9), dtype=bool), VoxelSpacing(7.2, 2.07, 2.5)),
+                   tmp_path / "b.nii")
+        args = ["metrics", str(subject / "mask.nii"), str(tmp_path / "b.nii")]
+        assert cli.main(args + ["-o", str(tmp_path / "m.csv")]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == ("error: mask a grid (3, 8, 8)/(7.2, 2.07, 2.07) does "
+                                           "not match mask b grid (3, 8, 9)/(7.2, 2.07, 2.5)\n")
+        assert not (tmp_path / "m.csv").exists()
 
 
 def subjects(n: int, seed: int) -> list[fgr.SubjectRecord]:
@@ -743,6 +773,24 @@ class TestTables:
         for log in logs:
             log.pop("wall_time")
         assert json_text(logs[0]) == json_text(logs[1])
+
+    @pytest.mark.parametrize("kind", ["summaries", "subjects"])
+    def test_header_past_the_field_limit_exits_2_naming_line_1(self, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        if kind == "summaries":
+            path = write_summaries(summaries_rows(), tmp_path / "summaries.csv")
+            args = ["report", str(path), str(out)]
+        else:
+            path = write_subjects(subjects(6, 2), tmp_path / "test.csv")
+            train = write_subjects(subjects(30, 1), tmp_path / "train.csv")
+            args = ["classify", str(train), str(path), "-o", str(out)]
+        limit = csv.field_size_limit()
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(header + "," + "x" * (limit + 1) + "\n" + rest)
+        assert cli.main(args) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (f"error: {path}: line 1: field larger than "
+                                           f"field limit ({limit})\n")
+        assert not out.exists()
 
     def test_repeated_header_column_exits_2_naming_it(self, tmp_path, capsys):
         path = write_summaries(summaries_rows(), tmp_path / "summaries.csv")

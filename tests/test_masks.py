@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation, generate_binary_structure
@@ -57,6 +59,12 @@ class TestFuse:
             avg = fuse(ms, FusionStrategy.AVG).data
             lc = fuse(ms, FusionStrategy.LC).data
             assert np.all(olp <= avg) and np.all(avg <= lc)
+            # two masks: each voxel counts in OLP and LC as often as in A and B, and
+            # a strict majority of two is both
+            a, b = ms[:2]
+            olp, avg, lc = (fuse([a, b], strategy).data for strategy in FusionStrategy)
+            assert olp.sum() + lc.sum() == a.voxel_count + b.voxel_count
+            assert np.array_equal(avg, olp)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(2)
@@ -70,7 +78,8 @@ class TestFuse:
             fuse([], FusionStrategy.OLP)
         a = mk(np.zeros((2, 2, 2)))
         b = mk(np.zeros((2, 2, 3)))
-        with pytest.raises(ValueError, match="masks must share dims and spacing"):
+        message = "mask 2 grid (2, 2, 3)/(1, 1, 1) does not match mask 1 grid (2, 2, 2)/(1, 1, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             fuse([a, b], FusionStrategy.OLP)
 
 
