@@ -86,15 +86,16 @@ def _write_csv(rows: list[dict], path) -> None:
 def _read_table(path, columns, parse) -> list:
     """``parse(line, row)`` of each data line of a CSV table with a header line.
 
-    ``row`` maps the header's names to the line's cells and ``line`` is its
-    file line number. The header must name each of ``columns`` and no column
-    twice, each data line must hold one cell per header column (blank lines
-    are skipped), and one data line at least must be there. A ValueError that
-    ``parse`` raises is reported with the line.
+    ``row`` maps the header's names to the line's cells and ``line`` is the
+    file line where its record starts (a quoted cell may run on over more
+    lines). The header must name each of ``columns`` and no column twice, each
+    data line must hold one cell per header column (blank lines are skipped),
+    and one data line at least must be there. A ValueError that ``parse``
+    raises is reported with the line.
     """
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     lines = _records(reader, path)
-    header = next(lines, [])
+    _, header = next(lines, (1, []))
     repeated = sorted({c for c in header if header.count(c) > 1})
     if repeated:
         raise ValueError(f"{path}: header names columns {repeated} more than once")
@@ -102,24 +103,24 @@ def _read_table(path, columns, parse) -> list:
     if missing:
         raise ValueError(f"{path}: missing columns {missing}")
     records = []
-    for cells in lines:
+    for line, cells in lines:
         if not cells:
             continue
         try:
             if len(cells) != len(header):
                 raise ValueError(f"{len(cells)} cells for {len(header)} header columns")
-            records.append(parse(reader.line_num, dict(zip(header, cells))))
+            records.append(parse(line, dict(zip(header, cells))))
         except ValueError as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}: line {line}: {exc}") from None
     if not records:
         raise ValueError(f"{path}: no data lines")
     return records
 
 
 def _records(reader, path):
-    """Each record of a ``csv.reader``. A ``csv.Error``, such as a cell past the csv
-    module's field limit, becomes a ValueError naming the file line where its record
-    starts."""
+    """(file line where it starts, cells) of each record of a ``csv.reader``. A
+    ``csv.Error``, such as a cell past the csv module's field limit, becomes a
+    ValueError naming the file line where its record starts."""
     while True:
         start = reader.line_num + 1
         try:
@@ -128,7 +129,7 @@ def _records(reader, path):
             return
         except csv.Error as exc:
             raise ValueError(f"{path}: line {start}: {exc}") from None
-        yield cells
+        yield start, cells
 
 
 def _finite(row: dict, column: str) -> float:

@@ -76,10 +76,10 @@ class SubjectRecord:
 
     def __post_init__(self):
         if not (GA_WEEKS_MIN <= self.ga_weeks <= GA_WEEKS_MAX):
-            raise ValueError(f"{self.id}: gestational age {self.ga_weeks} outside "
+            raise ValueError(f"{self.id!r}: gestational age {self.ga_weeks} outside "
                              f"[{GA_WEEKS_MIN}, {GA_WEEKS_MAX}] weeks")
         if not self.tlv_ml > 0:
-            raise ValueError(f"{self.id}: measured lung volume must be positive")
+            raise ValueError(f"{self.id!r}: measured lung volume must be positive")
 
 
 def expected_tlv(ga_weeks: float) -> float:

@@ -78,7 +78,11 @@ def _read_array(path) -> tuple[np.ndarray, VoxelSpacing]:
     """Load the raw image as a float64 array shaped (nz, ny, nx) or (nt, nz, ny, nx).
 
     The data section is read one frame at a time straight into the float64
-    array, so no copy of the file's bytes is held beside it.
+    array, so no copy of the file's bytes is held beside it. Values are then
+    scaled to ``scl_slope * stored + scl_inter``. A zero or non-finite slope
+    means unscaled, and a non-finite intercept reads as 0. Slope 1 with
+    intercept 0, which every file ivimlab writes stores, is not applied: the
+    values are the same, except that a stored -0.0 keeps its sign.
     """
     with open(path, "rb") as fh:
         hdr = _read_header(fh.read(HEADER_SIZE), path)
@@ -96,10 +100,10 @@ def _read_array(path) -> tuple[np.ndarray, VoxelSpacing]:
         fh.seek(start)
         for frame in data.reshape(nt or 1, -1):
             frame[:] = np.fromfile(fh, dtype=dtype, count=frame.size)
-    # a zero or non-finite slope means unscaled; a non-finite intercept reads as 0
-    if hdr["scl_slope"] != 0.0 and np.isfinite(hdr["scl_slope"]):
-        data *= hdr["scl_slope"]
-        data += hdr["scl_inter"]
+    slope, inter = hdr["scl_slope"], hdr["scl_inter"]
+    if slope != 0.0 and np.isfinite(slope) and (slope, inter) != (1.0, 0.0):
+        data *= slope
+        data += inter
     dx, dy, dz = hdr["pixdim"]
     return data, VoxelSpacing(dz, dy, dx)
 

@@ -37,7 +37,7 @@ def summary_row(subject: str, group: Group, source: str,
     """One summaries-table row computed from a subject's fitted maps."""
     metrics = summarize(maps)
     if metrics is None:
-        raise ValueError(f"{subject}: nothing to summarize (fewer than two fitted voxels "
+        raise ValueError(f"{subject!r}: nothing to summarize (fewer than two fitted voxels "
                          "or every fitted f is 0)")
     return {"subject": subject, "group": group.value, "source": source,
             "strategy": strategy.value, **metrics}
@@ -58,14 +58,14 @@ def _group(rows: list[dict], labels: list[str]) -> dict[str, dict[str, dict[str,
             raise ValueError(f"{label} missing columns {missing}")
         subject, source, strategy = row["subject"], row["source"], row["strategy"]
         if source not in SOURCES:
-            raise ValueError(f"{label} ({subject}): source must be one of "
+            raise ValueError(f"{label} ({subject!r}): source must be one of "
                              f"{SOURCES}, got {source!r}")
         if row["group"] not in GROUPS:
-            raise ValueError(f"{label} ({subject}): group must be one of "
+            raise ValueError(f"{label} ({subject!r}): group must be one of "
                              f"{GROUPS}, got {row['group']!r}")
         group, first = first_group.setdefault(subject, (row["group"], label))
         if row["group"] != group:
-            raise ValueError(f"{label} ({subject}): group {row['group']!r} "
+            raise ValueError(f"{label} ({subject!r}): group {row['group']!r} "
                              f"disagrees with {first} ({group!r})")
         key = (subject, source, strategy)
         if key in first_label:

@@ -650,6 +650,20 @@ class TestClassify:
         assert_names_the_line(capsys.readouterr().err, edit, 4, "tlv_ml")
         assert not (tmp_path / "c.json").exists()
 
+    def test_quoted_newline_in_an_id_names_the_record_and_its_rule(self, tmp_path, capsys):
+        # the record of lines 3-4 is named by its first line, and the id is
+        # quoted, so the one error line still shows the rule it broke
+        path = write_subjects(subjects(6, 2), tmp_path / "test.csv")
+        lines = path.read_text().splitlines()
+        lines[2:3] = ['"S2', 'x",99,fgr,30']
+        path.write_text("\n".join(lines) + "\n")
+        args = ["classify", str(write_subjects(subjects(30, 1), tmp_path / "train.csv")),
+                str(path), "-o", str(tmp_path / "c.json")]
+        assert cli.main(args) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (f"error: {path}: line 3: 'S2\\nx': gestational "
+                                           "age 99.0 outside [15.0, 45.0] weeks\n")
+        assert not (tmp_path / "c.json").exists()
+
 
     @pytest.mark.parametrize("table", ["train", "test"])
     def test_repeated_id_exits_2_naming_both_lines(self, tmp_path, capsys, table):

@@ -69,7 +69,8 @@ class TestGrowthModel:
 
     def test_subject_record_owns_the_range(self):
         assert fgr.parse_ga_weeks("46") == 46.0
-        with pytest.raises(ValueError, match="P1: gestational age 46.0 outside"):
+        with pytest.raises(ValueError, match=r"^'P1': gestational age 46.0 outside "
+                                             r"\[15.0, 45.0\] weeks$"):
             fgr.SubjectRecord("P1", 46.0, fgr.Group.CONTROL, 500.0)
 
 

@@ -2,8 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.ndimage import binary_dilation, generate_binary_structure
 
+from ivimlab import masks, phantom
 from ivimlab.grid import BinaryMask, VoxelSpacing
 from ivimlab.masks import FusionStrategy, dice, fuse, hausdorff
 
@@ -204,6 +206,29 @@ class TestHausdorff:
                 continue
             got = hausdorff(mk(a, spacing), mk(b, spacing))
             assert got == brute_hausdorff(a, b, spacing.as_tuple()), trial
+
+    @pytest.mark.parametrize("far_voxel", [False, True], ids=["stage 1 only", "both stages"])
+    def test_transform_runs_only_past_one_slice_step(self, monkeypatch, far_voxel):
+        # every voxel a boundary flip adds or removes lies within one slice step
+        # (7.2 mm) of the other mask, so the lattice search settles it; a voxel
+        # of A 12.6 mm from B takes one transform, for A -> B only
+        ref = phantom.ellipsoid_mask((4, 16, 16), ANISO, (0.4, 0.4, 0.4))
+        auto = phantom.boundary_flip(ref, 0.3, seed=1).data.copy()
+        auto[0, 0, 0] |= far_voxel
+        transform, calls = ndimage.distance_transform_edt, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) > far_voxel:
+                raise AssertionError("distance transform called")
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(masks.ndimage, "distance_transform_edt", counted)
+        assert hausdorff(mk(auto, ANISO), ref) == brute_hausdorff(auto, ref.data,
+                                                                 ANISO.as_tuple())
+        assert len(calls) == far_voxel
+        if far_voxel:  # run on B = ref, over the box of B and the far voxel
+            assert np.array_equal(calls[0], ~ref.data[:, :14, :14])
 
     def test_symmetry_zero_iff_equal(self):
         rng = np.random.default_rng(5)

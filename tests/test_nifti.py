@@ -168,6 +168,14 @@ class TestHeaderValidation:
             vol = nifti.read_volume(p)
             assert np.all(vol.data == 3.0), slope
 
+    def test_unit_slope_keeps_the_stored_values(self, tmp_path):
+        # slope 1 and intercept 0 are not applied, so a stored -0.0 keeps its sign
+        p = tmp_path / "unit.nii"
+        raw = np.array([-0.0, 0.0, -1.5, 2.25, 1e-30, -3e8, 7.0, -0.0], dtype=np.float32)
+        write_minimal(p, payload=raw.tobytes())
+        assert nifti.read_volume(p).data.tobytes() == raw.reshape(2, 2, 2).astype(
+            np.float64).tobytes()
+
 
 class TestFrameWiseRead:
     @pytest.mark.parametrize("datatype, bitpix, dtype", [

@@ -92,7 +92,7 @@ class TestBadRows:
         i = next(i for i, r in enumerate(rows)
                  if (r["subject"], r["source"], r["strategy"]) == ("S1", "automatic", "lc"))
         rows[i]["group"] = "fgr"  # its manual row says control
-        with pytest.raises(ValueError, match=rf"row {i} \(S1\).*fgr.*row {i - 1}.*control"):
+        with pytest.raises(ValueError, match=rf"row {i} \('S1'\).*fgr.*row {i - 1}.*control"):
             report.build_report(rows)
 
     @pytest.mark.parametrize("column", ["source", "group"])
