@@ -97,7 +97,7 @@ class BinaryMask(_OnGrid):
 
     @property
     def voxel_count(self) -> int:
-        return int(self.data.sum())
+        return int(np.count_nonzero(self.data))
 
     @property
     def volume_ml(self) -> float:

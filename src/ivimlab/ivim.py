@@ -26,8 +26,13 @@ voxel of the block at once, its least profiled point in the log of its
 rate: a coarse grid over [``ADC_MIN``, ``ADC_MAX``] or (ADC, ``D_STAR_MAX``],
 a finer grid across the two coarse steps around its best point, then one
 parabolic step; the ADC search adds one Newton step, kept where the cost
-falls. The projected Levenberg-Marquardt solver (``lm``) polishes from that
-point exactly, per voxel, over the same closed box, and the voxel takes its
+falls. A search lays its arrays out b-value first: the samples and weights
+of the block's n voxels are (n_b, n, 1), and the terms at k grid points
+(n_b, n, k). A sum over b-values then adds whole (n, k) planes, in the order
+of numpy's pairwise sum of a contiguous row (``_plane_sum``), so it costs a
+few numpy calls per b-value and gives the bits of the row sum. The projected
+Levenberg-Marquardt solver (``lm``) polishes from the searched point
+exactly, per voxel, over the same closed box, and the voxel takes its
 result: LM accepts only a step that strictly lowers the cost, so it never
 ends above the searched point.
 
@@ -48,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -171,17 +176,47 @@ def _grid_min(profile, lo: np.ndarray, hi: np.ndarray, first: int) -> tuple[np.n
     return (x[rows, pick], *(v[rows, pick] for v in out[1:]))
 
 
+def _plane_sum(x: np.ndarray) -> np.ndarray:
+    """The sum of ``x`` over its first axis, bit for bit numpy's sum of each contiguous row.
+
+    numpy sums a float row pairwise (Higham 1993): sequentially below 8
+    terms; up to 128 terms, in 8 interleaved accumulators joined by a fixed
+    tree, then the tail sequentially; above 128, as two halves split at a
+    multiple of 8. The reduction then adds its identity, 0.0. Here each add
+    takes a whole plane ``x[i]``, so a search makes a few numpy calls per
+    b-value rather than one short row sum per (voxel, grid point).
+    """
+    n = len(x)
+    if n > 128:
+        # numpy adds 0.0 once, to the sum of the halves; adding it to each half instead
+        # only turns a -0.0 half into +0.0, which gives the same result
+        half = n // 2 - n // 2 % 8
+        return _plane_sum(x[:half]) + _plane_sum(x[half:])
+    if n < 8:
+        total = reduce(np.add, x)  # numpy starts from -0.0, and -0.0 + x is x
+    else:
+        tail = n - n % 8
+        r = x[:8]
+        for i in range(8, tail, 8):  # the accumulators: r[j] = x[j] + x[j + 8] + ...
+            r = r + x[i:i + 8]
+        r = r[0::2] + r[1::2]  # the tree ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r = r[0::2] + r[1::2]
+        total = reduce(np.add, x[tail:], r[0] + r[1])
+    return total + 0.0
+
+
 def _profile_adc(x, b, w, ws, ss):
     """The least mono-exponential cost over S0 at each log ADC ``x``, shape (n, k), of n voxels.
 
-    Returns the cost and S0, each (n, k). The 0/1 sample weights ``w`` and
-    ``ws`` = w*s are (n, 1, n_b), and ``ss`` = sum(w s^2) is (n, 1). Where
-    every weighted e^2 underflows, S0 is 0 and the cost is ``ss``.
+    Returns the cost and S0, each (n, k). The b-values ``b`` are (n_b, 1, 1),
+    and the 0/1 sample weights ``w`` and ``ws`` = w*s are (n_b, n, 1), so the
+    terms e = exp(-ADC b) are (n_b, n, k) and each sum over b-values adds
+    whole (n, k) planes (``_plane_sum``). ``ss`` = sum(w s^2) is (n, 1).
+    Where every weighted e^2 underflows, S0 is 0 and the cost is ``ss``.
     """
-    e = np.exp(np.exp(x)[..., None] * -b)
-    # a sum over the last, contiguous axis adds each (voxel, ADC) row on its own
-    es = (e * ws).sum(axis=2)
-    ee = (e * e * w).sum(axis=2)
+    e = np.exp(np.exp(x) * -b)
+    es = _plane_sum(e * ws)
+    ee = _plane_sum(e * e * w)
     s0 = np.divide(es, ee, out=np.zeros_like(es), where=ee > 0)
     return ss - es * s0, s0
 
@@ -191,11 +226,13 @@ def _newton_adc(x, b, w, ws):
 
     With k = ADC b, E_j = sum(w s k^j e), F_j = sum(w k^j e^2) and S0 = E0 / F0:
     g' = 2 S0 (E1 - S0 F1), g'' = S0^2 (4 F2 - 2 F1) - 2 S0 (E2 - E1) - 2 (E1 - 2 S0 F1)^2 / F0.
+    ``b``, ``w`` and ``ws`` are laid out b-value first, as in ``_profile_adc``,
+    and the six sums are one ``_plane_sum`` over their stacked terms.
     """
-    k = np.exp(x)[..., None] * b
+    k = np.exp(x) * b
     e = np.exp(-k)
-    (e0, e1, e2), (f0, f1, f2) = ([(v * k**j).sum(axis=2) for j in range(3)]
-                                  for v in (e * ws, e * e * w))
+    e0, e1, e2, f0, f1, f2 = _plane_sum(
+        np.stack([v * k**j for v in (e * ws, e * e * w) for j in range(3)], axis=1))
     # where every weighted e^2 underflows there is no S0, and an overflow is no step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s0 = np.divide(e0, f0, out=np.zeros_like(e0), where=f0 > 0)
@@ -213,10 +250,10 @@ def _search_adc(b: np.ndarray, signals: np.ndarray) -> np.ndarray:
     at b > ``B_THRESHOLD``, and ADC is searched over [ADC_MIN, ADC_MAX], both
     ends included.
     """
-    w = ((b > B_THRESHOLD) & (signals > 0)).astype(np.float64)
-    ws = w * signals
-    ss = (ws * signals).sum(axis=1, keepdims=True)
-    w, ws = w[:, None], ws[:, None]
+    b, s = b[:, None, None], signals.T[..., None]
+    w = ((b > B_THRESHOLD) & (s > 0)).astype(np.float64)
+    ws = w * s
+    ss = _plane_sum(ws * s)
     profile = partial(_profile_adc, b=b, w=w, ws=ws, ss=ss)
     lo, hi = np.full_like(ss, math.log(ADC_MIN)), np.full_like(ss, math.log(ADC_MAX))
     x = _grid_min(profile, lo, hi, first=0)[0]
@@ -263,22 +300,23 @@ def fit_adc(sig: VoxelSignal) -> AdcFit | None:
     return _polish_adc(s, (b > B_THRESHOLD) & (s > 0), _search_adc(b, s[None])[:, 0], b)
 
 
-def _profile(tau, b, adc, v, w, vv, vs, ss, cost0, s0_0, tie):
+def _profile(tau, b, adc, v, s, vv, vs, ss, cost0, s0_0, tie):
     """The NNLS at each log(D*/ADC) offset ``tau`` > 0, shape (n, k), of n voxels.
 
-    Returns the profiled cost, S0 and f, each (n, k). ``v`` = exp(-ADC b) is
-    (n, 1, n_b) and ``w`` stacks v and the samples s, (2, n, 1, n_b); the
-    per-voxel ``adc``, sums ``vv`` = v.v, ``vs`` = v.s and ``ss`` = s.s, the
-    f = 0 face's cost and S0, and the tie are (n, 1). The model a*u + c*v,
-    with u = exp(-D* b), is solved as a*d + S0*v: d = u - v is computed
-    without cancellation, so the 2x2 system stays well conditioned as D*
-    nears ADC.
+    Returns the profiled cost, S0 and f, each (n, k). The arrays over
+    b-values are laid out b-value first: ``b`` is (n_b, 1, 1), and v =
+    exp(-ADC b) and the samples ``s`` are (n_b, n, 1). So the terms d are
+    (n_b, n, k), and each sum over b-values adds whole (n, k) planes
+    (``_plane_sum``). The per-voxel ``adc``, sums ``vv`` = v.v, ``vs`` = v.s
+    and ``ss`` = s.s, the f = 0 face's cost and S0, and the tie are (n, 1).
+    The model a*u + c*v, with u = exp(-D* b), is solved as a*d + S0*v:
+    d = u - v is computed without cancellation, so the 2x2 system stays
+    well conditioned as D* nears ADC.
     """
-    # (n, k, n_b): D* - ADC = ADC*expm1(tau), and d = v*expm1(-(D* - ADC) b)
-    d = v * np.expm1((adc * np.expm1(tau))[..., None] * -b)
-    # a sum over the last, contiguous axis adds each (voxel, D*) row on its own
-    dd = (d * d).sum(axis=2)
-    dv, ds = (d * w).sum(axis=3)
+    # D* - ADC = ADC*expm1(tau), and d = v*expm1(-(D* - ADC) b)
+    d = v * np.expm1(adc * np.expm1(tau) * -b)
+    dd = _plane_sum(d * d)
+    dv, ds = _plane_sum(d * v), _plane_sum(d * s)
     # the f = 1 face (c = 0): the model S0*u, with u = v + d
     us, uu = vs + ds, vv + 2.0 * dv + dd
     s0_one = us / uu
@@ -306,11 +344,11 @@ def _search(b: np.ndarray, signals: np.ndarray, adc: np.ndarray) -> np.ndarray:
     ``signals`` is (n, n_b) and ``adc`` (n,).
     """
     adc = adc[:, None]
+    b, s = b[:, None, None], signals.T[..., None]
     v = np.exp(-adc * b)
-    vv, vs, ss = ((v * v).sum(axis=1, keepdims=True), (v * signals).sum(axis=1, keepdims=True),
-                  (signals * signals).sum(axis=1, keepdims=True))
-    profile = partial(_profile, b=b, adc=adc, v=v[:, None], w=np.stack((v, signals))[:, :, None],
-                      vv=vv, vs=vs, ss=ss, cost0=ss - vs * (vs / vv), s0_0=vs / vv, tie=_TIE * ss)
+    vv, vs, ss = (_plane_sum(p) for p in (v * v, v * s, s * s))
+    profile = partial(_profile, b=b, adc=adc, v=v, s=s, vv=vv, vs=vs, ss=ss,
+                      cost0=ss - vs * (vs / vv), s0_0=vs / vv, tie=_TIE * ss)
     top = np.log(D_STAR_MAX / adc)  # tau = log(D*/ADC) runs over (0, top]
     tau, s0, f = _grid_min(profile, np.zeros_like(top), top, first=1)
     return np.hstack((s0, f, np.minimum(adc * np.exp(tau), D_STAR_MAX))).T

@@ -69,7 +69,8 @@ def _group(rows: list[dict], labels: list[str]) -> dict[str, dict[str, dict[str,
                              f"disagrees with {first} ({group!r})")
         key = (subject, source, strategy)
         if key in first_label:
-            raise ValueError(f"{label} repeats {first_label[key]} ({', '.join(key)})")
+            raise ValueError(f"{label} repeats {first_label[key]} "
+                             f"({subject!r}, {source}, {strategy})")
         first_label[key] = label
         grouped.setdefault(strategy, {s: {} for s in SOURCES})[source][subject] = row
     return grouped

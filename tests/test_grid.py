@@ -121,6 +121,12 @@ class TestMaskVolume:
             vu = BinaryMask(a | b, SP).volume_ml
             assert vu == pytest.approx(va + vb, rel=1e-12)
 
+    def test_voxel_count_is_a_python_int(self):
+        # counts reach JSON output, which takes no numpy integer
+        data = np.random.default_rng(3).random((5, 6, 7)) < 0.3
+        count = BinaryMask(data, SP).voxel_count
+        assert type(count) is int and count == int(data.sum())
+
 
 class TestDwiSeries:
     def test_requires_b0(self):

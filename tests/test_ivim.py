@@ -53,6 +53,18 @@ def with_bad_sample(series: DwiSeries, frame: int, at, value: float) -> DwiSerie
     return DwiSeries(data, series.spacing, series.bvalues)
 
 
+# 5 and 13 distinct b-values: a sum over b-values below 8 terms, and one of 8 plus a tail
+OTHER_BVALUES = {
+    "5": (0.0, 50.0, 200.0, 400.0, 800.0),
+    "13": (0.0, 10.0, 20.0, 30.0, 50.0, 80.0, 100.0, 150.0, 200.0, 300.0, 400.0, 600.0, 800.0),
+}
+
+
+def small_subject(bvalues=DEFAULT_BVALUES) -> phantom.PhantomBundle:
+    return phantom.make_phantom(phantom.PhantomConfig(
+        dims=(3, 10, 10), bvalues=bvalues, noise_model="rician", snr=30.0, seed=5))
+
+
 class TestNonFiniteSamples:
     # 1e160 is finite, but its square is not: a float64 series can hold it
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e160])
@@ -81,8 +93,7 @@ class TestNonFiniteSamples:
 class TestVisitOrderInvariance:
     @pytest.mark.parametrize("axes", [(2,), (0, 1, 2)], ids=["x", "xyz"])
     def test_flipped_input_gives_flipped_maps(self, axes):
-        bundle = phantom.make_phantom(phantom.PhantomConfig(
-            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        bundle = small_subject()
         series_axes = tuple(a + 1 for a in axes)  # frame axis first
         flipped = ivim.fit_volume(
             DwiSeries(np.flip(bundle.series.data, series_axes), bundle.series.spacing,
@@ -97,10 +108,9 @@ class TestVisitOrderInvariance:
 
 
 class TestBlockInvariance:
-    def test_maps_do_not_depend_on_the_search_block(self, monkeypatch):
+    @staticmethod
+    def assert_block_invariant(monkeypatch, bundle):
         # a voxel's bits do not depend on the block of voxels a search evaluates with it
-        bundle = phantom.make_phantom(phantom.PhantomConfig(
-            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
         per_voxel = (ivim._COARSE + 1) * np.unique(bundle.series.bvalues).size
         default = ivim.fit_volume(bundle.series, bundle.mask)
         for voxels in (1, 7):
@@ -111,12 +121,18 @@ class TestBlockInvariance:
                 a, b = getattr(maps, name).data, getattr(default, name).data
                 assert a.tobytes() == b.tobytes(), (voxels, name)
 
+    def test_maps_do_not_depend_on_the_search_block(self, monkeypatch):
+        self.assert_block_invariant(monkeypatch, small_subject())
+
+    @pytest.mark.parametrize("bvalues", OTHER_BVALUES.values(), ids=OTHER_BVALUES.keys())
+    def test_other_bvalue_counts(self, monkeypatch, bvalues):
+        self.assert_block_invariant(monkeypatch, small_subject(bvalues))
+
 
 class TestPolishProblems:
     def test_volume_fit_hands_the_solver_each_voxels_problem(self, monkeypatch):
         # the block's rows of starts and bounds are the bytes a voxel fitted alone builds
-        bundle = phantom.make_phantom(phantom.PhantomConfig(
-            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        bundle = small_subject()
         solve, in_volume = lm.lm_fit, []
 
         def recorded(problem):
@@ -147,8 +163,7 @@ class TestPolishProblems:
 
 class TestSignalMatrix:
     def test_failing_rows_are_nan_and_the_rest_are_the_volume_fit(self):
-        bundle = phantom.make_phantom(phantom.PhantomConfig(
-            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        bundle = small_subject()
         data, b = bundle.series.data.copy(), bundle.series.bvalues
         voxels = [tuple(at) for at in np.argwhere(bundle.mask.data)]
         data[(b == 0, *voxels[0])] = 0.0  # no positive b=0 sample
@@ -197,8 +212,7 @@ class TestOutcomeRule:
     """A voxel fails only for its data, never for where the solver stopped."""
 
     def test_unconverged_solver_estimates_are_kept(self, monkeypatch):
-        bundle = phantom.make_phantom(phantom.PhantomConfig(
-            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        bundle = small_subject()
         plain = ivim.fit_volume(bundle.series, bundle.mask)
         solve = lm.lm_fit
 
@@ -431,8 +445,7 @@ class TestProfiledAdcSearch:
         # from the Newton-refined point LM's first step is below xtol, so it returns its
         # start; from the grid's point it took about 2 iterations a voxel, and 4.2 from a
         # log-linear start
-        bundle = phantom.make_phantom(phantom.PhantomConfig(
-            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        bundle = small_subject()
         solve, polished = lm.lm_fit, []
 
         def recorded(problem):
@@ -450,8 +463,7 @@ class TestProfiledAdcSearch:
 
     def test_searched_point_costs_no_more_than_the_polish(self):
         # the grid's point alone cost up to 4.7e-12 of the sum of squares above LM's
-        bundle = phantom.make_phantom(phantom.PhantomConfig(
-            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        bundle = small_subject()
         b = bundle.series.bvalues
         signals = np.maximum(bundle.series.data[:, bundle.mask.data].T, 0.0)
         signals = signals[ivim._usable(b, signals)]
@@ -508,8 +520,7 @@ class TestBatchInvariance:
 
     @pytest.fixture(scope="class")
     def fitted(self):
-        bundle = phantom.make_phantom(phantom.PhantomConfig(
-            dims=(3, 10, 10), noise_model="rician", snr=30.0, seed=5))
+        bundle = small_subject()
         forward = ivim.fit_volume(bundle.series, bundle.mask)
         axes = (0, 1, 2)
         backward = ivim.fit_volume(
@@ -537,6 +548,34 @@ class TestBatchInvariance:
             for name in ("s0", "f", "d_star", "residual"):
                 assert getattr(fit, name) == getattr(forward, name).data[at] \
                     == backward[name][at], (at, name)
+
+    @pytest.mark.parametrize("bvalues", OTHER_BVALUES.values(), ids=OTHER_BVALUES.keys())
+    def test_other_bvalue_counts(self, bvalues):
+        bundle = small_subject(bvalues)
+        maps = ivim.fit_volume(bundle.series, bundle.mask)
+        assert maps.mask.voxel_count == bundle.mask.voxel_count
+        for at in map(tuple, np.argwhere(bundle.mask.data)):
+            sig = ivim.VoxelSignal(bundle.series.bvalues,
+                                   np.maximum(bundle.series.data[(slice(None), *at)], 0))
+            assert ivim.fit_adc(sig).adc == maps.adc.data[at], at
+            fit = ivim.fit_ivim(sig, maps.adc.data[at])
+            for name in ("s0", "f", "d_star", "residual"):
+                assert getattr(fit, name) == getattr(maps, name).data[at], (at, name)
+
+
+class TestPlaneSum:
+    def test_bits_of_numpys_row_sum(self):
+        # n_b from 1 to 300 reaches the sequential sum, the 8 accumulators with every tail
+        # length, and the halving split; a numpy release that changes its summation order
+        # fails here before any map moves
+        rng = np.random.default_rng(0)
+        for n_b in range(1, 301):
+            x = rng.standard_normal((n_b, 5, 7)) * 10.0 ** rng.integers(-20, 21, (n_b, 5, 7))
+            x[rng.random(x.shape) < 0.1] = 0.0
+            x[rng.random(x.shape) < 0.1] = -0.0
+            x[:, 0, 0] = -0.0
+            rows = np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
+            assert ivim._plane_sum(x).tobytes() == rows.tobytes(), n_b
 
 
 class TestDataRule:

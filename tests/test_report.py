@@ -130,5 +130,14 @@ class TestRowLabels:
         rows.append(dict(rows[2], f_mean=9.0))  # (S2, manual, lc) again
         labels = [f"line {i + 2}" for i in range(len(rows))]
         with pytest.raises(ValueError, match=rf"^line {len(rows) + 1} repeats line 4 "
-                                             r"\(S2, manual, lc\)$"):
+                                             r"\('S2', manual, lc\)$"):
             report.build_report(rows, labels)
+
+    def test_repeat_message_names_source_and_strategy_on_its_first_line(self):
+        # the CLI prints an error's first line only, so a newline in the id must not hide them
+        rows = [dict(r, subject="S2\nx") if r["subject"] == "S2" else r for r in table()]
+        rows.append(dict(rows[2], f_mean=9.0))  # ("S2\nx", manual, lc) again
+        with pytest.raises(ValueError) as caught:
+            report.build_report(rows)
+        first_line = str(caught.value).splitlines()[0]
+        assert "repeats" in first_line and "manual" in first_line and "lc" in first_line
