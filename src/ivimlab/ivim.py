@@ -28,13 +28,13 @@ a finer grid across the two coarse steps around its best point, then one
 parabolic step; the ADC search adds one Newton step, kept where the cost
 falls. A search lays its arrays out b-value first: the samples and weights
 of the block's n voxels are (n_b, n, 1), and the terms at k grid points
-(n_b, n, k). A sum over b-values then adds whole (n, k) planes, in the order
-of numpy's pairwise sum of a contiguous row (``_plane_sum``), so it costs a
-few numpy calls per b-value and gives the bits of the row sum. The projected
-Levenberg-Marquardt solver (``lm``) polishes from the searched point
-exactly, per voxel, over the same closed box, and the voxel takes its
-result: LM accepts only a step that strictly lowers the cost, so it never
-ends above the searched point.
+(n_b, n, k). A sum over b-values then adds whole (n, k) planes in turn, from
+the first b-value (``_plane_sum``): one numpy call per b-value, and each
+voxel's sums are the same left folds whether its block holds one voxel or
+many. The projected Levenberg-Marquardt solver (``lm``) polishes from the
+searched point exactly, per voxel, over the same closed box, and the voxel
+takes its result: LM accepts only a step that strictly lowers the cost, so
+it never ends above the searched point.
 
 Profiled costs within a few ulps of the voxel's sum of squared samples
 (``_TIE`` times it) are a tie, and a face of the NNLS beats the interior
@@ -177,32 +177,12 @@ def _grid_min(profile, lo: np.ndarray, hi: np.ndarray, first: int) -> tuple[np.n
 
 
 def _plane_sum(x: np.ndarray) -> np.ndarray:
-    """The sum of ``x`` over its first axis, bit for bit numpy's sum of each contiguous row.
+    """The sum of ``x`` over its first axis: a left fold, one whole plane ``x[i]`` an add.
 
-    numpy sums a float row pairwise (Higham 1993): sequentially below 8
-    terms; up to 128 terms, in 8 interleaved accumulators joined by a fixed
-    tree, then the tail sequentially; above 128, as two halves split at a
-    multiple of 8. The reduction then adds its identity, 0.0. Here each add
-    takes a whole plane ``x[i]``, so a search makes a few numpy calls per
-    b-value rather than one short row sum per (voxel, grid point).
+    Each add is elementwise, so an element's bits depend only on its own
+    column, whether the block holds one voxel or many.
     """
-    n = len(x)
-    if n > 128:
-        # numpy adds 0.0 once, to the sum of the halves; adding it to each half instead
-        # only turns a -0.0 half into +0.0, which gives the same result
-        half = n // 2 - n // 2 % 8
-        return _plane_sum(x[:half]) + _plane_sum(x[half:])
-    if n < 8:
-        total = reduce(np.add, x)  # numpy starts from -0.0, and -0.0 + x is x
-    else:
-        tail = n - n % 8
-        r = x[:8]
-        for i in range(8, tail, 8):  # the accumulators: r[j] = x[j] + x[j + 8] + ...
-            r = r + x[i:i + 8]
-        r = r[0::2] + r[1::2]  # the tree ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        r = r[0::2] + r[1::2]
-        total = reduce(np.add, x[tail:], r[0] + r[1])
-    return total + 0.0
+    return reduce(np.add, x)
 
 
 def _profile_adc(x, b, w, ws, ss):
@@ -210,9 +190,10 @@ def _profile_adc(x, b, w, ws, ss):
 
     Returns the cost and S0, each (n, k). The b-values ``b`` are (n_b, 1, 1),
     and the 0/1 sample weights ``w`` and ``ws`` = w*s are (n_b, n, 1), so the
-    terms e = exp(-ADC b) are (n_b, n, k) and each sum over b-values adds
-    whole (n, k) planes (``_plane_sum``). ``ss`` = sum(w s^2) is (n, 1).
-    Where every weighted e^2 underflows, S0 is 0 and the cost is ``ss``.
+    terms e = exp(-ADC b) are (n_b, n, k) and each sum over b-values is a
+    left fold over whole (n, k) planes (``_plane_sum``). ``ss`` = sum(w s^2)
+    is (n, 1). Where every weighted e^2 underflows, S0 is 0 and the cost is
+    ``ss``.
     """
     e = np.exp(np.exp(x) * -b)
     es = _plane_sum(e * ws)
@@ -227,7 +208,8 @@ def _newton_adc(x, b, w, ws):
     With k = ADC b, E_j = sum(w s k^j e), F_j = sum(w k^j e^2) and S0 = E0 / F0:
     g' = 2 S0 (E1 - S0 F1), g'' = S0^2 (4 F2 - 2 F1) - 2 S0 (E2 - E1) - 2 (E1 - 2 S0 F1)^2 / F0.
     ``b``, ``w`` and ``ws`` are laid out b-value first, as in ``_profile_adc``,
-    and the six sums are one ``_plane_sum`` over their stacked terms.
+    and the six sums are one left fold (``_plane_sum``) over their terms,
+    stacked (n_b, 6, n, 1).
     """
     k = np.exp(x) * b
     e = np.exp(-k)
@@ -306,9 +288,10 @@ def _profile(tau, b, adc, v, s, vv, vs, ss, cost0, s0_0, tie):
     Returns the profiled cost, S0 and f, each (n, k). The arrays over
     b-values are laid out b-value first: ``b`` is (n_b, 1, 1), and v =
     exp(-ADC b) and the samples ``s`` are (n_b, n, 1). So the terms d are
-    (n_b, n, k), and each sum over b-values adds whole (n, k) planes
-    (``_plane_sum``). The per-voxel ``adc``, sums ``vv`` = v.v, ``vs`` = v.s
-    and ``ss`` = s.s, the f = 0 face's cost and S0, and the tie are (n, 1).
+    (n_b, n, k), and each sum over b-values is a left fold over whole (n, k)
+    planes (``_plane_sum``). The per-voxel ``adc``, sums ``vv`` = v.v,
+    ``vs`` = v.s and ``ss`` = s.s, the f = 0 face's cost and S0, and the tie
+    are (n, 1).
     The model a*u + c*v, with u = exp(-D* b), is solved as a*d + S0*v:
     d = u - v is computed without cancellation, so the 2x2 system stays
     well conditioned as D* nears ADC.

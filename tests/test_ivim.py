@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -53,7 +55,8 @@ def with_bad_sample(series: DwiSeries, frame: int, at, value: float) -> DwiSerie
     return DwiSeries(data, series.spacing, series.bvalues)
 
 
-# 5 and 13 distinct b-values: a sum over b-values below 8 terms, and one of 8 plus a tail
+# 5 and 13 distinct b-values sit either side of the 8 terms from which numpy sums a
+# contiguous row pairwise, and so a row sum would give a one-voxel block other bits
 OTHER_BVALUES = {
     "5": (0.0, 50.0, 200.0, 400.0, 800.0),
     "13": (0.0, 10.0, 20.0, 30.0, 50.0, 80.0, 100.0, 150.0, 200.0, 300.0, 400.0, 600.0, 800.0),
@@ -127,6 +130,25 @@ class TestBlockInvariance:
     @pytest.mark.parametrize("bvalues", OTHER_BVALUES.values(), ids=OTHER_BVALUES.keys())
     def test_other_bvalue_counts(self, monkeypatch, bvalues):
         self.assert_block_invariant(monkeypatch, small_subject(bvalues))
+
+    @pytest.mark.parametrize("bvalues", [OTHER_BVALUES["5"], DEFAULT_BVALUES, OTHER_BVALUES["13"]],
+                             ids=["5", "8", "13"])
+    def test_signal_matrix_rows_do_not_depend_on_the_rows_beside_them(self, bvalues):
+        # every other draw is one row alone; the rest are 2-70 rows, repeats allowed, with
+        # rows the data rule fails among them
+        bundle = small_subject(bvalues)
+        averaged = average_by_bvalue(bundle.series)
+        b = averaged.bvalues
+        signals = np.maximum(averaged.data[:, bundle.mask.data].T, 0.0)
+        signals[0, b == 0] = 0.0  # no positive b=0 sample
+        signals[1, 2] = np.nan
+        signals[2, -1] = 1e160  # its square overflows
+        whole = ivim._fit_signals(b, signals)
+        assert np.isnan(whole[:3]).all() and np.isfinite(whole[3:]).all()
+        rng = np.random.default_rng(len(b))
+        for draw in range(16):
+            at = rng.integers(len(signals), size=1 if draw % 2 == 0 else rng.integers(2, 71))
+            assert ivim._fit_signals(b, signals[at]).tobytes() == whole[at].tobytes(), at
 
 
 class TestPolishProblems:
@@ -564,18 +586,25 @@ class TestBatchInvariance:
 
 
 class TestPlaneSum:
-    def test_bits_of_numpys_row_sum(self):
-        # n_b from 1 to 300 reaches the sequential sum, the 8 accumulators with every tail
-        # length, and the halving split; a numpy release that changes its summation order
-        # fails here before any map moves
+    def test_each_column_is_its_python_left_fold(self):
+        # mixed signs over 40 decades with +-0.0 mixed in and one all-(-0.0) column; a column
+        # summed alone, or in a one-voxel row, has the bits it has among the others
         rng = np.random.default_rng(0)
-        for n_b in range(1, 301):
+        for n_b in range(1, 41):
             x = rng.standard_normal((n_b, 5, 7)) * 10.0 ** rng.integers(-20, 21, (n_b, 5, 7))
             x[rng.random(x.shape) < 0.1] = 0.0
             x[rng.random(x.shape) < 0.1] = -0.0
             x[:, 0, 0] = -0.0
-            rows = np.ascontiguousarray(np.moveaxis(x, 0, -1)).sum(axis=-1)
-            assert ivim._plane_sum(x).tobytes() == rows.tobytes(), n_b
+            want = np.array([[functools.reduce(operator.add, x[:, i, j].tolist())
+                              for j in range(7)] for i in range(5)])
+            assert ivim._plane_sum(x).tobytes() == want.tobytes(), n_b
+            for i in range(5):
+                row = np.ascontiguousarray(x[:, i:i + 1])
+                assert ivim._plane_sum(row).tobytes() == want[i:i + 1].tobytes(), (n_b, i)
+                for j in range(7):
+                    column = np.ascontiguousarray(x[:, i:i + 1, j:j + 1])
+                    got = ivim._plane_sum(column)
+                    assert got.tobytes() == want[i:i + 1, j:j + 1].tobytes(), (n_b, i, j)
 
 
 class TestDataRule:
