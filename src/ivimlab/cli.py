@@ -373,7 +373,10 @@ def _cmd_classify(args) -> int:
     shared = sorted({r.id for r in train} & {r.id for r in test})
     if shared:  # the accuracy is held-out accuracy
         raise ValueError(f"subjects {shared} are in both {args.train} and {args.test}")
-    model = fgr.train_classifier(train)
+    try:
+        model = fgr.train_classifier(train)
+    except ValueError as exc:
+        raise ValueError(f"{args.train}: {exc}") from None
     predictions = [model.predict(r) for r in test]
     actual = [r.group for r in test]
     conf = fgr.confusion(predictions, actual)

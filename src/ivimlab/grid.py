@@ -163,8 +163,6 @@ class IvimMaps:
         for name in ("f", "d_star", "adc", "residual", "mask"):
             getattr(self, name).require_same_grid(self.s0, name, "s0")
         m = self.mask.data
-        if not m.any():
-            return
         f = self.f.data[m]
         adc = self.adc.data[m]
         ds = self.d_star.data[m]

@@ -185,62 +185,52 @@ def _plane_sum(x: np.ndarray) -> np.ndarray:
     return reduce(np.add, x)
 
 
-def _profile_adc(x, b, w, ws, ss):
-    """The least mono-exponential cost over S0 at each log ADC ``x``, shape (n, k), of n voxels.
-
-    Returns the cost and S0, each (n, k). The b-values ``b`` are (n_b, 1, 1),
-    and the 0/1 sample weights ``w`` and ``ws`` = w*s are (n_b, n, 1), so the
-    terms e = exp(-ADC b) are (n_b, n, k) and each sum over b-values is a
-    left fold over whole (n, k) planes (``_plane_sum``). ``ss`` = sum(w s^2)
-    is (n, 1). Where every weighted e^2 underflows, S0 is 0 and the cost is
-    ``ss``.
-    """
-    e = np.exp(np.exp(x) * -b)
-    es = _plane_sum(e * ws)
-    ee = _plane_sum(e * e * w)
-    s0 = np.divide(es, ee, out=np.zeros_like(es), where=ee > 0)
-    return ss - es * s0, s0
-
-
-def _newton_adc(x, b, w, ws):
-    """The Newton step on the profiled cost g at each log ADC ``x``, (n, 1); 0 unless g'' > 0.
-
-    With k = ADC b, E_j = sum(w s k^j e), F_j = sum(w k^j e^2) and S0 = E0 / F0:
-    g' = 2 S0 (E1 - S0 F1), g'' = S0^2 (4 F2 - 2 F1) - 2 S0 (E2 - E1) - 2 (E1 - 2 S0 F1)^2 / F0.
-    ``b``, ``w`` and ``ws`` are laid out b-value first, as in ``_profile_adc``,
-    and the six sums are one left fold (``_plane_sum``) over their terms,
-    stacked (n_b, 6, n, 1).
-    """
-    k = np.exp(x) * b
-    e = np.exp(-k)
-    e0, e1, e2, f0, f1, f2 = _plane_sum(
-        np.stack([v * k**j for v in (e * ws, e * e * w) for j in range(3)], axis=1))
-    # where every weighted e^2 underflows there is no S0, and an overflow is no step
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s0 = np.divide(e0, f0, out=np.zeros_like(e0), where=f0 > 0)
-        g1 = 2.0 * s0 * (e1 - s0 * f1)
-        g2 = (s0 * s0 * (4.0 * f2 - 2.0 * f1) - 2.0 * s0 * (e2 - e1)
-              - 2.0 * (e1 - 2.0 * s0 * f1)**2 / f0)
-        descent = np.isfinite(g1) & np.isfinite(g2) & (g2 > 0)
-        return np.divide(-g1, g2, out=np.zeros_like(g1), where=descent)
-
-
 def _search_adc(b: np.ndarray, signals: np.ndarray) -> np.ndarray:
     """(S0, ADC) of each voxel at its least profiled mono-exponential cost: shape (2, n).
 
     ``signals`` is (n, n_b). The cost is over each voxel's positive samples
     at b > ``B_THRESHOLD``, and ADC is searched over [ADC_MIN, ADC_MAX], both
-    ends included.
+    ends included. The arrays are laid out b-value first: the b-values are
+    (n_b, 1, 1) and the 0/1 sample weights w and w*s are (n_b, n, 1), so the
+    terms e = exp(-ADC b) at k points of each voxel are (n_b, n, k), and each
+    sum over b-values is a left fold over whole (n, k) planes (``_plane_sum``).
     """
     b, s = b[:, None, None], signals.T[..., None]
     w = ((b > B_THRESHOLD) & (s > 0)).astype(np.float64)
     ws = w * s
     ss = _plane_sum(ws * s)
-    profile = partial(_profile_adc, b=b, w=w, ws=ws, ss=ss)
+
+    def profile(x):
+        # the least cost over S0 at each log ADC x, and that S0 = sum(w e s) / sum(w e^2);
+        # where every weighted e^2 underflows, S0 is 0 and the cost is ss = sum(w s^2)
+        e = np.exp(np.exp(x) * -b)
+        es = _plane_sum(e * ws)
+        ee = _plane_sum(e * e * w)
+        s0 = np.divide(es, ee, out=np.zeros_like(es), where=ee > 0)
+        return ss - es * s0, s0
+
+    def newton(x):
+        # the Newton step on the profiled cost g at each log ADC x, 0 unless g'' > 0; with
+        # k = ADC b, E_j = sum(w s k^j e), F_j = sum(w k^j e^2) and S0 = E0 / F0:
+        # g' = 2 S0 (E1 - S0 F1),
+        # g'' = S0^2 (4 F2 - 2 F1) - 2 S0 (E2 - E1) - 2 (E1 - 2 S0 F1)^2 / F0
+        k = np.exp(x) * b
+        e = np.exp(-k)
+        e0, e1, e2, f0, f1, f2 = _plane_sum(
+            np.stack([v * k**j for v in (e * ws, e * e * w) for j in range(3)], axis=1))
+        # where every weighted e^2 underflows there is no S0, and an overflow is no step
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            s0 = np.divide(e0, f0, out=np.zeros_like(e0), where=f0 > 0)
+            g1 = 2.0 * s0 * (e1 - s0 * f1)
+            g2 = (s0 * s0 * (4.0 * f2 - 2.0 * f1) - 2.0 * s0 * (e2 - e1)
+                  - 2.0 * (e1 - 2.0 * s0 * f1)**2 / f0)
+            descent = np.isfinite(g1) & np.isfinite(g2) & (g2 > 0)
+            return np.divide(-g1, g2, out=np.zeros_like(g1), where=descent)
+
     lo, hi = np.full_like(ss, math.log(ADC_MIN)), np.full_like(ss, math.log(ADC_MAX))
     x = _grid_min(profile, lo, hi, first=0)[0]
     # one Newton step, clipped to the box and kept only where the cost falls (a tie keeps x)
-    x = np.hstack((x, np.clip(x + _newton_adc(x, b, w, ws), lo, hi)))
+    x = np.hstack((x, np.clip(x + newton(x), lo, hi)))
     cost, s0 = profile(x)
     pick = (np.arange(len(x)), cost.argmin(axis=1))
     return np.vstack((s0[pick], np.clip(np.exp(x[pick]), ADC_MIN, ADC_MAX)))
@@ -282,56 +272,52 @@ def fit_adc(sig: VoxelSignal) -> AdcFit | None:
     return _polish_adc(s, (b > B_THRESHOLD) & (s > 0), _search_adc(b, s[None])[:, 0], b)
 
 
-def _profile(tau, b, adc, v, s, vv, vs, ss, cost0, s0_0, tie):
-    """The NNLS at each log(D*/ADC) offset ``tau`` > 0, shape (n, k), of n voxels.
-
-    Returns the profiled cost, S0 and f, each (n, k). The arrays over
-    b-values are laid out b-value first: ``b`` is (n_b, 1, 1), and v =
-    exp(-ADC b) and the samples ``s`` are (n_b, n, 1). So the terms d are
-    (n_b, n, k), and each sum over b-values is a left fold over whole (n, k)
-    planes (``_plane_sum``). The per-voxel ``adc``, sums ``vv`` = v.v,
-    ``vs`` = v.s and ``ss`` = s.s, the f = 0 face's cost and S0, and the tie
-    are (n, 1).
-    The model a*u + c*v, with u = exp(-D* b), is solved as a*d + S0*v:
-    d = u - v is computed without cancellation, so the 2x2 system stays
-    well conditioned as D* nears ADC.
-    """
-    # D* - ADC = ADC*expm1(tau), and d = v*expm1(-(D* - ADC) b)
-    d = v * np.expm1(adc * np.expm1(tau) * -b)
-    dd = _plane_sum(d * d)
-    dv, ds = _plane_sum(d * v), _plane_sum(d * s)
-    # the f = 1 face (c = 0): the model S0*u, with u = v + d
-    us, uu = vs + ds, vv + 2.0 * dv + dd
-    s0_one = us / uu
-    cost1 = ss - us * s0_one  # each product is at most ss, so a usable voxel cannot overflow
-    det = dd * vv - dv * dv
-    # a singular or overflowing system has no interior solution
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = (vv * ds - dv * vs) / det
-        s0 = (dd * vs - dv * ds) / det
-        cost = ss - a * ds - s0 * vs
-    on_one = cost1 < cost0
-    out = np.minimum(cost1, cost0)
-    interior = (det > 0) & (a >= 0) & (s0 >= a) & (cost < out - tie)
-    np.copyto(out, cost, where=interior)
-    f = on_one.astype(np.float64)
-    np.divide(a, s0, out=f, where=interior)
-    s0_out = np.where(on_one, s0_one, s0_0)
-    np.copyto(s0_out, s0, where=interior)
-    return out, s0_out, f
-
-
 def _search(b: np.ndarray, signals: np.ndarray, adc: np.ndarray) -> np.ndarray:
     """(S0, f, D*) of each voxel at its least profiled cost: shape (3, n).
 
-    ``signals`` is (n, n_b) and ``adc`` (n,).
+    ``signals`` is (n, n_b) and ``adc`` (n,). At each log(D*/ADC) offset
+    tau > 0 the cost is profiled by the NNLS. The arrays are laid out b-value
+    first: the b-values are (n_b, 1, 1), and v = exp(-ADC b) and the samples
+    are (n_b, n, 1), so the terms d at k points of each voxel are
+    (n_b, n, k), and each sum over b-values is a left fold over whole (n, k)
+    planes (``_plane_sum``). The model a*u + c*v, with u = exp(-D* b), is
+    solved as a*d + S0*v: d = u - v is computed without cancellation, so the
+    2x2 system stays well conditioned as D* nears ADC.
     """
     adc = adc[:, None]
     b, s = b[:, None, None], signals.T[..., None]
     v = np.exp(-adc * b)
     vv, vs, ss = (_plane_sum(p) for p in (v * v, v * s, s * s))
-    profile = partial(_profile, b=b, adc=adc, v=v, s=s, vv=vv, vs=vs, ss=ss,
-                      cost0=ss - vs * (vs / vv), s0_0=vs / vv, tie=_TIE * ss)
+    # the f = 0 face (a = 0): its S0 and cost, and the tie, each (n, 1)
+    s0_0, tie = vs / vv, _TIE * ss
+    cost0 = ss - vs * s0_0
+
+    def profile(tau):
+        # the profiled cost, S0 and f at each tau, each (n, k)
+        # D* - ADC = ADC*expm1(tau), and d = v*expm1(-(D* - ADC) b)
+        d = v * np.expm1(adc * np.expm1(tau) * -b)
+        dd = _plane_sum(d * d)
+        dv, ds = _plane_sum(d * v), _plane_sum(d * s)
+        # the f = 1 face (c = 0): the model S0*u, with u = v + d
+        us, uu = vs + ds, vv + 2.0 * dv + dd
+        s0_one = us / uu
+        cost1 = ss - us * s0_one  # each product is at most ss, so a usable voxel cannot overflow
+        det = dd * vv - dv * dv
+        # a singular or overflowing system has no interior solution
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a = (vv * ds - dv * vs) / det
+            s0 = (dd * vs - dv * ds) / det
+            cost = ss - a * ds - s0 * vs
+        on_one = cost1 < cost0
+        out = np.minimum(cost1, cost0)
+        interior = (det > 0) & (a >= 0) & (s0 >= a) & (cost < out - tie)
+        np.copyto(out, cost, where=interior)
+        f = on_one.astype(np.float64)
+        np.divide(a, s0, out=f, where=interior)
+        s0_out = np.where(on_one, s0_one, s0_0)
+        np.copyto(s0_out, s0, where=interior)
+        return out, s0_out, f
+
     top = np.log(D_STAR_MAX / adc)  # tau = log(D*/ADC) runs over (0, top]
     tau, s0, f = _grid_min(profile, np.zeros_like(top), top, first=1)
     return np.hstack((s0, f, np.minimum(adc * np.exp(tau), D_STAR_MAX))).T

@@ -145,21 +145,24 @@ def cv_agreement(cells: dict) -> list[dict]:
     """Mean absolute % difference of inter-subject CVs, manual vs automatic.
 
     ``cells`` is the :func:`cv_cells` output; a pair with a NaN is skipped.
+    A manual CV of 0 fails naming its cell and metric, as in
+    ``olp/manual/control volume_ml: ...``.
     """
     out = []
     for strategy in dict.fromkeys(strategy for strategy, _, _ in cells):
-        pairs = [(cells[strategy, "manual", group][metric],
+        pairs = [(f"{strategy}/manual/{group} {metric}",
+                  cells[strategy, "manual", group][metric],
                   cells[strategy, "automatic", group][metric])
                  for metric in MEAN_METRICS for group in GROUPS]
-        pairs = [(a, b) for a, b in pairs if a == a and b == b]  # skip NaN
+        pairs = [(name, a, b) for name, a, b in pairs if a == a and b == b]  # skip NaN
         if not pairs:
             raise ValueError(f"strategy {strategy}: no CV pairs to compare")
-        manual_cvs, auto_cvs = zip(*pairs)
-        out.append({
-            "strategy": strategy,
-            "mean_abs_pct_diff": stats.mean_abs_pct_diff(manual_cvs, auto_cvs),
-            "n_pairs": len(pairs),
-        })
+        names, manual_cvs, auto_cvs = zip(*pairs)
+        try:
+            diff = stats.mean_abs_pct_diff(manual_cvs, auto_cvs)
+        except ValueError as err:  # a zero reference: name the first
+            raise ValueError(f"{names[manual_cvs.index(0.0)]}: {err}") from None
+        out.append({"strategy": strategy, "mean_abs_pct_diff": diff, "n_pairs": len(pairs)})
     return out
 
 

@@ -703,8 +703,26 @@ class TestClassify:
                 str(write_subjects(subjects(15, 2), tmp_path / "test.csv")),
                 "-o", str(tmp_path / "c.json")]
         assert cli.main(args) == cli.EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1 and "do not separate" in err
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'train.csv'}: the training "
+                                           "groups do not separate: the best Youden J is 0\n")
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("controls, message", [
+        ((30.0, 30.0), "control values are constant; z-scores undefined"),
+        ((30.0,), "need at least two control values to standardize"),
+    ], ids=["constant ratio", "one control"])
+    def test_controls_that_cannot_standardize_exit_2_naming_the_train_table(
+            self, tmp_path, capsys, controls, message):
+        # every subject at 30 weeks, so equal volumes are equal O/E ratios
+        train = [fgr.SubjectRecord("A", 30.0, fgr.Group.FGR, 20.0),
+                 fgr.SubjectRecord("B", 30.0, fgr.Group.FGR, 25.0)]
+        train += [fgr.SubjectRecord(f"C{i}", 30.0, fgr.Group.CONTROL, v)
+                  for i, v in enumerate(controls)]
+        path = write_subjects(train, tmp_path / "train.csv")
+        args = ["classify", str(path), str(write_subjects(subjects(15, 2), tmp_path / "test.csv")),
+                "-o", str(tmp_path / "c.json")]
+        assert cli.main(args) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (tmp_path / "c.json").exists()
 
 
@@ -893,6 +911,18 @@ class TestReport:
         assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
         err = capsys.readouterr().err
         assert "olp/manual/control residual_mean:" in err and "zero-mean" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_manual_cv_exits_2_naming_the_cell(self, tmp_path, capsys):
+        rows = summaries_rows()
+        for row in rows:
+            if (row["source"], row["group"]) == ("manual", "control"):
+                row["volume_ml"] = 1.5
+        path = write_summaries(rows, tmp_path / "summaries.csv")
+        assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (f"error: {path}: olp/manual/control volume_ml: "
+                                           "percentage difference undefined for a zero "
+                                           "reference\n")
         assert not (tmp_path / "out").exists()
 
     def test_bad_table_exits_2(self, tmp_path):

@@ -117,6 +117,17 @@ class TestBadRows:
                                              r"cv is undefined for zero-mean data$"):
             report.build_report(rows)
 
+    def test_zero_manual_cv_names_its_cell_and_metric(self):
+        # lc's two controls share one manual volume, so that cell's CV, the reference of
+        # a percentage difference, is 0
+        rows = table()
+        for r in rows:
+            if (r["strategy"], r["source"], r["group"]) == ("lc", "manual", "control"):
+                r["volume_ml"] = 2.0
+        with pytest.raises(ValueError, match=r"^lc/manual/control volume_ml: percentage "
+                                             r"difference undefined for a zero reference$"):
+            report.build_report(rows)
+
     def test_unpaired_subject_rejected(self):
         rows = [r for r in table()
                 if (r["subject"], r["source"], r["strategy"]) != ("S4", "automatic", "lc")]
