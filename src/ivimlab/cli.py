@@ -42,6 +42,7 @@ import dataclasses
 import io
 import json
 import math
+import operator
 import sys
 import time
 import typing
@@ -325,13 +326,25 @@ def _cmd_metrics(args) -> int:
 
 def _read_summaries(path) -> tuple[list[dict], list[str]]:
     """The rows of a summaries table with group, source, strategy and number
-    cells cast, and each row's ``line N``; ``report.build_report`` checks them."""
+    cells cast, and each row's ``line N``; ``report.build_report`` checks them.
+
+    A row's number cells are cast in one pass; where one is not a finite
+    number, ``_finite`` goes through them in column order to name the first.
+    """
+    metric_cells = operator.itemgetter(*report.ALL_METRICS)
+
     def parse(i: int, row: dict) -> tuple[str, dict]:
         row["group"] = fgr.Group.parse(row["group"]).value
         row["strategy"] = masks.FusionStrategy.parse(row["strategy"]).value
         row["source"] = row["source"].strip().lower()
-        for col in report.ALL_METRICS:
-            row[col] = _finite(row, col)
+        try:
+            values = tuple(map(float, metric_cells(row)))
+            finite = all(map(math.isfinite, values))
+        except ValueError:
+            finite = False
+        if not finite:  # raises, naming the first bad column
+            values = tuple(_finite(row, col) for col in report.ALL_METRICS)
+        row.update(zip(report.ALL_METRICS, values))
         return f"line {i}", row
 
     labels, rows = zip(*_read_table(path, report.SUMMARY_COLUMNS, parse))

@@ -35,9 +35,12 @@ class Group(Enum):
     @classmethod
     def parse(cls, name: str) -> "Group":
         try:
-            return cls(name.strip().lower())
-        except ValueError:
+            return _GROUPS[name.strip().lower()]
+        except KeyError:
             raise ValueError(f"unknown group {name!r}; expected fgr or control") from None
+
+
+_GROUPS = {group.value: group for group in Group}
 
 
 class Polarity(Enum):
@@ -78,6 +81,9 @@ class SubjectRecord:
         if not (GA_WEEKS_MIN <= self.ga_weeks <= GA_WEEKS_MAX):
             raise ValueError(f"{self.id!r}: gestational age {self.ga_weeks} outside "
                              f"[{GA_WEEKS_MIN}, {GA_WEEKS_MAX}] weeks")
+        if not math.isfinite(self.tlv_ml):
+            raise ValueError(f"{self.id!r}: measured lung volume must be finite, "
+                             f"got {self.tlv_ml}")
         if not self.tlv_ml > 0:
             raise ValueError(f"{self.id!r}: measured lung volume must be positive")
 

@@ -146,14 +146,17 @@ def _grid_min(profile, lo: np.ndarray, hi: np.ndarray, first: int) -> tuple[np.n
     """Each row's least point x of ``profile`` over [lo, hi], and the profile's other outputs there.
 
     ``profile(x)`` maps an (n, k) array of points to a tuple of (n, k) arrays,
-    the cost first; ``lo`` and ``hi`` are (n, 1). The coarse grid takes
-    ``_COARSE`` equal steps up to ``hi``, starting at ``lo`` (``first`` 0) or
-    one step above it (``first`` 1). Each result is (n, 1).
+    the cost first; ``lo`` and ``hi`` are (n, 1), or (1, 1) where every row
+    shares them, and the profile then gets the coarse grid as one (1, k) row.
+    The coarse grid takes ``_COARSE`` equal steps up to ``hi``, starting at
+    ``lo`` (``first`` 0) or one step above it (``first`` 1). Each result is
+    (n, 1).
     """
-    rows = np.arange(len(lo))[:, None]
     h = (hi - lo) / _COARSE
     grid = lo + h * np.arange(first, _COARSE + 1)
-    coarse = grid[rows, profile(grid)[0].argmin(axis=1)[:, None]]
+    cost = profile(grid)[0]
+    rows = np.arange(len(cost))[:, None]
+    coarse = np.broadcast_to(grid, cost.shape)[rows, cost.argmin(axis=1)[:, None]]
 
     # midpoints of _FINE equal steps across [coarse - h, coarse + h]; outside [lo, hi] cost inf
     step = 2.0 * h / _FINE
@@ -190,13 +193,17 @@ def _search_adc(b: np.ndarray, signals: np.ndarray) -> np.ndarray:
 
     ``signals`` is (n, n_b). The cost is over each voxel's positive samples
     at b > ``B_THRESHOLD``, and ADC is searched over [ADC_MIN, ADC_MAX], both
-    ends included. The arrays are laid out b-value first: the b-values are
-    (n_b, 1, 1) and the 0/1 sample weights w and w*s are (n_b, n, 1), so the
-    terms e = exp(-ADC b) at k points of each voxel are (n_b, n, k), and each
-    sum over b-values is a left fold over whole (n, k) planes (``_plane_sum``).
+    ends included. Only the m b-values above ``B_THRESHOLD`` enter: every
+    weight is 0 on the others. The arrays are laid out b-value first: the
+    b-values are (m, 1, 1) and the 0/1 sample weights w and w*s are (m, n, 1),
+    so the terms e = exp(-ADC b) at k points of each voxel are (m, n, k), and
+    each sum over b-values is a left fold over whole (n, k) planes
+    (``_plane_sum``). The coarse grid is the same for every voxel, so its e is
+    (m, 1, k), computed once for the block.
     """
-    b, s = b[:, None, None], signals.T[..., None]
-    w = ((b > B_THRESHOLD) & (s > 0)).astype(np.float64)
+    high = b > B_THRESHOLD
+    b, s = b[high, None, None], signals[:, high].T[..., None]
+    w = (s > 0).astype(np.float64)
     ws = w * s
     ss = _plane_sum(ws * s)
 
@@ -227,7 +234,7 @@ def _search_adc(b: np.ndarray, signals: np.ndarray) -> np.ndarray:
             descent = np.isfinite(g1) & np.isfinite(g2) & (g2 > 0)
             return np.divide(-g1, g2, out=np.zeros_like(g1), where=descent)
 
-    lo, hi = np.full_like(ss, math.log(ADC_MIN)), np.full_like(ss, math.log(ADC_MAX))
+    lo, hi = np.full((1, 1), math.log(ADC_MIN)), np.full((1, 1), math.log(ADC_MAX))
     x = _grid_min(profile, lo, hi, first=0)[0]
     # one Newton step, clipped to the box and kept only where the cost falls (a tie keeps x)
     x = np.hstack((x, np.clip(x + newton(x), lo, hi)))

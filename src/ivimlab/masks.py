@@ -48,11 +48,14 @@ class FusionStrategy(Enum):
     @classmethod
     def parse(cls, name: str) -> "FusionStrategy":
         try:
-            return cls(name.strip().lower())
-        except ValueError:
+            return _STRATEGIES[name.strip().lower()]
+        except KeyError:
             raise ValueError(
                 f"unknown fusion strategy {name!r}; expected one of olp, avg, lc"
             ) from None
+
+
+_STRATEGIES = {strategy.value: strategy for strategy in FusionStrategy}
 
 
 def fuse(masks: list[BinaryMask], strategy: FusionStrategy) -> BinaryMask:

@@ -5,15 +5,29 @@ and fusion strategy). :func:`build_report` is the one check of the row
 rules: every column present, a source in SOURCES and a group in GROUPS, one
 row per (subject, source, strategy) and one group per subject. A message
 names a row by its caller's label (``summary row i`` by default, ``line N``
-from ``ivimlab report``). The rows are grouped once, by strategy, source and
-subject, into paired t-tests of manual vs automatic for every metric,
-inter-subject CVs per group, and the mean absolute percentage difference of
-those CVs as an agreement score per fusion strategy.
+from ``ivimlab report``).
+
+Once the rules hold, the rows of each (strategy, source) become one
+(metric × subject) float64 array, C-contiguous, with a row per metric in
+ALL_METRICS order and a column per subject in input order; each cell is a
+Python ``float`` cast. From these arrays come paired t-tests of manual vs
+automatic for every metric, one ``stats`` call per strategy over the shared
+subjects in sorted order; inter-subject CVs per group, one call per
+(strategy, source, group) cell, whose subjects are a group mask over the
+columns; and the mean absolute percentage difference of those CVs as an
+agreement score per fusion strategy. Each statistic reduces along the
+subject axis, and ``stats`` makes its input contiguous, so every number is
+bit for bit the 1-D call on that metric's subjects in the same order.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import stats
 from .fgr import Group
@@ -30,6 +44,8 @@ VARIABILITY_METRICS = ("s0_cv", "f_cv", "d_star_cv", "adc_cv",
 ALL_METRICS = MEAN_METRICS + VARIABILITY_METRICS
 
 SUMMARY_COLUMNS = ("subject", "group", "source", "strategy") + ALL_METRICS
+_COLUMN_SET = frozenset(SUMMARY_COLUMNS)
+_metric_cells = operator.itemgetter(*ALL_METRICS)
 
 
 def summary_row(subject: str, group: Group, source: str,
@@ -43,18 +59,27 @@ def summary_row(subject: str, group: Group, source: str,
             "strategy": strategy.value, **metrics}
 
 
-def _group(rows: list[dict], labels: list[str]) -> dict[str, dict[str, dict[str, dict]]]:
-    """{strategy: {source: {subject: row}}}, strategies in first-seen order.
+class _Source(NamedTuple):
+    """The rows of one (strategy, source), in input order."""
 
-    Every strategy gets both sources; rows keep their input order within a
-    cell. ``labels[i]`` names row i in the message of a broken row rule.
+    subjects: list[str]
+    groups: np.ndarray  # each subject's group label
+    values: np.ndarray  # (metric × subject): a row per ALL_METRICS entry, C-contiguous
+
+
+def _group(rows: list[dict], labels: list[str]) -> dict[str, dict[str, _Source]]:
+    """{strategy: {source: its rows}}, strategies in first-seen order.
+
+    Every strategy gets both sources. ``labels[i]`` names row i in the
+    message of a broken row rule; the number cells are cast only once every
+    row keeps the rules.
     """
-    grouped: dict[str, dict[str, dict[str, dict]]] = {}
+    grouped: dict[str, dict[str, list[dict]]] = {}
     first_group: dict[str, tuple[str, str]] = {}  # subject -> (group, row label)
     first_label: dict[tuple[str, str, str], str] = {}  # (subject, source, strategy) -> label
     for label, row in zip(labels, rows, strict=True):
-        missing = [c for c in SUMMARY_COLUMNS if c not in row]
-        if missing:
+        if not row.keys() >= _COLUMN_SET:
+            missing = [c for c in SUMMARY_COLUMNS if c not in row]
             raise ValueError(f"{label} missing columns {missing}")
         subject, source, strategy = row["subject"], row["source"], row["strategy"]
         if source not in SOURCES:
@@ -72,8 +97,24 @@ def _group(rows: list[dict], labels: list[str]) -> dict[str, dict[str, dict[str,
             raise ValueError(f"{label} repeats {first_label[key]} "
                              f"({subject!r}, {source}, {strategy})")
         first_label[key] = label
-        grouped.setdefault(strategy, {s: {} for s in SOURCES})[source][subject] = row
-    return grouped
+        if strategy not in grouped:
+            grouped[strategy] = {s: [] for s in SOURCES}
+        grouped[strategy][source].append(row)
+    return {strategy: {source: _source(cell) for source, cell in by_source.items()}
+            for strategy, by_source in grouped.items()}
+
+
+def _source(rows: list[dict]) -> _Source:
+    """One (strategy, source)'s rows as a ``_Source``, each number cell cast by ``float``."""
+    values = np.array([tuple(map(float, _metric_cells(r))) for r in rows], dtype=np.float64)
+    return _Source(subjects=[r["subject"] for r in rows],
+                   groups=np.array([r["group"] for r in rows]),
+                   values=np.ascontiguousarray(values.reshape(-1, len(ALL_METRICS)).T))
+
+
+def _by_subject(source: _Source) -> list[int]:
+    """The column of each subject of ``source``, subjects in sorted order."""
+    return sorted(range(len(source.subjects)), key=source.subjects.__getitem__)
 
 
 def paired_table(grouped: dict) -> list[dict]:
@@ -85,8 +126,9 @@ def paired_table(grouped: dict) -> list[dict]:
     out = [{"metric": metric} for metric in ALL_METRICS]
     for strategy, by_source in grouped.items():
         manual, automatic = by_source["manual"], by_source["automatic"]
-        subjects = sorted(manual)
-        if sorted(automatic) != subjects:
+        m_order, a_order = _by_subject(manual), _by_subject(automatic)
+        subjects = [manual.subjects[i] for i in m_order]
+        if [automatic.subjects[i] for i in a_order] != subjects:
             raise ValueError(
                 f"strategy {strategy}: manual and automatic rows cover different subjects"
             )
@@ -94,22 +136,28 @@ def paired_table(grouped: dict) -> list[dict]:
             raise ValueError(
                 f"strategy {strategy}: paired tests need at least two subjects"
             )
-        for slot, metric in zip(out, ALL_METRICS):
-            x = [float(manual[s][metric]) for s in subjects]
-            y = [float(automatic[s][metric]) for s in subjects]
-            slot[strategy] = stats.paired_t_test(x, y).p_value
+        p = stats.paired_t_test(manual.values[:, m_order], automatic.values[:, a_order]).p_value
+        for slot, value in zip(out, p.tolist()):
+            slot[strategy] = value
     return out
 
 
-def _cell_cv(cell: list[dict], metric: str, name: str) -> float:
-    """The sample CV of ``metric`` over ``cell``'s rows, NaN below two; errors name the cell."""
-    if len(cell) < 2:
-        return float("nan")
-    values = [float(r[metric]) for r in cell]
+def _cell_cv(cell: np.ndarray, name: str) -> dict[str, float]:
+    """{metric: sample CV} of a (MEAN_METRICS × subject) cell, NaN below two subjects.
+
+    A CV that fails is named by the cell's ``name`` and its first failing metric.
+    """
+    if cell.shape[1] < 2:
+        return dict.fromkeys(MEAN_METRICS, math.nan)
     try:
-        return stats.cv(values, ddof=1)
-    except ValueError as err:
-        raise ValueError(f"{name} {metric}: {err}") from None
+        return dict(zip(MEAN_METRICS, stats.cv(cell, ddof=1).tolist()))
+    except ValueError:
+        for metric, values in zip(MEAN_METRICS, cell):  # which metric: one at a time
+            try:
+                stats.cv(values, ddof=1)
+            except ValueError as err:
+                raise ValueError(f"{name} {metric}: {err}") from None
+        raise
 
 
 def cv_cells(grouped: dict) -> dict[tuple[str, str, str], dict[str, float]]:
@@ -122,12 +170,11 @@ def cv_cells(grouped: dict) -> dict[tuple[str, str, str], dict[str, float]]:
     """
     cells = {}
     for strategy, by_source in grouped.items():
-        for source, by_subject in by_source.items():
+        for source, rows in by_source.items():
             for group in GROUPS:
-                cell = [r for r in by_subject.values() if r["group"] == group]
-                name = f"{strategy}/{source}/{group}"
-                cells[strategy, source, group] = {
-                    metric: _cell_cv(cell, metric, name) for metric in MEAN_METRICS}
+                cells[strategy, source, group] = _cell_cv(
+                    rows.values[:len(MEAN_METRICS), rows.groups == group],
+                    f"{strategy}/{source}/{group}")
     return cells
 
 

@@ -1,5 +1,13 @@
 """Statistical primitives: heterogeneity measures and the paired t test.
 
+``cv`` and ``paired_t_test`` take a sample, or a (k, n) array of k samples
+of n values each, one per row, and reduce along the last axis: a row's
+result is bit for bit the result of the 1-D call on that row. numpy's
+last-axis sums over C-contiguous rows add each row in the 1-D call's order,
+but over a strided view (a transposed array, say) they add in another, so
+these functions make their input C-contiguous themselves. A 1-D sample gives
+floats, and k rows give arrays of k. ``t_cdf`` works elementwise.
+
 The t CDF is scipy's ``special.stdtr``. Nothing here imports ``scipy.stats``,
 which costs about 44 MB of resident memory at import.
 """
@@ -13,16 +21,23 @@ import numpy as np
 from scipy import special
 
 
-
 # ---------------------------------------------------------------------------
 # distribution functions
 # ---------------------------------------------------------------------------
 
-def t_cdf(t: float, df: float) -> float:
-    """P(T <= t) for Student's t with df degrees of freedom."""
-    if df <= 0:
+def t_cdf(t, df):
+    """P(T <= t) for Student's t with df degrees of freedom, elementwise.
+
+    A float for a scalar ``t`` and ``df``, else an array.
+    """
+    if np.any(np.less_equal(df, 0)):
         raise ValueError("degrees of freedom must be positive")
-    return float(special.stdtr(df, t))
+    return _unwrap(special.stdtr(df, t))
+
+
+def _unwrap(result: np.ndarray):
+    """A 0-d result as a float, any other as it is."""
+    return float(result) if np.ndim(result) == 0 else result
 
 
 # ---------------------------------------------------------------------------
@@ -49,19 +64,20 @@ def shannon_entropy(values, bins: int) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
-def cv(values, ddof: int = 0) -> float:
-    """Coefficient of variation, standard deviation / mean.
+def cv(values, ddof: int = 0):
+    """Coefficient of variation, standard deviation / mean, of each row.
 
     ddof=0 (population sd) is the intra-mask heterogeneity convention;
-    inter-subject reliability summaries pass ddof=1.
+    inter-subject reliability summaries pass ddof=1. A zero mean in any row
+    fails the call.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size < 2:
+    v = np.ascontiguousarray(values, dtype=np.float64)  # a scalar becomes (1,)
+    if v.shape[-1] < 2:
         raise ValueError("cv needs at least two values")
-    mean = float(v.mean())
-    if mean == 0.0:
+    mean = v.mean(axis=-1)
+    if np.any(mean == 0.0):
         raise ValueError("cv is undefined for zero-mean data")
-    return float(v.std(ddof=ddof)) / mean
+    return _unwrap(v.std(ddof=ddof, axis=-1) / mean)
 
 
 def mean_abs_pct_diff(reference, other) -> float:
@@ -83,30 +99,27 @@ def mean_abs_pct_diff(reference, other) -> float:
 
 @dataclass(frozen=True)
 class TestResult:
-    statistic: float
-    p_value: float
+    statistic: float | np.ndarray  # an array of one per row for (k, n) samples
+    p_value: float | np.ndarray
 
 
 def paired_t_test(x, y) -> TestResult:
-    """Two-sided paired t test on differences y - x (df = n - 1).
+    """Two-sided paired t test on differences y - x (df = n - 1) of each row.
 
     Identical samples give p = 1 by convention; zero-variance non-zero
     differences give p = 0 (certainty in the degenerate limit).
     """
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    yv = np.asarray(y, dtype=np.float64).ravel()
-    if xv.size != yv.size:
+    xv = np.ascontiguousarray(x, dtype=np.float64)
+    yv = np.ascontiguousarray(y, dtype=np.float64)
+    if xv.shape != yv.shape:
         raise ValueError("paired samples must have equal length")
-    n = xv.size
+    n = xv.shape[-1]
     if n < 2:
         raise ValueError("paired t test needs at least two pairs")
     d = yv - xv
-    if np.all(d == 0.0):
-        return TestResult(0.0, 1.0)
-    sd = float(d.std(ddof=1))
-    if sd == 0.0:
-        t = math.inf if d.mean() > 0 else -math.inf
-        return TestResult(t, 0.0)
-    t = float(d.mean()) / (sd / math.sqrt(n))
-    p = 2.0 * t_cdf(-abs(t), n - 1)
-    return TestResult(t, min(max(p, 0.0), 1.0))
+    mean, sd = d.mean(axis=-1), d.std(ddof=1, axis=-1)
+    t = np.where(mean > 0, math.inf, -math.inf)  # where the differences are constant
+    np.divide(mean, sd / math.sqrt(n), out=t, where=sd != 0.0)
+    p = np.clip(2.0 * t_cdf(-np.abs(t), n - 1), 0.0, 1.0)
+    same = np.all(d == 0.0, axis=-1)
+    return TestResult(_unwrap(np.where(same, 0.0, t)), _unwrap(np.where(same, 1.0, p)))

@@ -876,6 +876,35 @@ class TestReport:
         err = capsys.readouterr().err
         assert "line 5" in err and "bogus" in err
 
+    @pytest.mark.parametrize("column, message", [
+        ("group", "unknown group 'Bogus'; expected fgr or control"),
+        ("strategy", "unknown fusion strategy 'Bogus'; expected one of olp, avg, lc"),
+        ("source", "line 5 ('S1'): source must be one of ('manual', 'automatic'), "
+                   "got 'bogus'"),
+    ])
+    def test_unknown_label_message(self, column, message, tmp_path, capsys):
+        rows = summaries_rows()
+        rows[3][column] = "Bogus"
+        path = write_summaries(rows, tmp_path / "summaries.csv")
+        assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
+        line = "" if column == "source" else "line 5: "
+        assert capsys.readouterr().err == f"error: {path}: {line}{message}\n"
+
+    def test_first_bad_number_in_column_order_is_named(self, tmp_path, capsys):
+        rows = summaries_rows()
+        rows[3].update(f_mean="abc", adc_entropy="nan")  # adc_entropy is the last column
+        rows[2].update(adc_entropy="inf")
+        path = write_summaries(rows, tmp_path / "summaries.csv")
+        assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (f"error: {path}: line 4: adc_entropy must be a "
+                                           "finite number, got 'inf'\n")
+        rows[2].update(adc_entropy=1.5)
+        write_summaries(rows, path)
+        assert cli.main(["report", str(path), str(tmp_path / "out")]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (f"error: {path}: line 5: f_mean must be a finite "
+                                           "number, got 'abc'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_row_exits_2_naming_both_lines(self, tmp_path, capsys):
         rows = summaries_rows()
         repeat = dict(rows[2], strategy="OLP", f_mean=9.0)  # same key, other case

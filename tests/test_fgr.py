@@ -73,6 +73,19 @@ class TestGrowthModel:
                                              r"\[15.0, 45.0\] weeks$"):
             fgr.SubjectRecord("P1", 46.0, fgr.Group.CONTROL, 500.0)
 
+    @pytest.mark.parametrize("tlv_ml, rule", [
+        (0.0, "must be positive"), (-1.0, "must be positive"),
+        (math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf"),
+    ])
+    def test_subject_record_rejects_a_volume_naming_the_subject(self, tlv_ml, rule):
+        with pytest.raises(ValueError, match=rf"^'P1': measured lung volume {rule}$"):
+            fgr.SubjectRecord("P1", 30.0, fgr.Group.FGR, tlv_ml)
+
+    @pytest.mark.parametrize("label, parsed", [("FGR", fgr.Group.FGR),
+                                               (" Control ", fgr.Group.CONTROL)])
+    def test_group_labels_parse_in_any_case(self, label, parsed):
+        assert fgr.Group.parse(label) is parsed
+
 
 class TestClassifier:
     def test_smaller_fgr_lungs_pick_positive_low(self):

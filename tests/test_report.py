@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivimlab import report
 
-from oracles import t_cdf_quadrature
+from oracles import report_loops, t_cdf_quadrature
 
 # strategy -> {subject: group}; olp has a single FGR subject, so its FGR
 # cells hold fewer than two values
@@ -152,3 +154,100 @@ class TestRowLabels:
             report.build_report(rows)
         first_line = str(caught.value).splitlines()[0]
         assert "repeats" in first_line and "manual" in first_line and "lc" in first_line
+
+
+# how the automatic column of a (strategy, metric) relates to its manual column
+COLUMN_KINDS = ("random", "random", "random", "few",  # few: values 1-3, so CVs of 0 occur
+                "same",    # automatic = manual: p = 1
+                "shift",   # automatic = manual + 0.5 exactly: constant differences, p = 0
+                "zero")    # every manual value 0: a zero-mean CV where the metric has one
+
+
+@st.composite
+def cohorts(draw) -> list[dict]:
+    """A summaries table that keeps the row rules, in shuffled row order.
+
+    One to seven subjects, so some cells hold fewer than two; ids whose
+    sorted order is not their numeric order. Each (strategy, metric) column
+    is of a drawn kind; its values come from a drawn seed.
+    """
+    ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=7, unique=True))
+    n = len(ids)
+    groups = draw(st.lists(st.sampled_from(report.GROUPS), min_size=n, max_size=n))
+    strategies = draw(st.lists(st.sampled_from(("olp", "avg", "lc")), min_size=1, max_size=3,
+                               unique=True))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=len(report.ALL_METRICS),
+                          max_size=len(report.ALL_METRICS) * len(strategies)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for s, strategy in enumerate(strategies):
+        columns = {}
+        for m, metric in enumerate(report.ALL_METRICS):
+            kind = kinds[(s * len(report.ALL_METRICS) + m) % len(kinds)]
+            if kind == "few":
+                manual, automatic = rng.integers(1, 4, (2, n)).astype(float)
+            elif kind in ("shift", "zero"):
+                manual = np.zeros(n) if kind == "zero" else rng.integers(1, 51, n).astype(float)
+                automatic = manual + 0.5
+            else:
+                manual, automatic = rng.uniform(0.1, 100.0, (2, n))
+                automatic = manual if kind == "same" else automatic
+            columns[metric] = (manual.tolist(), automatic.tolist())
+        for i, (sid, group) in enumerate(zip(ids, groups)):
+            for j, source in enumerate(report.SOURCES):
+                rows.append({"subject": f"S{sid}", "group": group, "source": source,
+                             "strategy": strategy,
+                             **{m: columns[m][j][i] for m in report.ALL_METRICS}})
+    return draw(st.permutations(rows))
+
+
+def bits(table: list[dict]) -> list[list]:
+    """A table's (column, cell) pairs in order, each float as its exact hex form."""
+    return [[(k, v.hex() if type(v) is float else v) for k, v in row.items()] for row in table]
+
+
+def outcome(build) -> list | str:
+    """The three tables that ``build`` returns as ``bits``, or the message of its ValueError."""
+    try:
+        return [bits(table) for table in build()]
+    except ValueError as err:
+        return str(err)
+
+
+def loops(rows) -> list | str:
+    return outcome(lambda: report_loops(rows, report.MEAN_METRICS, report.ALL_METRICS,
+                                        report.GROUPS))
+
+
+def arrays(rows) -> list | str:
+    def build():
+        tables = report.build_report(rows)
+        return tables.paired, tables.cv, tables.agreement
+
+    return outcome(build)
+
+
+class TestAgainstTheLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=cohorts())
+    def test_tables_and_messages_are_the_per_cell_loops_bit_for_bit(self, rows):
+        assert arrays(rows) == loops(rows)
+
+    def test_the_cohorts_hold_every_degenerate_case(self):
+        """p of 1 and of 0, NaN CVs and each message of a CV or a pairing are drawn."""
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(rows=cohorts())
+        def record(rows):
+            result = loops(rows)
+            if isinstance(result, str):
+                seen.add(result.split(": ")[-1])
+            else:
+                paired, cv, _ = result
+                seen.update(v for row in paired + cv for _, v in row[1:])
+
+        record()
+        assert {(1.0).hex(), (0.0).hex(), "nan", "cv is undefined for zero-mean data",
+                "paired tests need at least two subjects",
+                "percentage difference undefined for a zero reference"} <= seen

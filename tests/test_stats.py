@@ -126,3 +126,49 @@ class TestMeanAbsPctDiff:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             stats.mean_abs_pct_diff([1.0], [1.0, 2.0])
+
+
+class TestRows:
+    """A (k, n) array gives each row's 1-D result, bit for bit, for any memory layout."""
+
+    @staticmethod
+    def samples(rng, n: int, transposed: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Paired (5, n) samples: random rows, an identical pair and a constant shift."""
+        x = rng.uniform(0.1, 100.0, (5, n))
+        y = rng.uniform(0.1, 100.0, (5, n))
+        x[3] = rng.integers(1, 50, n)
+        y[3] = x[3] + 0.5
+        y[4] = x[4]
+        if transposed:  # the same values as strided views of (n, 5) arrays
+            x, y = np.ascontiguousarray(x.T).T, np.ascontiguousarray(y.T).T
+            assert not x.flags.c_contiguous
+        return x, y
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_rows_match_one_dimensional_calls(self, transposed):
+        rng = np.random.default_rng(5)
+        for n in range(2, 301):
+            x, y = self.samples(rng, n, transposed)
+            for ddof in (0, 1):
+                assert stats.cv(x, ddof=ddof).tolist() == [stats.cv(row, ddof=ddof)
+                                                           for row in x.tolist()], n
+            rows = stats.paired_t_test(x, y)
+            each = [stats.paired_t_test(a, b) for a, b in zip(x.tolist(), y.tolist())]
+            assert rows.statistic.tolist() == [r.statistic for r in each], n
+            assert rows.p_value.tolist() == [r.p_value for r in each], n
+            assert (rows.p_value[3], rows.p_value[4]) == (0.0, 1.0)
+
+    def test_one_dimensional_input_gives_floats(self):
+        result = stats.paired_t_test([1.0, 2.0, 4.0], [2.0, 2.0, 5.0])
+        assert type(result.statistic) is float and type(result.p_value) is float
+        assert type(stats.cv([1.0, 3.0])) is float
+        assert type(stats.t_cdf(0.5, 3)) is float
+        assert stats.t_cdf(np.array([0.0, 1.0]), 3).shape == (2,)
+
+    def test_a_zero_mean_row_fails_the_call(self):
+        with pytest.raises(ValueError, match="zero-mean"):
+            stats.cv([[1.0, 2.0], [-1.0, 1.0]])
+
+    def test_rows_of_other_shapes_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            stats.paired_t_test(np.ones((2, 3)), np.ones((3, 2)))
