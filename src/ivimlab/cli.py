@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -324,6 +325,11 @@ def _cmd_metrics(args) -> int:
     return EXIT_OK
 
 
+# the canonical (lower-case) group and strategy labels
+_GROUPS = frozenset(group.value for group in fgr.Group)
+_STRATEGIES = frozenset(strategy.value for strategy in masks.FusionStrategy)
+
+
 def _read_summaries(path) -> tuple[list[dict], list[str]]:
     """The rows of a summaries table with group, source, strategy and number
     cells cast, and each row's ``line N``; ``report.build_report`` checks them.
@@ -334,8 +340,12 @@ def _read_summaries(path) -> tuple[list[dict], list[str]]:
     metric_cells = operator.itemgetter(*report.ALL_METRICS)
 
     def parse(i: int, row: dict) -> tuple[str, dict]:
-        row["group"] = fgr.Group.parse(row["group"]).value
-        row["strategy"] = masks.FusionStrategy.parse(row["strategy"]).value
+        group, strategy = row["group"].strip().lower(), row["strategy"].strip().lower()
+        if group not in _GROUPS:
+            fgr.Group.parse(row["group"])  # raises, naming the label
+        if strategy not in _STRATEGIES:
+            masks.FusionStrategy.parse(row["strategy"])  # raises, naming the label
+        row["group"], row["strategy"] = group, strategy
         row["source"] = row["source"].strip().lower()
         try:
             values = tuple(map(float, metric_cells(row)))
@@ -472,9 +482,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call only: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -185,17 +185,22 @@ def average_by_bvalue(series: DwiSeries) -> DwiSeries:
 
     Frames acquired along several diffusion directions (or repeated b=0
     baselines) are averaged into one trace-weighted frame per shell: a new
-    array with one frame per distinct b-value, sorted ascending. Each shell's
-    first frame is copied into its slot, the shell's other frames are added to
-    it in frame order, and the slot is divided by the shell's frame count:
-    the arithmetic of ``np.mean(axis=0)`` over the shell, so the result is
-    bit-identical to it, without copying the shell's frames out first.
+    array with one frame per distinct b-value, sorted ascending. A shell of
+    one frame is copied into its slot. A shell of several has its first two
+    frames added straight into its slot and its other frames added to the slot
+    in frame order. Each slot is then divided by its shell's frame count. That
+    is the arithmetic of ``np.mean(axis=0)`` over the shell, so the result is
+    bit-identical to it, and no frame is copied anywhere but into the output.
     """
-    shells, first, inverse, counts = np.unique(series.bvalues, return_index=True,
-                                               return_inverse=True, return_counts=True)
-    means = series.data[first]
-    for t, g in enumerate(inverse):
-        if t != first[g]:
-            means[g] += series.data[t]
-    means /= counts[:, None, None, None]
+    shells, counts = np.unique(series.bvalues, return_counts=True)
+    means = np.empty((shells.size, *series.dims))
+    for slot, b, count in zip(means, shells, counts):
+        first, *rest = (series.data[t] for t in np.flatnonzero(series.bvalues == b))
+        if rest:
+            np.add(first, rest[0], out=slot)
+            for frame in rest[1:]:
+                slot += frame
+        else:
+            slot[...] = first
+        slot /= count
     return DwiSeries(means, series.spacing, shells)

@@ -1,7 +1,13 @@
 """Mask fusion (intersection / strict majority / union) and overlap metrics.
 
+Fusion combines the masks one at a time into one output grid; AVG counts
+votes in the smallest unsigned type that holds the number of masks. Dice
+counts voxels with ``count_nonzero``.
+
 The directed Hausdorff distance from A to B needs, for each voxel of A\\B,
-its nearest voxel of B. Two stages find them.
+its nearest voxel of B. Two stages find them. Both directions share what
+they can: the lattice of offsets, each mask's bounding box, and one pass
+each for A\\B and B\\A.
 
 1. A lattice search out to one step of the coarsest axis (7.2 mm on the
    paper grid). Offsets are tested shell by shell, shortest first, a shell
@@ -9,7 +15,10 @@ its nearest voxel of B. Two stages find them.
    shell that meets B, and that shell gives its nearest distance: every
    shorter offset was tested before and missed B. Only voxels in B's bounding
    box grown by the search's reach are tested; from anywhere else no offset
-   meets B.
+   meets B. The search works in a window around that box, wide enough that no
+   offset leaves it: the tested voxels are flat indices into the window, an
+   offset is one added step, and only the voxels whose points are needed
+   (the farthest ones, or every settled one when stage 2 runs) are unraveled.
 2. One exact Euclidean distance transform (scipy's
    ``ndimage.distance_transform_edt``, after Maurer et al., IEEE TPAMI 2003)
    for the voxels left, if any. It runs on the bounding box of (left) ∪ B,
@@ -63,19 +72,23 @@ def fuse(masks: list[BinaryMask], strategy: FusionStrategy) -> BinaryMask:
 
     OLP keeps voxels present in every input, LC keeps voxels present in any,
     AVG keeps voxels present in strictly more than half (an even-count tie
-    excludes the voxel).
+    excludes the voxel). AVG counts votes in the smallest unsigned type that
+    holds the input count.
     """
     if not masks:
         raise ValueError("fuse needs at least one mask")
     for i, m in enumerate(masks[1:], start=2):
         m.require_same_grid(masks[0], f"mask {i}", "mask 1")
-    stack = np.stack([m.data for m in masks], axis=0)
-    if strategy is FusionStrategy.OLP:
-        fused = stack.all(axis=0)
-    elif strategy is FusionStrategy.LC:
-        fused = stack.any(axis=0)
+    if strategy is FusionStrategy.AVG:
+        votes = np.zeros(masks[0].dims, np.min_scalar_type(len(masks)))
+        for m in masks:
+            votes += m.data
+        fused = votes > len(masks) // 2  # 2 * votes > n, for whole numbers
     else:
-        fused = stack.sum(axis=0, dtype=np.int64) * 2 > len(masks)
+        combine = np.logical_and if strategy is FusionStrategy.OLP else np.logical_or
+        fused = masks[0].data.copy()
+        for m in masks[1:]:
+            combine(fused, m.data, out=fused)
     return BinaryMask(fused, masks[0].spacing)
 
 
@@ -85,7 +98,7 @@ def dice(a: BinaryMask, b: BinaryMask) -> float:
     na, nb = a.voxel_count, b.voxel_count
     if na + nb == 0:
         return 1.0
-    inter = int((a.data & b.data).sum())
+    inter = int(np.count_nonzero(a.data & b.data))
     return 2.0 * inter / (na + nb)
 
 
@@ -106,54 +119,79 @@ def _lattice(inner: float, outer: float, spacing: np.ndarray,
 
 def _box(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) corners of the smallest box holding every voxel of a non-empty ``m``."""
-    lo, hi = [], []
-    for axis in range(3):
-        hit = np.flatnonzero(m.any(axis=tuple(i for i in range(3) if i != axis)))
-        lo.append(hit[0])
-        hi.append(hit[-1] + 1)
-    return np.array(lo), np.array(hi)
+    yx = m.any(axis=0)  # reductions over outer or whole contiguous axes are the fast ones
+    hits = [np.flatnonzero(m.reshape(len(m), -1).any(axis=1)),
+            np.flatnonzero(yx.any(axis=1)), np.flatnonzero(yx.any(axis=0))]
+    return np.array([h[0] for h in hits]), np.array([h[-1] + 1 for h in hits])
 
 
-def _lattice_sq(rest: np.ndarray, b: np.ndarray,
-                spacing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1: (points (n, 3), squared distances (n,)) of the voxels of ``rest``
-    that have a voxel of B within one step of the coarsest axis."""
-    offsets, length_sq = _lattice(0.0, float(spacing.max()), spacing, b.shape)
-    reach = np.abs(offsets).max(axis=0)
-    lo, hi = _box(b)
-    # only voxels in B's box grown by the reach can meet B
-    lo, hi = np.maximum(lo - reach, 0), np.minimum(hi + reach, b.shape)
-    p = np.argwhere(rest[tuple(slice(l, h) for l, h in zip(lo, hi))]) + lo
-    padded = np.pad(b, [(r, r) for r in reach])  # p + offset never leaves it
-    steps = np.array(padded.strides)  # bool: one byte a voxel
-    flat = padded.ravel()
-    at = (p + reach) @ steps
-    # shells of tied lengths, shortest first; the zero offset never meets B
+def _slices(lo, hi) -> tuple[slice, ...]:
+    """The box from corner ``lo`` up to, not including, ``hi`` as an index."""
+    return tuple(slice(l, h) for l, h in zip(lo, hi))
+
+
+def _search(spacing: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Stage 1's lattice, the same for both directions: (offsets (k, 3), squared
+    lengths (k,), shells of tied lengths as index arrays, shortest first)."""
+    offsets, length_sq = _lattice(0.0, float(spacing.max()), spacing, shape)
+    # the zero offset never meets B
     order = np.argsort(length_sq, kind="stable")[1:]
     lengths = np.sqrt(length_sq[order])
     shells = np.split(order, np.flatnonzero(np.diff(lengths) > _TIE_RTOL * lengths[1:]) + 1)
-    sq = np.full(len(p), np.inf)
-    left = np.arange(len(p))
+    return offsets, length_sq, shells
+
+
+def _lattice_sq(rest: np.ndarray, b: np.ndarray, b_box,
+                search) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Stage 1: (flat indices (n,), squared distances (n,), window) of the voxels
+    of ``rest`` that have a voxel of B within one step of the coarsest axis.
+
+    The indices are into ``window``, a (origin, shape) box of the grid that
+    may reach past its edges; ``_points`` turns them into grid points.
+    """
+    offsets, length_sq, shells = search
+    reach = np.abs(offsets).max(axis=0)
+    lo, hi = b_box
+    # B's box grown by twice the reach, so a candidate plus an offset never leaves it
+    origin, shape = lo - 2 * reach, hi - lo + 4 * reach
+    near_b = np.zeros(shape, dtype=bool)
+    near_b[_slices(lo - origin, hi - origin)] = b[_slices(lo, hi)]
+    # only voxels in B's box grown by the reach can meet B
+    glo, ghi = np.maximum(lo - reach, 0), np.minimum(hi + reach, b.shape)
+    candidates = np.zeros(shape, dtype=bool)
+    candidates[_slices(glo - origin, ghi - origin)] = rest[_slices(glo, ghi)]
+    at = np.flatnonzero(candidates)
+    flat = near_b.ravel()
+    steps = np.array(near_b.strides)  # bool: one byte a voxel
+    sq = np.full(at.size, np.inf)
+    left, left_at = np.arange(at.size), at
     for shell in shells:
         if not left.size:
             break
         best = np.full(left.size, np.inf)
         for step, length in zip(offsets[shell] @ steps, length_sq[shell]):
-            hit = flat[at + step]
-            best[hit & (best > length)] = length
+            np.minimum(best, length, out=best, where=flat[left_at + step])
         settled = best < np.inf
         sq[left[settled]] = best[settled]
-        left, at = left[~settled], at[~settled]
+        left, left_at = left[~settled], left_at[~settled]
     settled = sq < np.inf
-    return p[settled], sq[settled]
+    return at[settled], sq[settled], (origin, shape)
 
 
-def _transform_sq(rest: np.ndarray, b: np.ndarray,
+def _points(at: np.ndarray, window) -> np.ndarray:
+    """Grid points (n, 3) of flat indices ``at`` into ``window``."""
+    origin, shape = window
+    return np.stack(np.unravel_index(at, shape), axis=1) + origin
+
+
+def _transform_sq(rest: np.ndarray, b: np.ndarray, b_box,
                   spacing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stage 2: (points (n, 3), squared distances (n,)) of every voxel of ``rest``,
     from one distance transform."""
-    lo, hi = _box(rest | b)  # holds B's nearest voxel to each voxel of rest
-    box = tuple(slice(l, h) for l, h in zip(lo, hi))
+    # the box of rest and B holds B's nearest voxel to each voxel of rest
+    (lo, hi), (b_lo, b_hi) = _box(rest), b_box
+    lo, hi = np.minimum(lo, b_lo), np.maximum(hi, b_hi)
+    box = _slices(lo, hi)
     nearest = ndimage.distance_transform_edt(~b[box], sampling=spacing,
                                              return_distances=False, return_indices=True)
     p = np.argwhere(rest[box])
@@ -163,25 +201,28 @@ def _transform_sq(rest: np.ndarray, b: np.ndarray,
     return p, sq
 
 
-def _directed_sq(a: np.ndarray, b: np.ndarray, spacing: np.ndarray) -> float:
-    """max over A's voxels of the squared distance (mm^2) to the nearest voxel of B."""
-    rest = a & ~b  # A's voxels in B are at distance 0
-    if not rest.any():
+def _directed_sq(rest: np.ndarray, b: np.ndarray, b_box, search,
+                 spacing: np.ndarray) -> float:
+    """max over the voxels of ``rest`` (A\\B) of the squared distance (mm^2) to
+    the nearest voxel of B; A's voxels in B are at distance 0."""
+    n_rest = np.count_nonzero(rest)
+    if not n_rest:
         return 0.0
-    settled, settled_sq = _lattice_sq(rest, b, spacing)
-    stages = [(settled, settled_sq)]
-    rest[tuple(settled.T)] = False
-    if rest.any():
-        stages.append(_transform_sq(rest, b, spacing))
-    worst_sq = max(float(sq.max()) for _, sq in stages if sq.size)
+    at, lattice_sq, window = _lattice_sq(rest, b, b_box, search)
+    p, transform_sq = np.empty((0, 3), dtype=np.intp), np.empty(0)
+    if at.size < n_rest:  # some voxels are farther than the lattice reaches
+        rest[tuple(_points(at, window).T)] = False
+        p, transform_sq = _transform_sq(rest, b, b_box, spacing)
+    worst_sq = max(lattice_sq.max(initial=0.0), transform_sq.max(initial=0.0))
     # Among tied nearest voxels, such as (0,1,2) and (0,2,1) steps, either
     # stage may pick one that a pairwise scan rounds farther, so A's farthest
     # voxels, from both stages, are measured again with the arithmetic of a
     # pairwise scan, against B's voxels at that distance only.
-    far = np.concatenate([p[sq >= worst_sq * (1.0 - 2.0 * _TIE_RTOL)] for p, sq in stages])
+    cut = worst_sq * (1.0 - 2.0 * _TIE_RTOL)
+    far = np.concatenate([_points(at[lattice_sq >= cut], window), p[transform_sq >= cut]])
     radius = np.sqrt(worst_sq)
-    near = far[:, None, :] + _lattice(radius, radius, spacing, a.shape)[0][None, :, :]
-    inside = ((near >= 0) & (near < a.shape)).all(axis=2)
+    near = far[:, None, :] + _lattice(radius, radius, spacing, b.shape)[0][None, :, :]
+    inside = ((near >= 0) & (near < b.shape)).all(axis=2)
     near[~inside] = 0
     hit = inside & b[near[..., 0], near[..., 1], near[..., 2]]
     sq = ((far[:, None, :] * spacing - near * spacing) ** 2).sum(axis=2)
@@ -194,5 +235,9 @@ def hausdorff(a: BinaryMask, b: BinaryMask) -> float:
     if a.voxel_count == 0 or b.voxel_count == 0:
         raise ValueError("Hausdorff distance is undefined for an empty mask")
     spacing = np.array(a.spacing.as_tuple())
-    return float(np.sqrt(max(_directed_sq(a.data, b.data, spacing),
-                             _directed_sq(b.data, a.data, spacing))))
+    a, b = a.data, b.data
+    search = _search(spacing, a.shape)
+    a_box, b_box = _box(a), _box(b)
+    # a > b is A\B for booleans, in one pass
+    return float(np.sqrt(max(_directed_sq(a > b, b, b_box, search, spacing),
+                             _directed_sq(b > a, a, a_box, search, spacing))))

@@ -6,10 +6,12 @@ A ``.bval`` sidecar is UTF-8 text. Anything else is rejected loudly rather
 than guessed at. A 4D image is read only with the ``.bval`` path it is given,
 and a 3D one only without. Masks are stored as uint8 {0,1}; scalar volumes as
 float32. On-disk voxel order is x-fastest, so a C-ordered (z, y, x) array
-maps straight onto the data section. A read fills the float64 array frame by
-frame from the file, holding no copy of the file's bytes. A write casts one
-frame at a time to the file; a finite value that the cast makes infinite
-fails it.
+maps straight onto the data section. A volume or series read fills one
+float64 array frame by frame from the file, holding no copy of the file's
+bytes. A mask is thresholded as stored when its file is unscaled (a uint8
+mask reads as one byte a voxel, with no float64 copy of the grid); a scaled
+mask file goes through the float64 read. A write casts one frame at a time to
+the file; a finite value that the cast makes infinite fails it.
 """
 
 from __future__ import annotations
@@ -74,34 +76,41 @@ def _read_header(raw: bytes, path) -> dict:
     }
 
 
-def _read_array(path) -> tuple[np.ndarray, VoxelSpacing]:
-    """Load the raw image as a float64 array shaped (nz, ny, nx) or (nt, nz, ny, nx).
+def _read_array(path, as_stored: bool = False) -> tuple[np.ndarray, VoxelSpacing]:
+    """Load the raw image as an array shaped (nz, ny, nx) or (nt, nz, ny, nx).
 
-    The data section is read one frame at a time straight into the float64
-    array, so no copy of the file's bytes is held beside it. Values are then
-    scaled to ``scl_slope * stored + scl_inter``. A zero or non-finite slope
-    means unscaled, and a non-finite intercept reads as 0. Slope 1 with
-    intercept 0, which every file ivimlab writes stores, is not applied: the
-    values are the same, except that a stored -0.0 keeps its sign.
+    The array is float64, read one frame at a time straight from the file, so
+    no copy of the file's bytes is held beside it. Values are then scaled to
+    ``scl_slope * stored + scl_inter``. A zero or non-finite slope means
+    unscaled, and a non-finite intercept reads as 0. Slope 1 with intercept 0,
+    which every file ivimlab writes stores, is not applied: the values are the
+    same, except that a stored -0.0 keeps its sign. With ``as_stored``, an
+    unscaled image is returned as stored instead, in the file's datatype.
     """
     with open(path, "rb") as fh:
         hdr = _read_header(fh.read(HEADER_SIZE), path)
         nx, ny, nz = hdr["shape"][:3]
         nt = hdr["shape"][3] if len(hdr["shape"]) == 4 else None
+        shape = (nt, nz, ny, nx) if nt else (nz, ny, nx)
         dtype = _DTYPES[hdr["datatype"]]
-        nbytes = nx * ny * nz * (nt or 1) * dtype().itemsize
+        count = nx * ny * nz * (nt or 1)
+        nbytes = count * dtype().itemsize
         start = hdr["vox_offset"]
         size = os.fstat(fh.fileno()).st_size
         if size < start + nbytes:
             raise ValueError(
                 f"{path}: data section truncated ({size - start} bytes, need {nbytes})"
             )
-        data = np.empty((nt, nz, ny, nx) if nt else (nz, ny, nx))
+        slope, inter = hdr["scl_slope"], hdr["scl_inter"]
+        scaled = slope != 0.0 and np.isfinite(slope) and (slope, inter) != (1.0, 0.0)
         fh.seek(start)
-        for frame in data.reshape(nt or 1, -1):
-            frame[:] = np.fromfile(fh, dtype=dtype, count=frame.size)
-    slope, inter = hdr["scl_slope"], hdr["scl_inter"]
-    if slope != 0.0 and np.isfinite(slope) and (slope, inter) != (1.0, 0.0):
+        if as_stored and not scaled:
+            data = np.fromfile(fh, dtype=dtype, count=count).reshape(shape)
+        else:
+            data = np.empty(shape)
+            for frame in data.reshape(nt or 1, -1):
+                frame[:] = np.fromfile(fh, dtype=dtype, count=frame.size)
+    if scaled:
         data *= slope
         data += inter
     dx, dy, dz = hdr["pixdim"]
@@ -134,14 +143,18 @@ def read_mask(path) -> BinaryMask:
 
     A voxel is in the mask when its value is above 0.5. A NaN or infinite
     value fails the read rather than being dropped from the mask or kept in it.
+    An unscaled file is thresholded as stored: an integer is above 0.5 when it
+    is above 0, and a float32 compares with 0.5 exactly, as its float64 would.
     """
-    data, spacing = _read_array(path)
+    data, spacing = _read_array(path, as_stored=True)
     if data.ndim != 3:
         raise ValueError(f"{path}: expected a 3D mask, found a 4D image")
-    bad = int(np.count_nonzero(~np.isfinite(data)))
-    if bad:
-        raise ValueError(f"{path}: {bad} non-finite mask values")
-    return BinaryMask(data > 0.5, spacing)
+    if data.dtype.kind == "f":
+        bad = int(np.count_nonzero(~np.isfinite(data)))
+        if bad:
+            raise ValueError(f"{path}: {bad} non-finite mask values")
+        return BinaryMask(data > 0.5, spacing)
+    return BinaryMask(data > 0, spacing)
 
 
 def _pack_header(shape_xyz: tuple[int, ...], pixdim_xyz: tuple[float, ...],

@@ -23,11 +23,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.ndimage import binary_dilation, binary_erosion, generate_binary_structure
 
 from .grid import BinaryMask, DwiSeries, IvimMaps, VoxelSpacing, Volume3D
-
-_STRUCT6 = generate_binary_structure(3, 1)  # 6-connected neighbourhood
 
 DEFAULT_SPACING = (7.20, 2.07, 2.07)  # mm, slice-major
 DEFAULT_BVALUES = (0.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0, 600.0)  # s/mm^2
@@ -172,11 +169,19 @@ def make_phantom(cfg: PhantomConfig | None = None) -> PhantomBundle:
 
 
 def boundary_band(mask: BinaryMask) -> np.ndarray:
-    """Voxels whose 6-neighbourhood mixes mask and background (either side)."""
+    """Voxels whose 6-neighbourhood mixes mask and background (either side);
+    beyond the grid counts as background."""
     m = mask.data
-    inner = m & ~binary_erosion(m, _STRUCT6, border_value=0)
-    outer = ~m & binary_dilation(m, _STRUCT6)
-    return inner | outer
+    band = np.zeros(m.shape, dtype=bool)
+    for axis in range(3):
+        along, into = np.moveaxis(m, axis, 0), np.moveaxis(band, axis, 0)  # views
+        differ = along[1:] != along[:-1]  # the two voxels of each neighbour pair
+        into[1:] |= differ
+        into[:-1] |= differ
+        # beyond the grid is background, so a mask voxel on a face is in the band
+        into[0] |= along[0]
+        into[-1] |= along[-1]
+    return band
 
 
 def boundary_flip(mask: BinaryMask, p: float, seed: int = 0) -> BinaryMask:

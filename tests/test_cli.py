@@ -857,7 +857,7 @@ class TestReport:
     def test_label_case_is_normalised(self, tmp_path):
         plain = write_summaries(summaries_rows(), tmp_path / "plain.csv")
         shouted = write_summaries(
-            summaries_rows(("FGR", "Control", "Manual", "AUTOMATIC", "OLP")),
+            summaries_rows(("FGR ", " Control", "Manual", "AUTOMATIC", " OLP ")),
             tmp_path / "shouted.csv")
         assert cli.main(["report", str(plain), str(tmp_path / "a")]) == cli.EXIT_OK
         assert cli.main(["report", str(shouted), str(tmp_path / "b")]) == cli.EXIT_OK
@@ -975,3 +975,16 @@ class TestImportCost:
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+
+class TestMain:
+    def test_parser_is_built_once_and_reused(self, tmp_path, monkeypatch):
+        missing = str(tmp_path / "absent.nii")
+        assert cli.main(["metrics", missing, missing]) == cli.EXIT_INPUT
+
+        def rebuilt():
+            raise AssertionError("main built its parser again")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        for _ in range(2):
+            assert cli.main(["metrics", missing, missing]) == cli.EXIT_INPUT

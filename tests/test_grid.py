@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,3 +216,17 @@ class TestAverageByBvalue:
         assert list(out.bvalues) == sorted(set(bvals))
         for frame, b in zip(out.data, out.bvalues):
             assert frame.tobytes() == data[np.array(bvals) == b].mean(axis=0).tobytes()
+
+    def test_peak_memory_is_the_output_plus_one_frame(self):
+        # the segmentation-paper shells: two b=0 frames, three directions on each other
+        bvals = [0.0, 0.0] + [b for b in (10, 20, 50, 100, 200, 400, 600) for _ in range(3)]
+        rng = np.random.default_rng(5)
+        s = DwiSeries(rng.random((len(bvals), 4, 16, 16)), SP, np.array(bvals, dtype=float))
+        tracemalloc.start()
+        try:
+            out = average_by_bvalue(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.n_frames == 8
+        assert peak <= out.data.nbytes + s.data[0].nbytes, peak / s.data[0].nbytes

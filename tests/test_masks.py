@@ -75,6 +75,19 @@ class TestFuse:
             ref = fuse(ms, strategy).data
             assert np.array_equal(fuse(ms[::-1], strategy).data, ref)
 
+    @pytest.mark.parametrize("n", [1, 2, 254, 255, 256, 300])
+    def test_avg_equals_the_direct_vote_count(self, n):
+        # each voxel gets a chosen number of votes: none, all, and every count at and
+        # next to half, so a vote count that wraps or a threshold off by one shows
+        votes = np.array(sorted({0, n, max(n // 2 - 1, 0), n // 2, min(n // 2 + 1, n),
+                                 (n + 1) // 2, n - 1}))
+        rng = np.random.default_rng(n)
+        chosen = np.stack([rng.permutation(n) < v for v in votes], axis=1)  # (n, voxels)
+        ms = [mk(row.reshape(1, 1, -1)) for row in chosen]
+        direct = np.sum([m.data for m in ms], axis=0, dtype=np.int64) * 2 > n
+        assert np.array_equal(direct.ravel(), votes * 2 > n)
+        assert np.array_equal(fuse(ms, FusionStrategy.AVG).data, direct)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             fuse([], FusionStrategy.OLP)
@@ -100,7 +113,9 @@ class TestDice:
         b = np.zeros((2, 2, 2), dtype=bool)
         a.ravel()[[0, 1, 2]] = True
         b.ravel()[[1, 2, 3]] = True
-        assert dice(mk(a), mk(b)) == pytest.approx(2 * 2 / 6)
+        d = dice(mk(a), mk(b))
+        assert d == pytest.approx(2 * 2 / 6)
+        assert type(d) is float  # not a numpy scalar, which prints differently
 
     def test_both_empty_is_one(self):
         e = mk(np.zeros((2, 2, 2)))

@@ -293,6 +293,63 @@ class TestReadMask:
         assert np.array_equal(nifti.read_mask(p).data, data > 0.5)
 
 
+    @pytest.mark.parametrize("datatype, bitpix, dtype", [
+        (2, 8, np.uint8), (4, 16, np.int16), (16, 32, np.float32), (64, 64, np.float64),
+    ], ids=["uint8", "int16", "float32", "float64"])
+    @pytest.mark.parametrize("slope, inter", [
+        (1.0, 0.0), (0.0, 9.0), (float("nan"), 0.0), (2.0, -1.0), (-0.5, 0.75),
+        (0.25, float("nan")), (3.0, float("-inf")),
+    ], ids=["unscaled", "zero slope", "nan slope", "scaled", "negative slope",
+            "nan intercept", "infinite intercept"])
+    def test_equals_the_volume_read_thresholded(self, tmp_path, datatype, bitpix, dtype,
+                                                slope, inter):
+        # stored values on both sides of 0.5 and of every scaled threshold, with each
+        # datatype's extremes
+        rng = np.random.default_rng(datatype)
+        if np.dtype(dtype).kind == "f":
+            raw = np.concatenate([[0.0, 0.5, np.nextafter(np.float32(0.5), 1), -0.0, -1.0,
+                                   0.49, 1.0, 0.25, 0.75, 2.0, np.finfo(np.float32).max],
+                                  rng.uniform(-4, 4, 49)]).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            raw = np.concatenate([[0, 1, 2, info.min, info.max],
+                                  rng.integers(info.min, info.max, 55, endpoint=True)]).astype(dtype)
+        p = tmp_path / "m.nii"
+        write_minimal(p, datatype=datatype, bitpix=bitpix, dim=(3, 5, 4, 3, 1, 1, 1, 1),
+                      scl_slope=slope, scl_inter=inter, payload=raw.tobytes())
+        mask = nifti.read_mask(p)
+        assert mask.data.dtype == bool
+        assert np.array_equal(mask.data, nifti.read_volume(p).data > 0.5)
+
+    @pytest.mark.parametrize("datatype, bitpix, dtype", [
+        (16, 32, np.float32), (64, 64, np.float64),
+    ], ids=["float32", "float64"])
+    @pytest.mark.parametrize("slope", [1.0, 2.0], ids=["unscaled", "scaled"])
+    def test_non_finite_float_mask_fails_with_its_count(self, tmp_path, datatype, bitpix,
+                                                       dtype, slope):
+        raw = np.array([0.0, 1.0, np.nan, np.inf, -np.inf, 0.0, 1.0, 0.0], dtype=dtype)
+        p = tmp_path / "m.nii"
+        write_minimal(p, datatype=datatype, bitpix=bitpix, scl_slope=slope,
+                      payload=raw.tobytes())
+        with pytest.raises(ValueError, match=f"^{p}: 3 non-finite mask values$"):
+            nifti.read_mask(p)
+
+    def test_uint8_mask_allocates_no_float64_grid(self, tmp_path):
+        rng = np.random.default_rng(6)
+        mask = BinaryMask(rng.random((8, 64, 64)) < 0.3, SP)
+        p = tmp_path / "m.nii"
+        nifti.write_mask(mask, p)
+        tracemalloc.start()
+        try:
+            back = nifti.read_mask(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, mask.data)
+        # the stored bytes, the thresholded mask and the mask's own copy: one byte each
+        assert peak < 4 * mask.data.size, peak / mask.data.size
+
+
 class TestBvals:
     def test_paper_range_row(self, tmp_path):
         p = tmp_path / "b.bval"

@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from ivimlab import ivim, phantom
+from ivimlab.grid import BinaryMask, VoxelSpacing
 
 DIMS = (4, 12, 12)
 
@@ -110,3 +112,20 @@ class TestConfigChecks:
     def test_rejects_snr_that_is_not_positive(self, snr):
         with pytest.raises(ValueError, match="snr"):
             config(noise_model="gaussian", snr=snr)
+
+
+class TestBoundaryBand:
+    @pytest.mark.parametrize("dims", [(5, 6, 7), (1, 6, 7), (5, 1, 7), (5, 6, 1), (1, 1, 4),
+                                      (1, 1, 1)])
+    def test_equals_scipy_erosion_and_dilation(self, dims):
+        # the 6-neighbour band, with the grid border as background (border_value=0);
+        # dense masks touch every face of the grid
+        six = ndimage.generate_binary_structure(3, 1)
+        rng = np.random.default_rng(len(dims) * 100 + sum(dims))
+        for density in (0.05, 0.3, 0.7, 0.95, 1.0):
+            for _ in range(10):
+                m = rng.random(dims) < density
+                inner = m & ~ndimage.binary_erosion(m, six, border_value=0)
+                outer = ~m & ndimage.binary_dilation(m, six, border_value=0)
+                band = phantom.boundary_band(BinaryMask(m, VoxelSpacing(1.0, 1.0, 1.0)))
+                assert np.array_equal(band, inner | outer), (density, m)
