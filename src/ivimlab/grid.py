@@ -4,11 +4,14 @@ Axis order is (z, y, x) everywhere, with spacing stated in the same order so
 slice loops stay outermost. A 4D series puts the frame axis first, as one
 (n_frames, nz, ny, nx) array; a volume, a mask and a series all take
 ``dims`` from the last three axes. Every container holds a read-only view of
-its arrays and is safe to share across concurrent readers. It copies nothing
-that is already a C-contiguous float64 array (a volume's or series' data, a
-series' b-values): it shares memory with that array, which stays writeable by
-its owner, so a change made through it shows in the container.
-``ivim.fit_volume`` averages every series it fits with ``average_by_bvalue``.
+its arrays and is safe to share across concurrent readers. A volume's data and
+a series' b-values are float64; a series' data is float32 or float64, as
+stored, and any other type becomes float64. A container copies nothing that is
+already a C-contiguous array of its type: it shares memory with that array,
+which stays writeable by its owner, so a change made through it shows in the
+container. All arithmetic on a series is float64: ``average_by_bvalue`` widens
+each frame as it sums it, exactly, and ``ivim.fit_volume`` averages every
+series it fits with it.
 """
 
 from __future__ import annotations
@@ -110,14 +113,18 @@ class DwiSeries(_OnGrid):
     """A 4D series: one (n_frames, nz, ny, nx) array, one b-value per frame.
 
     All frames share the one grid by construction; ``data[t]`` is frame t.
-    Frames with equal b-values belong to one shell, and a b=0 frame has a
-    b-value of exactly 0; at least one is required.
+    The array is float32 or float64 as given, kept without a copy when it is
+    C-contiguous; any other type is converted to float64. Frames with equal
+    b-values belong to one shell, and a b=0 frame has a b-value of exactly 0;
+    at least one is required.
     """
 
     bvalues: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = np.asarray(self.data)
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(np.float64)
         bvals = np.asarray(self.bvalues, dtype=np.float64).ravel()
         if arr.ndim != 4 or arr.shape[0] != bvals.size:
             raise ValueError(f"data of shape {arr.shape} is not (n_frames, nz, ny, nx) "
@@ -136,7 +143,7 @@ class DwiSeries(_OnGrid):
 
     @property
     def frames(self) -> tuple[Volume3D, ...]:
-        """Each frame as a Volume3D view of ``data`` (no copy)."""
+        """Each frame as a Volume3D: a view of float64 ``data``, a float64 copy of float32."""
         return tuple(Volume3D(fr, self.spacing) for fr in self.data)
 
     def stacked(self) -> np.ndarray:
@@ -181,26 +188,24 @@ class IvimMaps:
 
 
 def average_by_bvalue(series: DwiSeries) -> DwiSeries:
-    """Collapse frames sharing a b-value to their voxel-wise mean.
+    """Collapse frames sharing a b-value to their voxel-wise mean, in float64.
 
     Frames acquired along several diffusion directions (or repeated b=0
     baselines) are averaged into one trace-weighted frame per shell: a new
-    array with one frame per distinct b-value, sorted ascending. A shell of
-    one frame is copied into its slot. A shell of several has its first two
-    frames added straight into its slot and its other frames added to the slot
-    in frame order. Each slot is then divided by its shell's frame count. That
-    is the arithmetic of ``np.mean(axis=0)`` over the shell, so the result is
-    bit-identical to it, and no frame is copied anywhere but into the output.
+    float64 array with one frame per distinct b-value, sorted ascending. Each
+    shell's first frame is copied into its slot, its other frames are added to
+    the slot in frame order, and the slot is divided by the shell's frame
+    count. A float32 frame is widened as it is copied or added, exactly, so no
+    sum rounds in float32. That is the arithmetic of ``np.mean(axis=0)`` over
+    the shell's frames widened to float64, so the result is bit-identical to
+    it, and no frame is copied anywhere but into the output.
     """
     shells, counts = np.unique(series.bvalues, return_counts=True)
     means = np.empty((shells.size, *series.dims))
     for slot, b, count in zip(means, shells, counts):
         first, *rest = (series.data[t] for t in np.flatnonzero(series.bvalues == b))
-        if rest:
-            np.add(first, rest[0], out=slot)
-            for frame in rest[1:]:
-                slot += frame
-        else:
-            slot[...] = first
+        slot[...] = first
+        for frame in rest:
+            slot += frame
         slot /= count
     return DwiSeries(means, series.spacing, shells)

@@ -6,12 +6,15 @@ A ``.bval`` sidecar is UTF-8 text. Anything else is rejected loudly rather
 than guessed at. A 4D image is read only with the ``.bval`` path it is given,
 and a 3D one only without. Masks are stored as uint8 {0,1}; scalar volumes as
 float32. On-disk voxel order is x-fastest, so a C-ordered (z, y, x) array
-maps straight onto the data section. A volume or series read fills one
-float64 array frame by frame from the file, holding no copy of the file's
-bytes. A mask is thresholded as stored when its file is unscaled (a uint8
-mask reads as one byte a voxel, with no float64 copy of the grid); a scaled
-mask file goes through the float64 read. A write casts one frame at a time to
-the file; a finite value that the cast makes infinite fails it.
+maps straight onto the data section. An unscaled float32 or float64 series
+is read as stored, its data section in one piece; any other series, and every
+volume, fills one float64 array frame by frame from the file. Neither holds a
+copy of the file's bytes beside the array, and a series' arithmetic is float64
+either way (``grid.average_by_bvalue``). A mask is thresholded as stored when
+its file is unscaled (a uint8 mask reads as one byte a voxel, with no float64
+copy of the grid); a scaled mask file goes through the float64 read. A write
+casts one frame at a time to the file; a finite value that the cast makes
+infinite fails it.
 """
 
 from __future__ import annotations
@@ -84,8 +87,9 @@ def _read_array(path, as_stored: bool = False) -> tuple[np.ndarray, VoxelSpacing
     ``scl_slope * stored + scl_inter``. A zero or non-finite slope means
     unscaled, and a non-finite intercept reads as 0. Slope 1 with intercept 0,
     which every file ivimlab writes stores, is not applied: the values are the
-    same, except that a stored -0.0 keeps its sign. With ``as_stored``, an
-    unscaled image is returned as stored instead, in the file's datatype.
+    same, except that a stored -0.0 keeps its sign. An unscaled float32 or
+    float64 4D image, and with ``as_stored`` any unscaled image, is returned as
+    stored instead: in the file's datatype, read with one ``np.fromfile``.
     """
     with open(path, "rb") as fh:
         hdr = _read_header(fh.read(HEADER_SIZE), path)
@@ -104,7 +108,7 @@ def _read_array(path, as_stored: bool = False) -> tuple[np.ndarray, VoxelSpacing
         slope, inter = hdr["scl_slope"], hdr["scl_inter"]
         scaled = slope != 0.0 and np.isfinite(slope) and (slope, inter) != (1.0, 0.0)
         fh.seek(start)
-        if as_stored and not scaled:
+        if not scaled and (as_stored or (nt and np.dtype(dtype).kind == "f")):
             data = np.fromfile(fh, dtype=dtype, count=count).reshape(shape)
         else:
             data = np.empty(shape)
@@ -120,9 +124,11 @@ def _read_array(path, as_stored: bool = False) -> tuple[np.ndarray, VoxelSpacing
 def read_volume(path, bval_path=None):
     """Read a .nii image: 3D gives a Volume3D, 4D with ``bval_path`` a DwiSeries.
 
-    A 4D image is wrapped as read, one (n_frames, nz, ny, nx) float64 array,
-    with the b-values of ``bval_path``, one per frame. A 4D image without
-    ``bval_path``, or a 3D one with it, fails the read, naming the image.
+    A 4D image is wrapped as read, one (n_frames, nz, ny, nx) array, with the
+    b-values of ``bval_path``, one per frame: an unscaled float32 or float64
+    file keeps its type, read in one piece, and any other fills one float64
+    array frame by frame. A 3D image is always read into float64. A 4D image
+    without ``bval_path``, or a 3D one with it, fails the read, naming the image.
     """
     data, spacing = _read_array(path)
     if data.ndim == 3:

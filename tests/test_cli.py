@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import ivimlab
 from ivimlab import cli, fgr, ivim, masks, phantom, report
-from ivimlab.grid import BinaryMask, VoxelSpacing, Volume3D
+from ivimlab.grid import BinaryMask, DwiSeries, VoxelSpacing, Volume3D
 from ivimlab.nifti import read_mask, read_volume, write_mask, write_volume
 
 PHANTOM_OUTPUTS = ["series.nii", "series.bval", "mask.nii", "truth_s0.nii",
@@ -369,6 +369,20 @@ class TestFit:
         assert log["voxels_fitted"] == maps.mask.voxel_count
         assert set(log) == {"voxels_fitted", "voxels_failed", "boundary_hits", "wall_time",
                             "summary"}
+
+    def test_maps_are_the_fit_of_the_series_widened_to_float64(self, subject, tmp_path):
+        # the CLI fits the float32 series as read; the API fits it widened first
+        series, bvals, mask = (str(subject / n) for n in
+                               ("series.nii", "series.bval", "mask.nii"))
+        assert cli.main(["fit", series, bvals, mask, str(tmp_path / "cli")]) == cli.EXIT_OK
+        read = read_volume(series, bval_path=bvals)
+        assert read.data.dtype == np.float32
+        wide = DwiSeries(read.data.astype(np.float64), read.spacing, read.bvalues)
+        maps = ivim.fit_volume(wide, read_mask(mask))
+        for name in ("s0", "f", "d_star", "adc", "residual"):
+            write_volume(getattr(maps, name), tmp_path / f"{name}.nii")
+            assert ((tmp_path / "cli" / f"{name}.nii").read_bytes()
+                    == (tmp_path / f"{name}.nii").read_bytes()), name
 
     def test_internal_failure_exits_1(self, subject, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):

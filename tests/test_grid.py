@@ -157,6 +157,23 @@ class TestDwiSeries:
         with pytest.raises(ValueError):
             s.data[0, 0, 0, 0] = 5.0
 
+    def test_float_data_is_kept_as_given_and_other_types_become_float64(self):
+        bvals = np.array([0.0, 100.0])
+        for dtype in (np.float32, np.float64):
+            data = np.arange(16, dtype=dtype).reshape(2, 2, 2, 2)
+            s = DwiSeries(data, UNIT, bvals)
+            assert s.data.dtype == dtype and np.shares_memory(s.data, data)
+        for dtype in (np.int16, np.uint8, np.float16, bool):
+            data = np.ones((2, 2, 2, 2), dtype=dtype)
+            s = DwiSeries(data, UNIT, bvals)
+            assert s.data.dtype == np.float64 and np.array_equal(s.data, data)
+
+    def test_float32_frames_are_float64_copies(self):
+        s = DwiSeries(np.full((2, 2, 2, 2), 0.1, dtype=np.float32), UNIT, np.array([0.0, 100.0]))
+        for fr, want in zip(s.frames, s.data):
+            assert fr.data.dtype == np.float64 and not np.shares_memory(fr.data, s.data)
+            assert fr.data.tobytes() == want.astype(np.float64).tobytes()
+
 
 class TestAverageByBvalue:
     def test_identical_frames_collapse(self):
@@ -216,6 +233,30 @@ class TestAverageByBvalue:
         assert list(out.bvalues) == sorted(set(bvals))
         for frame, b in zip(out.data, out.bvalues):
             assert frame.tobytes() == data[np.array(bvals) == b].mean(axis=0).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_float32_series_averages_as_its_frames_widened(self, counts, seed):
+        # 1-4 frames in each of up to five shells, interleaved; each shell's sums must be
+        # float64 sums of the widened frames, never float32 sums widened after
+        rng = np.random.default_rng(seed)
+        bvals = rng.permutation(np.repeat([0.0, 10.0, 100.0, 600.0, 1000.0][:len(counts)],
+                                          counts))
+        n = bvals.size
+        data = (rng.normal(size=(n, 2, 3, 4)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1, 1, 1))
+                ).astype(np.float32)
+        out = average_by_bvalue(DwiSeries(data, SP, bvals))
+        assert out.data.dtype == np.float64
+        wide = data.astype(np.float64)
+        for frame, b in zip(out.data, out.bvalues):
+            assert frame.tobytes() == wide[bvals == b].mean(axis=0).tobytes()
+
+    def test_float32_shell_sum_does_not_round_in_float32(self):
+        # 1 + 2**-24 is a float32 tie that rounds to 1; in float64 it is exact
+        data = np.stack([np.full((2, 2, 2), v, dtype=np.float32) for v in (1.0, 2.0**-24)])
+        out = average_by_bvalue(DwiSeries(data, UNIT, np.array([0.0, 0.0])))
+        assert np.all(out.data == 0.5 + 2.0**-25)
 
     def test_peak_memory_is_the_output_plus_one_frame(self):
         # the segmentation-paper shells: two b=0 frames, three directions on each other

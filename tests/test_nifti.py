@@ -209,6 +209,40 @@ class TestFrameWiseRead:
         assert np.array_equal(back.data, series.data)
         assert peak <= back.data.nbytes + back.data[0].nbytes
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unscaled_float_series_is_read_as_stored_in_one_piece(self, tmp_path, dtype):
+        rng = np.random.default_rng(7)
+        raw = rng.normal(size=(8, 8, 32, 32)).astype(dtype)
+        p = tmp_path / "s.nii"
+        write_minimal(p, datatype={np.float32: 16, np.float64: 64}[dtype],
+                      bitpix=8 * raw.itemsize, dim=(4, 32, 32, 8, 8, 1, 1, 1),
+                      payload=raw.tobytes())
+        (tmp_path / "s.bval").write_text("0 0 10 50 100 200 400 600")
+        tracemalloc.start()
+        try:
+            back = nifti.read_volume(p, tmp_path / "s.bval")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.data.dtype == dtype
+        assert back.data.tobytes() == raw.tobytes()
+        # the file's bytes once, plus 16 KiB, under one frame of either type: the
+        # frame-wise float64 read peaks at least one whole frame higher
+        assert peak <= raw.nbytes + 16384, peak - raw.nbytes
+
+    @pytest.mark.parametrize("datatype, bitpix, dtype", [
+        (2, 8, np.uint8), (4, 16, np.int16),
+    ], ids=["uint8", "int16"])
+    def test_unscaled_integer_series_reads_as_float64(self, tmp_path, datatype, bitpix, dtype):
+        # scaled series of every type: test_4d_read_equals_the_whole_data_section_scaled
+        raw = np.arange(2 * 3 * 4 * 2).astype(dtype)
+        p = tmp_path / "s.nii"
+        write_minimal(p, datatype=datatype, bitpix=bitpix, dim=(4, 2, 4, 3, 2, 1, 1, 1),
+                      payload=raw.tobytes())
+        (tmp_path / "s.bval").write_text("0 100")
+        back = nifti.read_volume(p, tmp_path / "s.bval")
+        assert back.data.tobytes() == raw.reshape(2, 3, 4, 2).astype(np.float64).tobytes()
+
 
 class TestFrameWiseWrite:
     def test_data_section_is_the_array_cast_whole(self, tmp_path):
